@@ -58,11 +58,18 @@ class ExponentialTensileLaw:
         lam = np.sqrt(2.0 * E + 1.0)
         return tensile_stress(self, lam)
 
-    def stretch_at_stress(self, T: float) -> float:
+    def stretch_at_stress(self, T):
         """Inverse of :meth:`stress`; valid for T > -C/B."""
-        if T <= -self.C / self.B:
-            raise DomainError(f"stress {T} outside the range of the law")
-        return 1.0 + math.log(self.B * T / self.C + 1.0) / self.B
+        T = np.asarray(T, dtype=float)
+        if np.any(T <= -self.C / self.B):
+            raise DomainError(f"stress {float(T.min())} outside the range "
+                              f"of the law")
+        out = 1.0 + np.log(self.B * T / self.C + 1.0) / self.B
+        return float(out) if out.ndim == 0 else out
+
+    def green_at_stress(self, T):
+        """Inverse of :meth:`stress_green`, in closed form."""
+        return green_strain(self.stretch_at_stress(T))
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,11 @@ class LinearElasticLaw:
         E = np.asarray(E, dtype=float)
         _check_finite("green strain", E)
         return self.k * E
+
+    def green_at_stress(self, T):
+        T = np.asarray(T, dtype=float)
+        _check_finite("stress", T)
+        return T / self.k
 
 
 @dataclass(frozen=True)
@@ -272,10 +284,62 @@ class FungUniaxialLaw:
     def stress_green(self, E):
         E = np.asarray(E, dtype=float)
         _check_finite("green strain", E)
-        if E.ndim == 0:
-            return fung_stress(self.params, BiaxialStrainState(float(E), 0.0)).S11
-        return np.array([fung_stress(self.params, BiaxialStrainState(e, 0.0)).S11
-                         for e in E])
+        out = self._stress_and_slope(E)[0]
+        return float(out) if out.ndim == 0 else out
+
+    def _stress_and_slope(self, E: np.ndarray):
+        """S11 of :func:`fung_stress` and dS11/dE11 at E22 = E12 = 0."""
+        p = self.params
+        q = p.a1 * E ** 2 + p.gamma1 * E ** 3
+        if np.any(q > _EXP_ARG_MAX):
+            raise DomainError(f"energy exponent Q = {float(q.max())} overflows")
+        half_cx = 0.5 * p.c * np.exp(q)
+        dq = 2.0 * p.a1 * E + 3.0 * p.gamma1 * E ** 2
+        s = half_cx * dq
+        ds = half_cx * (dq * dq + 2.0 * p.a1 + 6.0 * p.gamma1 * E)
+        if p.include_quadratic_group:
+            s = s + p.alpha1 * E
+            ds = ds + p.alpha1
+        return s, ds
+
+    def green_at_stress(self, T):
+        """Inverse of :meth:`stress_green` on E >= -1/2.
+
+        Each stress is bracketed between -1/2 and an upper bound doubled
+        from 0.1, then solved by Newton's method with the analytic slope,
+        bisecting whenever a Newton step would leave the bracket.
+        """
+        T = np.asarray(T, dtype=float)
+        _check_finite("stress", T)
+        scalar = T.ndim == 0
+        T = np.atleast_1d(T)
+        lo, hi = np.full(T.shape, -0.5), np.full(T.shape, 0.1)
+        if np.any(self._stress_and_slope(lo)[0] > T):
+            raise DomainError(f"stress {float(T.min())} is below the range "
+                              f"of the law on E >= -1/2")
+        for _ in range(60):
+            short = self._stress_and_slope(hi)[0] < T
+            if not np.any(short):
+                break
+            lo = np.where(short, hi, lo)
+            hi = np.where(short, 2.0 * hi, hi)
+        else:
+            raise DomainError(f"stress {float(T.max())} is above the range "
+                              f"of the law")
+        E = 0.5 * (lo + hi)
+        for _ in range(100):
+            s, ds = self._stress_and_slope(E)
+            lo = np.where(s <= T, E, lo)
+            hi = np.where(s >= T, E, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = E - (s - T) / ds
+            nxt = np.where((newton > lo) & (newton < hi), newton,
+                           0.5 * (lo + hi))
+            done = np.all(np.abs(nxt - E) <= 4e-16 * np.abs(E))
+            E = nxt
+            if done:
+                break
+        return float(E[0]) if scalar else E
 
 
 def uniaxial_pk2_from_load(F: float, lam: float, A0: float) -> float:

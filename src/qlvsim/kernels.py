@@ -5,6 +5,11 @@ creep/relaxation functions, discrete exponential (Prony) spectra, and the
 continuous 1/q spectrum whose reduced relaxation function involves the
 exponential integral E1.  All causal functions follow the half-at-zero
 step convention: value 1 for t > 0, 1/2 at t = 0, 0 for t < 0.
+
+The exact exponential recursion of a Prony kernel's internal variables,
+shared by the QLV evaluator, the protocols and the network, is
+:func:`prony_step`; :func:`kernel_force_history` applies it to a whole
+sampled history.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import lfilter
+from scipy.special import exp1
 
 from .errors import DomainError
-
-_EULER_GAMMA = 0.5772156649015329
 
 
 def unit_step(t):
@@ -203,54 +208,75 @@ def prony_relaxation(s: PronySpectrum, t):
     return float(out) if out.ndim == 0 else out
 
 
-def exp_integral_e1(x):
-    """Exponential integral E1(x) = int_x^inf exp(-u)/u du, for x > 0.
+def prony_step(spectrum: PronySpectrum, h, dt, dx):
+    """Advance the internal variables of a Prony kernel over one step.
 
-    Power series below 1, modified-Lentz continued fraction above.
+    Exact exponential recursion for an input that is linear in time over
+    the step: h <- exp(-f*dt)*h + a*phi(f*dt)*dx per term, with
+    phi(x) = (1 - exp(-x))/x.  The step is linear in (h, dx), so
+    ``prony_step(s, 1.0, dt, 0.0)`` and ``prony_step(s, 0.0, dt, 1.0)`` are
+    its per-term decay and gain.
     """
+    amps = np.asarray(spectrum.amplitudes)
+    x = np.asarray(spectrum.frequencies) * dt
+    small = x < 1e-8
+    safe = np.where(small, 1.0, x)
+    phi = np.where(small, 1.0 - x / 2.0, -np.expm1(-safe) / safe)
+    return np.exp(-x) * h + amps * phi * dx
+
+
+def is_uniform_grid(times) -> bool:
+    """Whether sample times are equally spaced, to a relative 1e-9."""
+    dts = np.diff(np.asarray(times, dtype=float))
+    return dts.size == 0 or bool(np.allclose(dts, dts[0], rtol=1e-9, atol=0.0))
+
+
+def kernel_force_history(spectrum: PronySpectrum, times,
+                         displacement) -> np.ndarray:
+    """Response K*x(t) + sum of internal variables of a Prony kernel to a
+    sampled input x, taken linear in time between samples.
+
+    The input is treated as applied at t = 0 (quiescent before that), so a
+    nonzero first sample acts as an initial step.  Uniform grids run each
+    term through a linear recursive filter; other grids use
+    :func:`prony_step` sample by sample.
+    """
+    times = np.asarray(times, dtype=float)
+    xs = np.asarray(displacement, dtype=float)
+    if times.shape != xs.shape or times.ndim != 1:
+        raise DomainError("times and displacement must be 1-D of equal length")
+    dts = np.diff(times)
+    if np.any(dts <= 0):
+        idx = int(np.argmax(dts <= 0))
+        raise DomainError(f"times must be strictly increasing (index {idx + 1})")
+    dxs = np.diff(xs)
+    h0 = np.asarray(spectrum.amplitudes) * xs[0]
+    h_sum = np.empty(times.size)
+    h_sum[0] = h0.sum()
+    if dts.size and is_uniform_grid(times):
+        decay = prony_step(spectrum, 1.0, dts[0], 0.0)
+        gain = prony_step(spectrum, 0.0, dts[0], 1.0)
+        acc = np.zeros(dxs.size)
+        for k in range(h0.size):
+            hk, _ = lfilter([gain[k]], [1.0, -decay[k]], dxs,
+                            zi=[decay[k] * h0[k]])
+            acc += hk
+        h_sum[1:] = acc
+    else:
+        h = h0
+        for i in range(dxs.size):
+            h = prony_step(spectrum, h, dts[i], dxs[i])
+            h_sum[i + 1] = h.sum()
+    return spectrum.K * xs + h_sum
+
+
+def exp_integral_e1(x):
+    """Exponential integral E1(x) = int_x^inf exp(-u)/u du, for x > 0."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any(~np.isfinite(x)) or np.any(x <= 0):
         raise DomainError("E1 requires finite x > 0")
-    out = np.empty_like(x)
-
-    small = x <= 1.0
-    if np.any(small):
-        xs = x[small]
-        # sum_{k>=1} (-1)^(k+1) x^k / (k * k!)
-        term = xs.copy()
-        total = xs.copy()
-        for k in range(2, 40):
-            term = term * (-xs) / k
-            total = total + term / k
-            if np.all(np.abs(term / k) < 1e-18 * np.abs(total)):
-                break
-        out[small] = total - _EULER_GAMMA - np.log(xs)
-
-    large = ~small
-    if np.any(large):
-        xl = x[large]
-        tiny = 1e-300
-        b = xl + 1.0
-        c = np.full_like(xl, 1e300)
-        d = 1.0 / b
-        h = d.copy()
-        for i in range(1, 200):
-            a = -float(i * i)
-            b = b + 2.0
-            den = b + a * d
-            den = np.where(np.abs(den) < tiny, tiny, den)
-            d = 1.0 / den
-            c = b + a / c
-            c = np.where(np.abs(c) < tiny, tiny, c)
-            delta = c * d
-            h = h * delta
-            if np.all(np.abs(delta - 1.0) < 1e-16):
-                break
-        out[large] = h * np.exp(-xl)
-
-    return float(out[0]) if scalar else out
+    out = exp1(x)
+    return float(out) if out.ndim == 0 else out
 
 
 def fung_reduced_relaxation(s: FungSpectrum, t):

@@ -1,17 +1,18 @@
 """Viscoelastic spring-mass network.
 
-Dense stiffness/flexibility formulation with principal-minor stability
+Dense stiffness/flexibility formulation with leading-minor stability
 screening, and velocity-Verlet time integration of the equations of motion
 with optional viscous damping, per-entry fading-memory kernels, per-entry
 aerodynamic influence kernels, and per-connection nonlinear springs.
 
 Convolution terms use quiescent initial conditions at t = 0 (internal
-variables start at zero) and the exact exponential per-term recursion for
-piecewise-linear displacement histories.
+variables start at zero) and advance with :func:`qlvsim.kernels.prony_step`,
+exact for displacements linear in time over each step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,8 +20,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .constitutive import ExponentialTensileLaw
 from .errors import DomainError, NumericalError, StabilityError
-from .kernels import PronySpectrum
-from .qlv import _phi
+# kernel_force_history is re-exported for callers of the network API
+from .kernels import PronySpectrum, kernel_force_history, prony_step
 
 
 @dataclass(frozen=True)
@@ -34,17 +35,25 @@ class StabilityResult:
 
 
 def stability_check(K: np.ndarray, tol: float = 1e-12) -> StabilityResult:
-    """Evaluate leading principal minors in order; all must exceed
-    ``tol`` times a size-dependent scale.  Reports the first failure."""
+    """Check that all leading principal minors are positive.
+
+    Leading minor k is the product of the first k pivots of Gaussian
+    elimination without pivoting, so the first pivot at or below ``tol``
+    times the largest entry (at least 1) is the first failing minor.  Its
+    ``minor_value`` is that pivot product.
+    """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DomainError(f"stability check needs a square matrix, got {K.shape}")
     scale = max(1.0, float(np.max(np.abs(K)))) if K.size else 1.0
-    for k in range(1, K.shape[0] + 1):
-        minor = float(np.linalg.det(K[:k, :k]))
-        if minor <= tol * scale ** k:
-            return StabilityResult(False, first_failing_minor=k,
-                                   minor_value=minor)
+    A = K.copy()
+    pivots = []
+    for k in range(A.shape[0]):
+        pivots.append(float(A[k, k]))
+        if pivots[-1] <= tol * scale:
+            return StabilityResult(False, first_failing_minor=k + 1,
+                                   minor_value=math.prod(pivots))
+        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:]) / A[k, k]
     return StabilityResult(True)
 
 
@@ -304,30 +313,6 @@ def _aero_force(system, state, q):
     return _kernel_force(system, system.aero_kernels, state.aero_h, q)
 
 
-def _advance_internal(entries, h_list, dq, dt):
-    out = []
-    for entry, h in zip(entries, h_list):
-        amps = np.asarray(entry.spectrum.amplitudes)
-        freqs = np.asarray(entry.spectrum.frequencies)
-        x = freqs * dt
-        out.append(np.exp(-x) * h + amps * _phi(x) * dq[entry.j])
-    return tuple(out)
-
-
-def _advance_spring_internal(system, state, q_old, q_new, dt):
-    out = []
-    for spring, h in zip(system.nonlinear_springs, state.spring_h):
-        if spring.kernel is None:
-            out.append(h)
-            continue
-        d_te = spring.elastic_force(q_new) - spring.elastic_force(q_old)
-        amps = np.asarray(spring.kernel.amplitudes)
-        freqs = np.asarray(spring.kernel.frequencies)
-        x = freqs * dt
-        out.append(np.exp(-x) * h + amps * _phi(x) * d_te)
-    return tuple(out)
-
-
 def step(system: SpringMassSystem, state: SystemState, dt: float,
          check_dt: bool = True) -> SystemState:
     """Advance one velocity-Verlet step.
@@ -358,9 +343,14 @@ def step(system: SpringMassSystem, state: SystemState, dt: float,
     q_new = q + dt * v_half
     dq = q_new - q
 
-    mem_h = _advance_internal(system.memory_kernels, state.mem_h, dq, dt)
-    aero_h = _advance_internal(system.aero_kernels, state.aero_h, dq, dt)
-    spring_h = _advance_spring_internal(system, state, q, q_new, dt)
+    mem_h = tuple(prony_step(e.spectrum, h, dt, dq[e.j])
+                  for e, h in zip(system.memory_kernels, state.mem_h))
+    aero_h = tuple(prony_step(e.spectrum, h, dt, dq[e.j])
+                   for e, h in zip(system.aero_kernels, state.aero_h))
+    spring_h = tuple(
+        h if s.kernel is None else prony_step(
+            s.kernel, h, dt, s.elastic_force(q_new) - s.elastic_force(q))
+        for s, h in zip(system.nonlinear_springs, state.spring_h))
     mid = replace(state, mem_h=mem_h, aero_h=aero_h, spring_h=spring_h)
 
     f1 = (system.external_force_at(t + dt) + _aero_force(system, mid, q_new)
@@ -475,31 +465,3 @@ def simulate(system: SpringMassSystem, state: SystemState,
                             external_work=np.asarray(rec_w),
                             dissipation=np.asarray(rec_d),
                             final_state=current)
-
-
-def kernel_force_history(spectrum: PronySpectrum, times: np.ndarray,
-                         displacement: np.ndarray) -> np.ndarray:
-    """Reaction force of a single fading-memory kernel under prescribed
-    motion: F(t) = K*q(t) + convolution of the exponential terms with dq.
-
-    Uses the same exact per-term recursion as :func:`step`; the prescribed
-    displacement is treated as applied at t = 0 (quiescent before that),
-    so a nonzero first sample acts as an initial step.
-    """
-    times = np.asarray(times, dtype=float)
-    qs = np.asarray(displacement, dtype=float)
-    if times.shape != qs.shape or times.ndim != 1:
-        raise DomainError("times and displacement must be 1-D of equal length")
-    amps = np.asarray(spectrum.amplitudes)
-    freqs = np.asarray(spectrum.frequencies)
-    h = amps * qs[0]
-    out = np.empty(times.size)
-    out[0] = spectrum.K * qs[0] + h.sum()
-    for i in range(1, times.size):
-        dt = times[i] - times[i - 1]
-        if dt <= 0:
-            raise DomainError(f"times must be strictly increasing (index {i})")
-        x = freqs * dt
-        h = np.exp(-x) * h + amps * _phi(x) * (qs[i] - qs[i - 1])
-        out[i] = spectrum.K * qs[i] + h.sum()
-    return out

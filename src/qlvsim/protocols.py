@@ -15,8 +15,9 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .constitutive import ExponentialTensileLaw
-from .errors import DomainError, FitError, NumericalError
-from .kernels import (KelvinParams, MaxwellParams, PronySpectrum, VoigtParams)
+from .errors import DomainError, FitError
+from .kernels import (KelvinParams, MaxwellParams, PronySpectrum, VoigtParams,
+                      kernel_force_history, kernel_to_prony, prony_step)
 from .qlv import QlvModel, StrainHistory, StressHistory, hysteresis_ratio, \
     qlv_stress_fast
 
@@ -176,52 +177,6 @@ def run_tensile(spec: ProtocolSpec, model: QlvModel) -> tuple[Series, TestReport
     return series, report
 
 
-def _invert_elastic(law, target: float, guess: float) -> float:
-    """Solve law.stress_green(E) = target by bisection-then-Newton,
-    bracketing around the previous step's strain."""
-    def f(e):
-        return float(law.stress_green(e)) - target
-
-    lo = max(-0.499, guess - 0.5 * max(abs(guess), 0.1))
-    hi = guess + 0.5 * max(abs(guess), 0.1)
-    f_lo, f_hi = f(lo), f(hi)
-    expand = 0
-    while f_lo * f_hi > 0:
-        lo = max(-0.499, lo - (hi - lo))
-        hi = hi + (hi - lo)
-        f_lo, f_hi = f(lo), f(hi)
-        expand += 1
-        if expand > 60:
-            raise NumericalError(
-                f"could not bracket the strain for stress {target}")
-    for _ in range(60):
-        midpt = 0.5 * (lo + hi)
-        fm = f(midpt)
-        if fm == 0:
-            return midpt
-        if f_lo * fm < 0:
-            hi, f_hi = midpt, fm
-        else:
-            lo, f_lo = midpt, fm
-        if hi - lo < 1e-9 * max(1.0, abs(midpt)):
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(20):
-        fx = f(x)
-        h = 1e-7 * max(abs(x), 1.0)
-        dfx = (f(x + h) - f(x - h)) / (2 * h)
-        if dfx == 0:
-            break
-        x_new = x - fx / dfx
-        if not (lo - 1e-12 <= x_new <= hi + 1e-12):
-            break
-        if abs(x_new - x) < 1e-14 * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
 def _centered_rates(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.gradient(y, t)
 
@@ -229,12 +184,13 @@ def _centered_rates(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
     """Hold a constant load and record the deformation.
 
-    For QLV specimens the Green strain history is found by per-step
-    root-finding on the hereditary relation (the Prony recursion makes the
-    relation linear in the instantaneous elastic stress, which is then
-    inverted through the elastic law).  Classical elements (Maxwell, Voigt,
-    Kelvin) integrate their governing force-deflection equation with the
-    trapezoidal rule; their deformation channel is the element deflection.
+    For QLV specimens the hereditary relation is linear in the elastic
+    stress T_e, so the T_e history is solved step by step through the Prony
+    recursion without reference to the elastic law; the Green strain then
+    follows in one call to the law's ``green_at_stress``.  Classical
+    elements (Maxwell, Voigt, Kelvin) integrate their governing
+    force-deflection equation with the trapezoidal rule; their deformation
+    channel is the element deflection.
     """
     if spec.kind != "creep":
         raise DomainError(f"expected a creep spec, got {spec.kind!r}")
@@ -252,37 +208,25 @@ def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
         green = np.zeros_like(t)
     else:
         prony = model.prony
-        amps = np.asarray(prony.amplitudes)
-        freqs = np.asarray(prony.frequencies)
         dt = t[1] - t[0]
-        x = freqs * dt
-        decay = np.exp(-x)
-        gain = amps * _phi_arr(x)
-        green = np.empty_like(t)
+        gain = prony_step(prony, 0.0, dt, 1.0)
+        gsum = float(gain.sum())
         te = np.empty_like(t)
         # initial step: stress = g(0) * T_e = T_e
         te[0] = load
-        green[0] = _invert_elastic(model.elastic, te[0], 0.0)
-        h = amps * te[0]
+        h = np.asarray(prony.amplitudes) * load
         for i in range(1, t.size):
-            # T = K*x + sum(decay*h) + sum(gain)*(x - te[i-1]) = load
-            known = float(np.dot(decay, h))
-            gsum = float(gain.sum())
-            te_i = (load - known + gsum * te[i - 1]) / (prony.K + gsum)
-            h = decay * h + gain * (te_i - te[i - 1])
-            te[i] = te_i
-            green[i] = _invert_elastic(model.elastic, te_i, green[i - 1])
+            # the step is linear in (h, increment): decay the memory, then
+            # solve K*te_i + sum(free) + gsum*(te_i - te[i-1]) = load
+            free = prony_step(prony, h, dt, 0.0)
+            te[i] = (load - free.sum() + gsum * te[i - 1]) / (prony.K + gsum)
+            h = free + gain * (te[i] - te[i - 1])
+        green = model.elastic.green_at_stress(te)
     rates = _centered_rates(t, green)
     series = Series(times=t, columns={"green_strain": green,
                                       "stretch": np.sqrt(2 * green + 1.0)})
     report = TestReport(creep_rate_times=t, creep_rate=rates)
     return series, report
-
-
-def _phi_arr(x):
-    small = x < 1e-8
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x / 2.0, -np.expm1(-safe) / safe)
 
 
 def _element_creep(element, t: np.ndarray, load: float) -> np.ndarray:
@@ -379,11 +323,9 @@ def _cycle_stress(model, t: np.ndarray, strain: np.ndarray) -> np.ndarray:
         rate = np.gradient(strain, t)
         return model.mu * strain + model.eta * rate
     if isinstance(model, (MaxwellParams, KelvinParams)):
-        from .kernels import kernel_to_prony
         prony = kernel_to_prony(model)
         scale = (model.mu if isinstance(model, MaxwellParams)
                  else model.E_R * model.tau_sigma / model.tau_eps)
-        from .network import kernel_force_history
         raw = PronySpectrum(K=prony.K * scale,
                             amplitudes=tuple(a * scale for a in prony.amplitudes),
                             frequencies=prony.frequencies)

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DomainError
-from .kernels import (PronySpectrum, ReducedRelaxation, kernel_to_prony,
-                      prony_relaxation, reduced_relaxation)
+from .kernels import (PronySpectrum, ReducedRelaxation, is_uniform_grid,
+                      kernel_force_history, kernel_to_prony, prony_relaxation,
+                      reduced_relaxation)
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ class StrainHistory:
 
     @property
     def is_uniform(self) -> bool:
-        dt = np.diff(self.times)
-        return dt.size == 0 or bool(np.allclose(dt, dt[0], rtol=1e-9, atol=0.0))
+        return is_uniform_grid(self.times)
 
 
 @dataclass(frozen=True)
@@ -151,58 +150,17 @@ def qlv_stress_direct(model: QlvModel, history: StrainHistory,
     return StressHistory(times=t, values=out)
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    """(1 - exp(-x))/x with the x -> 0 limit handled."""
-    x = np.asarray(x, dtype=float)
-    small = x < 1e-8
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x / 2.0, -np.expm1(-safe) / safe)
-    return out
-
-
 def qlv_stress_fast(model: QlvModel, history: StrainHistory) -> StressHistory:
     """O(N * n_terms) evaluation via per-term internal variables.
 
-    Each Prony term carries an internal variable advanced by the exact
-    exponential recursion, with the elastic stress increment taken linear
-    in time over each step.  Uniform grids are evaluated with a linear
-    recursive filter; non-uniform grids fall back to an explicit loop.
+    The model's Prony kernel is applied to the elastic stress history by
+    :func:`qlvsim.kernels.kernel_force_history`, with the elastic stress
+    taken linear in time over each step.
     """
-    t = history.times
     te = model.elastic_stress(history)
-    n = t.size
-    prony = model.prony
-    amps = np.asarray(prony.amplitudes)
-    freqs = np.asarray(prony.frequencies)
-    out = prony.K * te.copy()
-    if amps.size == 0:
-        return StressHistory(times=t, values=out)
-    dte = np.diff(te)
-    h0 = amps * te[0]
-    if n == 1:
-        out[0] += h0.sum()
-        return StressHistory(times=t, values=out)
-    if history.is_uniform:
-        dt = t[1] - t[0]
-        decay = np.exp(-freqs * dt)
-        gain = amps * _phi(freqs * dt)
-        h_sum = np.empty(n)
-        h_sum[0] = h0.sum()
-        acc = np.zeros(n - 1)
-        for k in range(amps.size):
-            hk, _ = lfilter([gain[k]], [1.0, -decay[k]], dte, zi=[decay[k] * h0[k]])
-            acc += hk
-        h_sum[1:] = acc
-        out += h_sum
-    else:
-        dt_steps = np.diff(t)
-        h = h0.copy()
-        out[0] += h.sum()
-        for i in range(1, n):
-            x = freqs * dt_steps[i - 1]
-            h = np.exp(-x) * h + amps * _phi(x) * dte[i - 1]
-            out[i] += h.sum()
-    return StressHistory(times=t, values=out)
+    return StressHistory(times=history.times,
+                         values=kernel_force_history(model.prony,
+                                                     history.times, te))
 
 
 def hysteresis_ratio(loading_strain, loading_stress,

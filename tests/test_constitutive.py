@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlvsim.constitutive import (BiaxialStrainState, ExponentialTensileLaw,
                                  FungBiaxialParams, FungUniaxialLaw,
@@ -246,3 +247,50 @@ class TestUniaxialHelpers:
         assert law.stress_green(e) == pytest.approx(expected, rel=1e-12)
         arr = law.stress_green(np.array([0.1, 0.2]))
         assert arr.shape == (2,)
+
+
+def exponential_laws():
+    return st.builds(ExponentialTensileLaw, B=st.floats(0.5, 20.0),
+                     C=st.floats(0.5, 5.0))
+
+
+def linear_laws():
+    return st.builds(LinearElasticLaw, k=st.floats(0.5, 5.0))
+
+
+@st.composite
+def fung_laws(draw):
+    a1 = draw(st.floats(0.5, 5.0))
+    third = draw(st.booleans())
+    return FungUniaxialLaw(FungBiaxialParams(
+        c=draw(st.floats(0.1, 2.0)), a1=a1,
+        alpha1=draw(st.floats(0.0, 2.0)),
+        gamma1=draw(st.floats(0.0, a1 / 2)) if third else 0.0,
+        include_third_order=third))
+
+
+class TestGreenAtStress:
+    @settings(max_examples=150, deadline=None)
+    @given(law=st.one_of(exponential_laws(), linear_laws(), fung_laws()),
+           strains=st.lists(st.floats(-0.45, 1.5), min_size=1, max_size=20))
+    def test_round_trip(self, law, strains):
+        T = np.asarray(law.stress_green(np.asarray(strains)))
+        tol = 1e-12 * (1.0 + np.abs(T))
+        E = law.green_at_stress(T)
+        assert np.asarray(E).shape == T.shape
+        assert np.all(np.abs(law.stress_green(E) - T) <= tol)
+        e0 = law.green_at_stress(float(T[0]))
+        assert np.ndim(e0) == 0
+        assert abs(float(law.stress_green(e0)) - T[0]) <= tol[0]
+
+    def test_exponential_below_range_rejected(self):
+        law = ExponentialTensileLaw(B=2.0, C=3.0)
+        with pytest.raises(DomainError):
+            law.green_at_stress([1.0, -1.5])
+
+    def test_fung_outside_range_rejected(self):
+        law = FungUniaxialLaw(FungBiaxialParams(c=0.2, a1=4.0, alpha1=1.0))
+        with pytest.raises(DomainError):
+            law.green_at_stress(law.stress_green(-0.5) - 1.0)
+        with pytest.raises(DomainError):
+            FungUniaxialLaw(FungBiaxialParams()).green_at_stress(1.0)

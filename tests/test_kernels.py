@@ -10,7 +10,8 @@ from qlvsim.kernels import (FungSpectrum, KelvinParams, MaxwellParams,
                             PronySpectrum, VoigtParams, exp_integral_e1,
                             fung_long_time_limit, fung_reduced_relaxation,
                             fung_to_prony, kelvin_creep, kelvin_relaxation,
-                            kernel_to_prony, maxwell_creep,
+                            kernel_force_history, kernel_to_prony,
+                            maxwell_creep,
                             maxwell_relaxation, prony_relaxation,
                             reduced_relaxation, unit_step, voigt_creep,
                             voigt_relaxation)
@@ -271,3 +272,10 @@ class TestReducedRelaxation:
     def test_voigt_has_no_prony_form(self):
         with pytest.raises(DomainError):
             kernel_to_prony(VoigtParams(mu=1.0, eta=1.0))
+
+
+class TestKernelForceHistory:
+    def test_rejects_non_increasing_times(self):
+        s = PronySpectrum(K=1.0, amplitudes=(1.0,), frequencies=(1.0,))
+        with pytest.raises(DomainError, match="index 2"):
+            kernel_force_history(s, [0.0, 1.0, 1.0], [0.0, 1.0, 2.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,11 +26,27 @@ class TestStabilityCheck:
         result = stability_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert not result.passed
         assert result.first_failing_minor == 2
+        assert result.minor_value == pytest.approx(-3.0, rel=1e-15)
 
     def test_negative_scalar_fails_at_minor_1(self):
         result = stability_check(np.array([[-1.0]]))
         assert not result.passed
         assert result.first_failing_minor == 1
+
+    def test_spd_with_large_minors_passes(self):
+        # all eigenvalues >= 1, but the leading minors reach 1e35: a
+        # threshold growing like scale**k wrongly rejected minor 132
+        A = np.random.default_rng(0).standard_normal((200, 200))
+        assert stability_check(A @ A.T / 200 + np.eye(200)).passed
+
+    def test_large_matrices_neither_raise_nor_warn(self):
+        A = np.random.default_rng(0).standard_normal((200, 200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stability_check(A @ A.T + 200 * np.eye(200)).passed
+            result = stability_check(np.diag([1e200, 1e200, -1.0]))
+        assert result.first_failing_minor == 3
+        assert result.minor_value == -math.inf
 
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):

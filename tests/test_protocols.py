@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qlvsim.constitutive import ExponentialTensileLaw, LinearElasticLaw
+from qlvsim.constitutive import (ExponentialTensileLaw, FungBiaxialParams,
+                                 FungUniaxialLaw, LinearElasticLaw)
 from qlvsim.errors import DomainError, FitError
 from qlvsim.kernels import (FungSpectrum, KelvinParams, MaxwellParams,
                             PronySpectrum, VoigtParams,
@@ -109,6 +111,30 @@ class TestCreep:
                              values=series.columns["green_strain"])
         recovered = qlv_stress_fast(model, hist).values
         assert np.max(np.abs(recovered - 1.0)) <= 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(law=st.sampled_from([
+               LinearElasticLaw(k=3.0),
+               FungUniaxialLaw(FungBiaxialParams(c=0.2, a1=4.0, alpha1=1.0)),
+               FungUniaxialLaw(FungBiaxialParams(
+                   c=0.5, a1=2.0, gamma1=0.5, include_third_order=True))]),
+           kernel=st.sampled_from([
+               FungSpectrum(c=0.3, q1=0.1, q2=10.0),
+               KelvinParams(E_R=1.0, tau_eps=0.5, tau_sigma=1.5),
+               PronySpectrum(K=0.4, amplitudes=(0.3, 0.3),
+                             frequencies=(1.0, 10.0))]),
+           load=st.floats(0.1, 2.0))
+    def test_qlv_creep_holds_the_stress_for_every_law(self, law, kernel,
+                                                      load):
+        from qlvsim.qlv import StrainHistory, qlv_stress_fast
+        model = QlvModel.from_kernel(law, kernel)
+        spec = ProtocolSpec(kind="creep", duration=2.0, dt=2e-3,
+                            hold_stress=load)
+        series, _ = run_creep(spec, model)
+        hist = StrainHistory(times=series.times,
+                             values=series.columns["green_strain"])
+        recovered = qlv_stress_fast(model, hist).values
+        assert np.max(np.abs(recovered - load)) <= 1e-10 * load
 
     def test_second_order_dt_convergence(self):
         p = VoigtParams(mu=2.0, eta=3.0)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlvsim.constitutive import ExponentialTensileLaw, LinearElasticLaw
 from qlvsim.errors import DomainError
 from qlvsim.kernels import (FungSpectrum, KelvinParams, MaxwellParams,
-                            PronySpectrum, prony_relaxation)
+                            PronySpectrum, is_uniform_grid,
+                            kernel_force_history, prony_relaxation)
 from qlvsim.qlv import (QlvModel, StrainHistory, hysteresis_ratio,
                         qlv_stress_direct, qlv_stress_fast)
 
@@ -194,3 +196,40 @@ class TestHysteresisRatio:
             hysteresis_ratio(e[::-1], e, e[::-1], e)
         with pytest.raises(DomainError):
             hysteresis_ratio(e, np.zeros_like(e), e[::-1], np.zeros_like(e))
+
+
+@st.composite
+def prony_spectra(draw):
+    n = draw(st.integers(0, 6))
+    freqs = sorted(draw(st.lists(st.floats(1e-2, 1e2), min_size=n,
+                                 max_size=n, unique=True)))
+    amps = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return PronySpectrum(K=draw(st.floats(0.05, 1.0)), amplitudes=amps,
+                         frequencies=freqs)
+
+
+class TestUniformAndSteppedEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(spectrum=prony_spectra(), n=st.integers(3, 200),
+           dt=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_collinear_midpoint_changes_nothing(self, spectrum, n, dt, seed,
+                                                data):
+        # uniform grids run a recursive filter, others the step loop; the
+        # recursion is exact for piecewise-linear input, so inserting a
+        # collinear midpoint leaves the original samples unchanged
+        t = dt * np.arange(n)
+        x = 0.1 * np.cumsum(np.random.default_rng(seed).standard_normal(n))
+        k = data.draw(st.integers(0, n - 2))
+        t2 = np.insert(t, k + 1, 0.5 * (t[k] + t[k + 1]))
+        x2 = np.insert(x, k + 1, 0.5 * (x[k] + x[k + 1]))
+        assert not is_uniform_grid(t2)
+        model = QlvModel.from_kernel(LinearElasticLaw(k=1.5), spectrum)
+        for evaluate in (
+                lambda t, x: kernel_force_history(spectrum, t, x),
+                lambda t, x: qlv_stress_fast(
+                    model, StrainHistory(times=t, values=x)).values):
+            uniform = evaluate(t, x)
+            stepped = np.delete(evaluate(t2, x2), k + 1)
+            scale = max(np.max(np.abs(uniform)), 1e-300)
+            assert np.max(np.abs(stepped - uniform)) <= 1e-12 * scale
