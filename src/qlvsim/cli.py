@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override protocol duration")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized harnesses")
-        p.add_argument("--format", choices=["csv"], default="csv",
-                       help="output format (csv only)")
 
     for name, doc in (("tensile", "constant-rate stretch test"),
                       ("creep", "constant-load creep test"),
@@ -62,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", help="write the fit summary here instead of "
                      "stdout")
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--format", choices=["csv"], default="csv")
 
     kern = sub.add_parser("kernels",
                           help="tabulate a reduced relaxation function")
@@ -83,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     kern.add_argument("--dt", type=float, default=0.01)
     kern.add_argument("--out", help="output CSV path")
     kern.add_argument("--seed", type=int, default=0)
-    kern.add_argument("--format", choices=["csv"], default="csv")
     return parser
 
 
@@ -133,15 +130,18 @@ def _protocol_with_overrides(cfg: RunConfig, args,
     if spec.kind != expected_kind:
         raise ConfigError([f"protocol.kind: expected {expected_kind!r}, "
                            f"got {spec.kind!r}"])
-    if args.dt is None and args.duration is None:
-        return spec
-    from dataclasses import replace
-    kwargs = {}
-    if args.dt is not None:
-        kwargs["dt"] = args.dt
-    if args.duration is not None:
-        kwargs["duration"] = args.duration
-    return replace(spec, **kwargs)
+    overrides = {name: getattr(args, name) for name in ("dt", "duration")
+                 if getattr(args, name) is not None}
+    if expected_kind == "cyclic":
+        if overrides:
+            raise ConfigError(["--dt/--duration: cyclic runs are sampled by "
+                               "protocol.samples_per_cycle and "
+                               "protocol.cycles"])
+        if {"max_cycles", "settle_time"} & set(cfg.raw["protocol"]):
+            print("warning: protocol.max_cycles/settle_time are ignored; "
+                  "cyclic runs use the exact periodic steady state",
+                  file=sys.stderr)
+    return replace(spec, **overrides)
 
 
 def _specimen(cfg: RunConfig, command: str):
@@ -177,8 +177,7 @@ def _emit(series: Series, cfg: RunConfig, args) -> None:
 
 def _report_metrics(report, stream) -> None:
     for name in ("youngs_modulus", "yield_stress", "uts", "fracture_energy",
-                 "relaxation_asymptote", "hysteresis_H",
-                 "steady_state_converged"):
+                 "relaxation_asymptote", "hysteresis_H"):
         value = getattr(report, name)
         if value is not None:
             print(f"{name} = {value}", file=stream)
@@ -196,9 +195,6 @@ def _cmd_protocol(args, kind: str) -> int:
     series, report = runner(spec, specimen)
     _emit(series, cfg, args)
     _report_metrics(report, sys.stderr)
-    if report.steady_state_converged is False:
-        print("warning: steady state not reached within max_cycles",
-              file=sys.stderr)
     return 0
 
 

@@ -429,15 +429,17 @@ def _build_protocol(v: _Validator, section: dict):
         return None
     kwargs["kind"] = kind
     for key in ("duration", "dt", "stretch_rate", "hold_stress",
-                "hold_strain", "amplitude", "mean", "angular_frequency",
-                "settle_time"):
+                "hold_strain", "amplitude", "mean", "angular_frequency"):
         val = v.number(sec, "protocol", key)
         if val is not None:
             kwargs[key] = val
-    for key in ("cycles", "samples_per_cycle", "max_cycles"):
+    for key in ("cycles", "samples_per_cycle"):
         val = v.integer(sec, "protocol", key)
         if val is not None:
             kwargs[key] = val
+    # no-ops since cyclic runs solve the steady state; still type-checked
+    v.number(sec, "protocol", "settle_time")
+    v.integer(sec, "protocol", "max_cycles")
     return v.construct("protocol", ProtocolSpec, **kwargs)
 
 

@@ -9,7 +9,8 @@ step convention: value 1 for t > 0, 1/2 at t = 0, 0 for t < 0.
 The exact exponential recursion of a Prony kernel's internal variables,
 shared by the QLV evaluator, the protocols and the network, is
 :func:`prony_step`; :func:`kernel_force_history` applies it to a whole
-sampled history.
+sampled history, and :func:`periodic_force_history` gives its exact
+periodic steady state under a periodic input.
 """
 
 from __future__ import annotations
@@ -267,6 +268,36 @@ def kernel_force_history(spectrum: PronySpectrum, times,
         for i in range(dxs.size):
             h = prony_step(spectrum, h, dts[i], dxs[i])
             h_sum[i + 1] = h.sum()
+    return spectrum.K * xs + h_sum
+
+
+def periodic_force_history(spectrum: PronySpectrum, dt: float,
+                           x_period) -> np.ndarray:
+    """Periodic steady-state response K*x + sum of internal variables of a
+    Prony kernel to a periodic input, linear in time between samples.
+
+    ``x_period`` is one period of N samples ``dt`` apart (the sample after
+    the last is the first).  With per-term decay d and gain g the internal
+    variable repeats after N steps only from
+    h* = (sum_i d^(N-1-i) * g * dx_i) / (1 - d^N); one filter pass from rest
+    gives the numerator, and the state at sample i is that pass + d^i * h*.
+    """
+    xs = np.asarray(x_period, dtype=float)
+    if xs.ndim != 1 or xs.size < 2 or not dt > 0:
+        raise DomainError("a period needs dt > 0 and >= 2 samples in 1-D")
+    n = xs.size
+    dxs = np.diff(xs, append=xs[0])
+    decay = prony_step(spectrum, 1.0, dt, 0.0)
+    gain = prony_step(spectrum, 0.0, dt, 1.0)
+    # 1 - d^N without cancellation for terms with f*N*dt << 1
+    closure = -np.expm1(-np.asarray(spectrum.frequencies) * (n * dt))
+    steps = np.arange(n)
+    h_sum = np.zeros(n)
+    for k in range(decay.size):
+        rest = lfilter([gain[k]], [1.0, -decay[k]], dxs)
+        h_star = rest[-1] / closure[k]
+        h_sum[0] += h_star
+        h_sum[1:] += rest[:-1] + decay[k] ** steps[1:] * h_star
     return spectrum.K * xs + h_sum
 
 

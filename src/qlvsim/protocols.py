@@ -9,7 +9,7 @@ tensile law and of discrete relaxation spectra from sampled data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import nnls
@@ -17,9 +17,8 @@ from scipy.optimize import nnls
 from .constitutive import ExponentialTensileLaw
 from .errors import DomainError, FitError
 from .kernels import (KelvinParams, MaxwellParams, PronySpectrum, VoigtParams,
-                      kernel_force_history, kernel_to_prony, prony_step)
-from .qlv import QlvModel, StrainHistory, StressHistory, hysteresis_ratio, \
-    qlv_stress_fast
+                      kernel_to_prony, periodic_force_history, prony_step)
+from .qlv import QlvModel, StrainHistory, hysteresis_ratio, qlv_stress_fast
 
 
 @dataclass(frozen=True)
@@ -29,10 +28,11 @@ class ProtocolSpec:
     kind: "tensile" | "creep" | "relaxation" | "cyclic".
     tensile uses ``stretch_rate``; creep holds ``hold_stress``; relaxation
     holds ``hold_strain`` (Green strain); cyclic drives the Green strain as
-    ``mean + amplitude*(1 - cos(w t))/2`` for ``cycles`` cycles (duration is
-    then derived from the cycle count).  A positive ``mean`` keeps the
-    stress positive through the whole cycle so the hysteresis denominator
-    is not clipped at zero.
+    ``mean + amplitude*(1 - cos(w t))/2`` and samples its periodic steady
+    state at ``samples_per_cycle`` points per period; ``cycles`` is the
+    number of steady-state periods written out (cyclic ignores ``duration``
+    and ``dt``).  A positive ``mean`` keeps the stress positive through the
+    whole cycle so the hysteresis denominator is not clipped at zero.
     """
 
     kind: str
@@ -46,8 +46,6 @@ class ProtocolSpec:
     angular_frequency: float = 0.0
     cycles: int = 0
     samples_per_cycle: int = 512
-    max_cycles: int = 200
-    settle_time: float = 0.0
 
     def __post_init__(self):
         kinds = ("tensile", "creep", "relaxation", "cyclic")
@@ -58,8 +56,9 @@ class ProtocolSpec:
             if self.amplitude <= 0 or self.angular_frequency <= 0:
                 raise DomainError("cyclic drive needs amplitude > 0 and "
                                   "angular_frequency > 0")
-            if self.cycles < 1:
-                raise DomainError("cyclic drive needs cycles >= 1")
+            if self.cycles < 1 or self.samples_per_cycle < 2:
+                raise DomainError("cyclic drive needs cycles >= 1 and "
+                                  "samples_per_cycle >= 2")
             if self.mean < 0:
                 raise DomainError("cyclic mean strain must be >= 0")
         else:
@@ -88,7 +87,8 @@ class Series:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Metrics extracted from a simulated protocol."""
+    """Metrics extracted from a simulated protocol; ``hysteresis_H`` is
+    the hysteresis ratio of a cyclic test's periodic steady-state cycle."""
 
     youngs_modulus: float | None = None
     yield_stress: float | None = None
@@ -100,9 +100,7 @@ class TestReport:
     relaxation_rate: np.ndarray | None = None
     relaxation_asymptote: float | None = None
     hysteresis_H: float | None = None
-    hysteresis_per_cycle: tuple[float, ...] = ()
     strain_convention: str = "green"
-    steady_state_converged: bool | None = None
 
     def __post_init__(self):
         if (self.uts is not None and self.yield_stress is not None
@@ -318,9 +316,11 @@ def run_relaxation(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
 
 
 def _cycle_stress(model, t: np.ndarray, strain: np.ndarray) -> np.ndarray:
-    """Stress response of a specimen to a sampled Green-strain drive."""
+    """Periodic steady-state stress under a Green-strain drive sampled at
+    the uniform times ``t`` of one period, closing sample excluded."""
+    dt = t[1] - t[0]
     if isinstance(model, VoigtParams):
-        rate = np.gradient(strain, t)
+        rate = (np.roll(strain, -1) - np.roll(strain, 1)) / (2.0 * dt)
         return model.mu * strain + model.eta * rate
     if isinstance(model, (MaxwellParams, KelvinParams)):
         prony = kernel_to_prony(model)
@@ -329,63 +329,38 @@ def _cycle_stress(model, t: np.ndarray, strain: np.ndarray) -> np.ndarray:
         raw = PronySpectrum(K=prony.K * scale,
                             amplitudes=tuple(a * scale for a in prony.amplitudes),
                             frequencies=prony.frequencies)
-        return kernel_force_history(raw, t, strain)
+        return periodic_force_history(raw, dt, strain)
     history = StrainHistory(times=t, values=strain, measure="green")
-    return qlv_stress_fast(model, history).values
+    return periodic_force_history(model.prony, dt,
+                                  model.elastic_stress(history))
 
 
 def run_cyclic(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
-    """Sinusoidal strain cycling with steady-state hysteresis extraction.
+    """Sinusoidal strain cycling in the periodic steady state.
 
-    The Green strain is driven as amplitude*(1 - cos(w t))/2, so it starts
-    at zero and oscillates in [0, amplitude].  At least three transient
-    cycles are discarded, then cycling continues until the per-cycle
-    hysteresis ratio changes by less than 0.1% (or max_cycles is reached,
-    which sets the non-convergence flag in the report).
+    The Green strain is driven as mean + amplitude*(1 - cos(w t))/2.  The
+    stress is the exact periodic steady state of that drive (see
+    :func:`qlvsim.kernels.periodic_force_history`), computed over one
+    period of ``samples_per_cycle`` samples; the hysteresis ratio is taken
+    from that cycle.  The series holds the steady cycle repeated for
+    ``cycles`` periods plus the closing sample: ``cycles*samples_per_cycle
+    + 1`` rows, starting at the strain minimum.
     """
     if spec.kind != "cyclic":
         raise DomainError(f"expected a cyclic spec, got {spec.kind!r}")
     w = spec.angular_frequency
-    period = 2.0 * math.pi / w
     nps = spec.samples_per_cycle
-    dt = period / nps
-
-    def drive(tarr):
-        return spec.mean + 0.5 * spec.amplitude * (1.0 - np.cos(w * tarr))
-
-    # kernels with very slow tails (log-time decay) drift below the
-    # cycle-to-cycle convergence threshold long before the baseline settles;
-    # settle_time forces a minimum simulated duration before measuring
-    min_cycles = max(spec.cycles, 4,
-                     int(math.ceil(spec.settle_time / period)) + 1)
-    h_values: list[float] = []
-    converged = False
-    n_cycles = min_cycles
-    last_series = None
-    while True:
-        t = np.linspace(0.0, n_cycles * period, n_cycles * nps + 1)
-        strain = drive(t)
-        stress = _cycle_stress(model, t, strain)
-        h_values = []
-        for c in range(3, n_cycles):
-            sl = slice(c * nps, (c + 1) * nps + 1)
-            h_values.append(_loop_hysteresis(strain[sl], stress[sl]))
-        if len(h_values) >= 2:
-            prev, last = h_values[-2], h_values[-1]
-            if last == 0.0 or abs(last - prev) <= 1e-3 * abs(last):
-                converged = True
-        last_series = Series(times=t, columns={"green_strain": strain,
-                                               "stress": stress})
-        if converged or n_cycles >= spec.max_cycles:
-            break
-        n_cycles = min(max(n_cycles * 2, n_cycles + 2), spec.max_cycles)
-
-    h_final = h_values[-1] if h_values else _loop_hysteresis(
-        strain[-(nps + 1):], stress[-(nps + 1):])
-    report = TestReport(hysteresis_H=h_final,
-                        hysteresis_per_cycle=tuple(h_values),
-                        steady_state_converged=converged)
-    return last_series, report
+    t = np.linspace(0.0, spec.cycles * 2.0 * math.pi / w,
+                    spec.cycles * nps + 1)
+    strain = spec.mean + 0.5 * spec.amplitude * (1.0 - np.cos(w * t[:nps]))
+    stress = _cycle_stress(model, t[:nps], strain)
+    strain = np.append(np.tile(strain, spec.cycles), strain[0])
+    stress = np.append(np.tile(stress, spec.cycles), stress[0])
+    report = TestReport(hysteresis_H=_loop_hysteresis(strain[:nps + 1],
+                                                      stress[:nps + 1]))
+    series = Series(times=t, columns={"green_strain": strain,
+                                      "stress": stress})
+    return series, report
 
 
 def _loop_hysteresis(strain: np.ndarray, stress: np.ndarray) -> float:
@@ -413,13 +388,8 @@ def frequency_sweep(spec: ProtocolSpec, model,
         raise DomainError("angular frequencies must be > 0")
     hs = np.empty(freqs.size)
     for i, w in enumerate(freqs):
-        spec_w = ProtocolSpec(kind="cyclic", amplitude=spec.amplitude,
-                              mean=spec.mean,
-                              angular_frequency=float(w), cycles=spec.cycles,
-                              samples_per_cycle=spec.samples_per_cycle,
-                              max_cycles=spec.max_cycles,
-                              settle_time=spec.settle_time)
-        _, report = run_cyclic(spec_w, model)
+        _, report = run_cyclic(replace(spec, angular_frequency=float(w)),
+                               model)
         hs[i] = report.hysteresis_H
     return freqs, hs
 

@@ -192,6 +192,79 @@ sweep: {start: 0.5, stop: 2.0, count: 3}
         assert all(h > 0 for h in hs)
 
 
+KELVIN_CYCLIC_TEXT = """
+model:
+  elastic: {kind: linear, k: 1.0}
+  kernel: {kind: kelvin, E_R: 1.0, tau_eps: 0.5, tau_sigma: 1.5}
+protocol:
+  kind: cyclic
+  amplitude: 0.1
+  angular_frequency: 1.0
+  cycles: 4
+  samples_per_cycle: 128
+sweep: {start: 0.5, stop: 2.0, count: 3}
+"""
+
+
+class TestCyclic:
+    def test_writes_the_requested_steady_periods(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, KELVIN_CYCLIC_TEXT)
+        out = tmp_path / "cyclic.csv"
+        assert cli_main(["cyclic", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        series = read_series(out)
+        assert series.times.size == 4 * 128 + 1
+        assert series.times[-1] == pytest.approx(8 * math.pi)
+        assert "hysteresis_H = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cyclic", "sweep"])
+    @pytest.mark.parametrize("flags", [["--dt", "0.5"], ["--duration", "3"]])
+    def test_rejects_dt_and_duration(self, tmp_path, capsys, command, flags):
+        cfg = write_cfg(tmp_path, KELVIN_CYCLIC_TEXT)
+        out = tmp_path / "out.csv"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]
+                        + flags) == 2
+        assert "error: --dt/--duration" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cyclic", "sweep"])
+    def test_deprecated_keys_warn(self, tmp_path, capsys, command):
+        text = KELVIN_CYCLIC_TEXT.replace(
+            "  cycles: 4\n", "  cycles: 4\n  max_cycles: 4000\n"
+            "  settle_time: 1000.0\n")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out.csv"
+        assert cli_main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: protocol.max_cycles/settle_time are "
+                         "ignored") == 1
+        plain = tmp_path / "plain.csv"
+        assert cli_main([command, "--config",
+                         str(write_cfg(tmp_path, KELVIN_CYCLIC_TEXT,
+                                       "plain.yaml")),
+                         "--out", str(plain)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert out.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("nps", [0, 1])
+    def test_too_few_samples_per_cycle(self, tmp_path, capsys, nps):
+        text = KELVIN_CYCLIC_TEXT.replace("samples_per_cycle: 128",
+                                          f"samples_per_cycle: {nps}")
+        cfg = write_cfg(tmp_path, text)
+        assert cli_main(["cyclic", "--config", str(cfg),
+                         "--out", str(tmp_path / "out.csv")]) == 2
+        assert "samples_per_cycle >= 2" in capsys.readouterr().err
+
+    def test_deprecated_key_is_still_type_checked(self, tmp_path, capsys):
+        text = KELVIN_CYCLIC_TEXT.replace("  cycles: 4\n",
+                                          "  cycles: 4\n  settle_time: x\n")
+        cfg = write_cfg(tmp_path, text)
+        assert cli_main(["cyclic", "--config", str(cfg),
+                         "--out", str(tmp_path / "out.csv")]) == 2
+        assert "protocol.settle_time" in capsys.readouterr().err
+
+
 class TestFit:
     def test_fit_exponential_round_trip(self, tmp_path, capsys):
         lam = np.linspace(1.0, 1.3, 200)

@@ -10,13 +10,14 @@ from qlvsim.errors import DomainError, FitError
 from qlvsim.kernels import (FungSpectrum, KelvinParams, MaxwellParams,
                             PronySpectrum, VoigtParams,
                             fung_reduced_relaxation, kelvin_relaxation,
-                            maxwell_relaxation, prony_relaxation,
-                            voigt_creep)
-from qlvsim.protocols import (ProtocolSpec, fit_exponential_law,
-                              fit_relaxation_spectrum, frequency_sweep,
-                              run_creep, run_cyclic, run_relaxation,
-                              run_tensile)
-from qlvsim.qlv import QlvModel
+                            kernel_force_history, maxwell_relaxation,
+                            periodic_force_history, prony_relaxation,
+                            prony_step, voigt_creep)
+from qlvsim.protocols import (ProtocolSpec, _loop_hysteresis,
+                              fit_exponential_law, fit_relaxation_spectrum,
+                              frequency_sweep, run_creep, run_cyclic,
+                              run_relaxation, run_tensile)
+from qlvsim.qlv import QlvModel, StrainHistory, qlv_stress_fast
 
 
 def elastic_qlv(law):
@@ -213,20 +214,131 @@ class TestCyclic:
             FungSpectrum(c=0.5, q1=1e-2, q2=1e2))
         spec = ProtocolSpec(kind="cyclic", amplitude=0.05, mean=0.25,
                             angular_frequency=1.0, cycles=5,
-                            samples_per_cycle=256, max_cycles=4000,
-                            settle_time=1000.0)
+                            samples_per_cycle=256)
         _, hs = frequency_sweep(spec, model, np.logspace(-1, 1, 5))
         assert hs.max() / hs.min() <= 1.10
 
-    def test_reports_per_cycle_and_convergence(self):
-        model = QlvModel.from_kernel(
-            LinearElasticLaw(k=1.0),
-            PronySpectrum(K=0.5, amplitudes=(0.5,), frequencies=(1.0,)))
+    def test_steady_state_is_periodic(self):
+        # with a linear law and one term, stress = K*x + h; one more exact
+        # recursion step from the last sample of the period must land on
+        # the first sample again
+        prony = PronySpectrum(K=0.5, amplitudes=(0.5,), frequencies=(1.0,))
+        model = QlvModel.from_kernel(LinearElasticLaw(k=1.0), prony)
         spec = ProtocolSpec(kind="cyclic", amplitude=0.1,
                             angular_frequency=1.0, cycles=6)
-        _, report = run_cyclic(spec, model)
-        assert report.steady_state_converged
-        assert len(report.hysteresis_per_cycle) >= 1
+        series, _ = run_cyclic(spec, model)
+        nps = spec.samples_per_cycle
+        x = series.columns["green_strain"][:nps]
+        y = series.columns["stress"][:nps]
+        dt = series.times[1] - series.times[0]
+        h_end = prony_step(prony, y[-1] - prony.K * x[-1], dt, x[0] - x[-1])
+        assert prony.K * x[0] + h_end.sum() == pytest.approx(y[0], rel=1e-12)
+
+    def test_series_repeats_the_steady_cycle(self):
+        p = KelvinParams(E_R=1.0, tau_eps=0.5, tau_sigma=1.5)
+        spec = ProtocolSpec(kind="cyclic", amplitude=0.1,
+                            angular_frequency=2.0, cycles=3,
+                            samples_per_cycle=64)
+        series, _ = run_cyclic(spec, p)
+        assert series.times.size == 3 * 64 + 1
+        assert series.times[-1] == pytest.approx(3 * math.pi, rel=1e-15)
+        stress = series.columns["stress"]
+        assert np.array_equal(stress[:64], stress[64:128])
+        assert stress[-1] == stress[0]
+
+    def test_maxwell_high_frequency_matches_settled_transient(self):
+        # stopping once H changes by < 0.1% per cycle is 2.7e-4 off here
+        p = MaxwellParams(mu=1.0, eta=1.0)
+        spec = ProtocolSpec(kind="cyclic", amplitude=0.1,
+                            angular_frequency=10.0, cycles=5,
+                            samples_per_cycle=256)
+        _, report = run_cyclic(spec, p)
+        h_ref, _ = settled_transient(spec, element_spectrum(p), 1.0)
+        assert report.hysteresis_H == pytest.approx(h_ref, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(specimen=st.sampled_from(["qlv", "maxwell", "kelvin"]),
+           freqs=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=4,
+                          unique=True),
+           amps=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+           K=st.floats(0.0, 1.0), w=st.floats(0.1, 10.0),
+           nps=st.integers(16, 128), mean=st.floats(0.0, 0.2))
+    def test_matches_settled_transient(self, specimen, freqs, amps, K, w,
+                                       nps, mean):
+        freqs = sorted(freqs)
+        if specimen == "maxwell":
+            model = MaxwellParams(mu=amps[0], eta=amps[0] / freqs[0])
+            spectrum = element_spectrum(model)
+        elif specimen == "kelvin":
+            model = KelvinParams(E_R=amps[0], tau_eps=1.0 / freqs[0],
+                                 tau_sigma=(1.0 + amps[1]) / freqs[0])
+            spectrum = element_spectrum(model)
+        else:
+            spectrum = PronySpectrum(K=K, amplitudes=amps[:len(freqs)],
+                                     frequencies=freqs)
+            model = QlvModel.from_kernel(
+                ExponentialTensileLaw(B=2.0, C=1.0), spectrum)
+        spec = ProtocolSpec(kind="cyclic", amplitude=0.1, mean=mean,
+                            angular_frequency=w, cycles=2,
+                            samples_per_cycle=nps)
+        series, report = run_cyclic(spec, model)
+        h_ref, y_ref = settled_transient(
+            spec, model if specimen == "qlv" else spectrum, freqs[0])
+        y = series.columns["stress"][-(nps + 1):]
+        assert np.max(np.abs(y - y_ref)) <= 1e-9 * np.max(np.abs(y_ref))
+        assert report.hysteresis_H == pytest.approx(h_ref, rel=1e-9)
+
+    def test_voigt_matches_transient(self):
+        # the dashpot rate is a central difference that wraps around the
+        # period; compare an interior period of a plain transient
+        p = VoigtParams(mu=1.0, eta=0.5)
+        spec = ProtocolSpec(kind="cyclic", amplitude=0.1, mean=0.05,
+                            angular_frequency=2.0, cycles=1,
+                            samples_per_cycle=128)
+        series, report = run_cyclic(spec, p)
+        t = np.linspace(0.0, 3 * math.pi, 3 * 128 + 1)
+        x = 0.05 + 0.05 * (1.0 - np.cos(2.0 * t))
+        y = p.mu * x + p.eta * np.gradient(x, t)
+        mid = slice(128, 2 * 128 + 1)
+        y_ref = y[mid]
+        scale = np.max(np.abs(y_ref))
+        assert np.max(np.abs(series.columns["stress"] - y_ref)) <= 1e-9 * scale
+        assert report.hysteresis_H == pytest.approx(
+            _loop_hysteresis(x[mid], y_ref), rel=1e-9)
+
+    def test_periodic_force_history_needs_a_period(self):
+        with pytest.raises(DomainError):
+            periodic_force_history(PronySpectrum(K=1.0), 0.1, [1.0])
+        with pytest.raises(DomainError):
+            periodic_force_history(PronySpectrum(K=1.0), 0.0, [1.0, 2.0])
+
+
+def element_spectrum(element):
+    """Force relaxation function of a Maxwell or Kelvin element as a Prony
+    series, read off its closed form."""
+    if isinstance(element, MaxwellParams):
+        return PronySpectrum(K=0.0, amplitudes=(element.mu,),
+                             frequencies=(element.mu / element.eta,))
+    amp = element.E_R * (element.tau_sigma / element.tau_eps - 1.0)
+    return PronySpectrum(K=element.E_R, amplitudes=(amp,),
+                         frequencies=(1.0 / element.tau_eps,))
+
+
+def settled_transient(spec, specimen, f_min):
+    """Cycle from rest for at least 40/f_min and return (H, stress) of the
+    last period; ``specimen`` is a QlvModel or a force Prony spectrum."""
+    w, nps = spec.angular_frequency, spec.samples_per_cycle
+    period = 2.0 * math.pi / w
+    n = int(math.ceil(40.0 / (f_min * period))) + 1
+    t = np.linspace(0.0, n * period, n * nps + 1)
+    x = spec.mean + 0.5 * spec.amplitude * (1.0 - np.cos(w * t))
+    if isinstance(specimen, QlvModel):
+        y = qlv_stress_fast(specimen, StrainHistory(times=t, values=x,
+                                                    measure="green")).values
+    else:
+        y = kernel_force_history(specimen, t, x)
+    last = slice(-(nps + 1), None)
+    return _loop_hysteresis(x[last], y[last]), y[last]
 
 
 class TestFitExponential:
