@@ -5,18 +5,19 @@ screening, and velocity-Verlet time integration of the equations of motion
 with optional viscous damping, per-entry fading-memory kernels, per-entry
 aerodynamic influence kernels, and per-connection nonlinear springs.
 
-Convolution terms use quiescent initial conditions at t = 0 (internal
-variables start at zero) and advance with :func:`qlvsim.kernels.prony_step`,
-exact for displacements linear in time over each step.
+The Prony terms of all kernels are stacked into one spectrum whose
+internal variables start at zero (quiescent at t = 0) and advance with the
+decay and gain of :func:`qlvsim.kernels.prony_step`, exact for inputs
+linear in time over each step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 from .constitutive import ExponentialTensileLaw
 from .errors import DomainError, NumericalError, StabilityError
@@ -138,6 +139,84 @@ class NonlinearSpring:
         return self.law.stress(lam)
 
 
+def _scatter(ends: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Force vector with +value at ends[:, 0] and -value at ends[:, 1],
+    summed in the order given; index n is a sink for ground ends."""
+    signed = np.multiply.outer(values, (1.0, -1.0))
+    return np.bincount(ends.ravel(), signed.ravel(), minlength=n + 1)[:n]
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """Every Prony term of a system in one flat spectrum, plus the maps
+    from terms and springs to force rows.
+
+    The owners of the terms are the memory entries, the relaxing springs
+    and the aero entries, in that order.  Term k belongs to owner
+    ``owner[k]`` and is driven by the increment of z[source[k]], where z
+    is q followed by the springs' elastic forces.  An owner's force is the
+    sum of its terms' internal variables (plus K q[j] for aero entries),
+    applied at its ``ends`` row pair.
+    """
+
+    amplitudes: np.ndarray
+    frequencies: np.ndarray
+    owner: np.ndarray
+    source: np.ndarray
+    ends: np.ndarray             # (owners, 2)
+    n_internal: int              # owners before the aero entries
+    aero_K: np.ndarray
+    aero_j: np.ndarray
+    spring_ends: np.ndarray      # (springs, 2)
+    spring_scale: np.ndarray     # equilibrium fraction of each spring's force
+
+    @classmethod
+    def of(cls, system: "SpringMassSystem") -> "_Stack":
+        n, K = system.n, system.stiffness
+        mem, aero = system.memory_kernels, system.aero_kernels
+        springs = system.nonlinear_springs
+        ij = np.array([(e.i, e.j) for e in mem + aero], dtype=int).reshape(-1, 2)
+        bad = np.flatnonzero(((ij < 0) | (ij >= n)).any(axis=1))
+        if bad.size:
+            i, j = ij[bad[0]].tolist()
+            raise DomainError(f"kernel entry ({i}, {j}) out of range for n={n}")
+        k_mem = K[ij[:len(mem), 0], ij[:len(mem), 1]]
+        equilibrium = np.array([e.spectrum.K for e in mem])
+        bad = np.flatnonzero(np.abs(equilibrium - k_mem)
+                             > 1e-9 * np.maximum(1.0, np.abs(k_mem)))
+        if bad.size:
+            e = mem[bad[0]]
+            raise DomainError(
+                f"memory kernel at ({e.i}, {e.j}) has equilibrium "
+                f"{e.spectrum.K}, stiffness entry is {k_mem[bad[0]]}")
+        if any(not (0 <= s.i < n and (s.j is None or 0 <= s.j < n))
+               for s in springs):
+            raise DomainError("nonlinear spring endpoint out of range")
+        spring_ends = np.array([(s.i, n if s.j is None else s.j)
+                                for s in springs], dtype=int).reshape(-1, 2)
+        relaxing = [k for k, s in enumerate(springs) if s.kernel is not None]
+        spectra = ([e.spectrum for e in mem]
+                   + [springs[k].kernel for k in relaxing]
+                   + [e.spectrum for e in aero])
+        sources = ([e.j for e in mem] + [n + k for k in relaxing]
+                   + [e.j for e in aero])
+        ends = ([(e.i, n) for e in mem] + [spring_ends[k] for k in relaxing]
+                + [(e.i, n) for e in aero])
+        sizes = [len(s.amplitudes) for s in spectra]
+        return cls(
+            amplitudes=np.array([a for s in spectra for a in s.amplitudes]),
+            frequencies=np.array([f for s in spectra for f in s.frequencies]),
+            owner=np.repeat(np.arange(len(spectra)), sizes),
+            source=np.repeat(np.array(sources, dtype=int), sizes),
+            ends=np.array(ends, dtype=int).reshape(-1, 2),
+            n_internal=len(mem) + len(relaxing),
+            aero_K=np.array([e.spectrum.K for e in aero]),
+            aero_j=ij[len(mem):, 1],
+            spring_ends=spring_ends,
+            spring_scale=np.array([1.0 if s.kernel is None else s.kernel.K
+                                   for s in springs]))
+
+
 @dataclass(frozen=True)
 class SpringMassSystem:
     """Masses, stiffness/damping matrices and optional kernel attachments.
@@ -157,6 +236,7 @@ class SpringMassSystem:
     nonlinear_springs: tuple[NonlinearSpring, ...] = ()
     external_force: object = None        # callable t -> array of length n
     kernels_replace_damping: bool = True
+    _stack: _Stack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=float)
@@ -172,6 +252,8 @@ class SpringMassSystem:
             raise DomainError("all masses must be finite and > 0")
         if K.shape != (n, n):
             raise DomainError(f"stiffness must be {n}x{n}, got {K.shape}")
+        if not np.all(np.isfinite(K)):
+            raise DomainError("stiffness entries must be finite")
         scale = max(1.0, float(np.abs(K).max())) if K.size else 1.0
         if not np.allclose(K, K.T, rtol=0.0, atol=1e-12 * scale):
             raise DomainError("stiffness matrix must be symmetric")
@@ -180,19 +262,9 @@ class SpringMassSystem:
             object.__setattr__(self, "damping", beta)
             if beta.shape != (n, n):
                 raise DomainError(f"damping must be {n}x{n}, got {beta.shape}")
-        for entry in self.memory_kernels + self.aero_kernels:
-            if not (0 <= entry.i < n and 0 <= entry.j < n):
-                raise DomainError(
-                    f"kernel entry ({entry.i}, {entry.j}) out of range for n={n}")
-        for entry in self.memory_kernels:
-            k_entry = K[entry.i, entry.j]
-            if abs(entry.spectrum.K - k_entry) > 1e-9 * max(1.0, abs(k_entry)):
-                raise DomainError(
-                    f"memory kernel at ({entry.i}, {entry.j}) has equilibrium "
-                    f"{entry.spectrum.K}, stiffness entry is {k_entry}")
-        for spring in self.nonlinear_springs:
-            if not (0 <= spring.i < n and (spring.j is None or 0 <= spring.j < n)):
-                raise DomainError("nonlinear spring endpoint out of range")
+            if not np.all(np.isfinite(beta)):
+                raise DomainError("damping entries must be finite")
+        object.__setattr__(self, "_stack", _Stack.of(self))
 
     @property
     def n(self) -> int:
@@ -206,9 +278,11 @@ class SpringMassSystem:
 
     def instantaneous_stiffness(self) -> np.ndarray:
         """Stiffness at t = 0+: equilibrium entries plus kernel amplitudes."""
+        st = self._stack
+        mem = st.owner < len(self.memory_kernels)
         K0 = self.stiffness.copy()
-        for entry in self.memory_kernels:
-            K0[entry.i, entry.j] += sum(entry.spectrum.amplitudes)
+        np.add.at(K0, (st.ends[st.owner[mem], 0], st.source[mem]),
+                  st.amplitudes[mem])
         return K0
 
     def max_natural_frequency(self) -> float:
@@ -232,14 +306,13 @@ class SpringMassSystem:
 
 @dataclass(frozen=True)
 class SystemState:
-    """Time, displacements, velocities and per-kernel internal variables."""
+    """Time, displacements, velocities and the internal variables of every
+    Prony term of the system, stacked."""
 
     time: float
     q: np.ndarray
     v: np.ndarray
-    mem_h: tuple[np.ndarray, ...] = ()
-    aero_h: tuple[np.ndarray, ...] = ()
-    spring_h: tuple[np.ndarray, ...] = ()
+    h: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def initial(cls, system: SpringMassSystem,
@@ -250,13 +323,8 @@ class SystemState:
         v = np.zeros(n) if v is None else np.asarray(v, dtype=float)
         if q.shape != (n,) or v.shape != (n,):
             raise DomainError("initial state dimensions do not match the system")
-        mem = tuple(np.zeros(len(e.spectrum.amplitudes))
-                    for e in system.memory_kernels)
-        aero = tuple(np.zeros(len(e.spectrum.amplitudes))
-                     for e in system.aero_kernels)
-        spr = tuple(np.zeros(len(s.kernel.amplitudes) if s.kernel else 0)
-                    for s in system.nonlinear_springs)
-        return cls(time=0.0, q=q, v=v, mem_h=mem, aero_h=aero, spring_h=spr)
+        return cls(time=0.0, q=q, v=v,
+                   h=np.zeros(system._stack.amplitudes.size))
 
 
 @dataclass(frozen=True)
@@ -269,101 +337,6 @@ class EnergyReport:
     @property
     def mechanical(self) -> float:
         return self.kinetic + self.elastic
-
-
-def _kernel_force(system, entries, h_list, q):
-    """Force vector from kernel entries: equilibrium part plus internal
-    variables (the equilibrium part uses the entry's own K coefficient)."""
-    n = system.n
-    f = np.zeros(n)
-    for entry, h in zip(entries, h_list):
-        f[entry.i] += entry.spectrum.K * q[entry.j] + h.sum()
-    return f
-
-
-def _spring_forces(system, state, q):
-    """Generalized forces of the nonlinear springs (restoring sign)."""
-    f = np.zeros(system.n)
-    for spring, h in zip(system.nonlinear_springs, state.spring_h):
-        if spring.kernel is None:
-            tension = spring.elastic_force(q)
-        else:
-            tension = spring.kernel.K * spring.elastic_force(q) + h.sum()
-        f[spring.i] += tension
-        if spring.j is not None:
-            f[spring.j] -= tension
-    return f
-
-
-def _internal_force(system, state, q):
-    """Total configuration-dependent internal force (opposing motion)."""
-    f = system.stiffness @ q
-    if system.memory_kernels:
-        # the equilibrium part of every kernel entry is already in K @ q;
-        # add only the exponential internal variables
-        for entry, h in zip(system.memory_kernels, state.mem_h):
-            f[entry.i] += h.sum()
-    f += _spring_forces(system, state, q)
-    return f
-
-
-def _aero_force(system, state, q):
-    if not system.aero_kernels:
-        return np.zeros(system.n)
-    return _kernel_force(system, system.aero_kernels, state.aero_h, q)
-
-
-def step(system: SpringMassSystem, state: SystemState, dt: float,
-         check_dt: bool = True) -> SystemState:
-    """Advance one velocity-Verlet step.
-
-    Internal variables of all kernels are updated with the exact exponential
-    recursion over the step.  Velocity-proportional damping is handled
-    implicitly in the velocity update so the dissipative case stays stable.
-    """
-    if dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
-    if check_dt:
-        bound = system.stability_bound()
-        if dt >= bound:
-            raise DomainError(
-                f"dt = {dt} violates the explicit stability bound "
-                f"2/omega_max = {bound}")
-    m = system.masses
-    t = state.time
-    q, v = state.q, state.v
-
-    f0 = (system.external_force_at(t) + _aero_force(system, state, q)
-          - _internal_force(system, state, q))
-    if system.damping_active:
-        f0 = f0 - system.damping @ v
-    a0 = f0 / m
-
-    v_half = v + 0.5 * dt * a0
-    q_new = q + dt * v_half
-    dq = q_new - q
-
-    mem_h = tuple(prony_step(e.spectrum, h, dt, dq[e.j])
-                  for e, h in zip(system.memory_kernels, state.mem_h))
-    aero_h = tuple(prony_step(e.spectrum, h, dt, dq[e.j])
-                   for e, h in zip(system.aero_kernels, state.aero_h))
-    spring_h = tuple(
-        h if s.kernel is None else prony_step(
-            s.kernel, h, dt, s.elastic_force(q_new) - s.elastic_force(q))
-        for s, h in zip(system.nonlinear_springs, state.spring_h))
-    mid = replace(state, mem_h=mem_h, aero_h=aero_h, spring_h=spring_h)
-
-    f1 = (system.external_force_at(t + dt) + _aero_force(system, mid, q_new)
-          - _internal_force(system, mid, q_new))
-    if system.damping_active:
-        # (M + dt/2 beta) v_new = M v_half + dt/2 f1
-        A = np.diag(m) + 0.5 * dt * system.damping
-        v_new = np.linalg.solve(A, m * v_half + 0.5 * dt * f1)
-    else:
-        v_new = v_half + 0.5 * dt * f1 / m
-
-    return SystemState(time=t + dt, q=q_new, v=v_new,
-                       mem_h=mem_h, aero_h=aero_h, spring_h=spring_h)
 
 
 @dataclass(frozen=True)
@@ -389,79 +362,101 @@ class SimulationResult:
 def simulate(system: SpringMassSystem, state: SystemState,
              duration: float, dt: float,
              record_stride: int = 1) -> SimulationResult:
-    """Fixed-step loop over :func:`step` with energy accounting.
+    """Fixed-step velocity-Verlet integration with energy accounting.
 
-    External work and dissipation are accumulated per step with midpoint
-    (trapezoidal) force averaging.  Records are taken every
-    ``record_stride`` steps, always including the initial and final states.
+    Each step evaluates the configuration-dependent force once; the next
+    step starts from it.  Damping is implicit in the velocity update,
+    (M + dt/2 beta) v_new = M v_half + dt/2 f, factored once per call.
+    External and aero work, and the dissipation of damping, memory kernels
+    and relaxing springs, accumulate with trapezoidal force averaging.
+    Records are taken every ``record_stride`` steps, always including the
+    initial and final states.
     """
-    if duration < 0:
-        raise DomainError(f"duration must be >= 0, got {duration}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise DomainError(f"duration must be finite and >= 0, got {duration}")
     if record_stride < 1:
         raise DomainError(f"record_stride must be >= 1, got {record_stride}")
-    n_steps = int(round(duration / dt)) if duration > 0 else 0
-    if duration > 0 and n_steps == 0:
-        n_steps = 1
+    n_steps = max(1, round(duration / dt)) if duration > 0 else 0
     if n_steps > 0:
         bound = system.stability_bound()
         if dt >= bound:
             raise DomainError(
                 f"dt = {dt} violates the explicit stability bound "
                 f"2/omega_max = {bound}")
+    st = system._stack
+    if state.h.shape != st.amplitudes.shape:
+        raise DomainError("state internal variables do not match the system")
 
-    m = system.masses
-    K = system.stiffness
+    n, m, K = system.n, system.masses, system.stiffness
+    k = st.n_internal
+    decay = prony_step(st, 1.0, dt, 0.0)
+    gain = prony_step(st, 0.0, dt, 1.0)
+    beta = system.damping if system.damping_active else None
+    if beta is not None:
+        lu = lu_factor(np.diag(m) + 0.5 * dt * beta)
 
-    def kinetic(v):
-        return 0.5 * float(np.dot(m, v * v))
+    def inputs(q):
+        """q followed by the springs' elastic forces: the terms' drives."""
+        return np.concatenate(
+            (q, [s.elastic_force(q) for s in system.nonlinear_springs]))
 
-    def elastic(q):
-        return 0.5 * float(q @ K @ q)
+    def forces(t, z, h):
+        """External, aero and memory forces, and the net force without
+        damping.  Memory is the internal variables' share of the restoring
+        force: that of memory kernels and relaxing springs."""
+        q = z[:n]
+        owned = np.bincount(st.owner, h, minlength=len(st.ends))
+        memory = _scatter(st.ends[:k], owned[:k], n)
+        aero = _scatter(st.ends[k:], st.aero_K * q[st.aero_j] + owned[k:], n)
+        springs = _scatter(st.spring_ends, st.spring_scale * z[n:], n)
+        f_ext = system.external_force_at(t)
+        return f_ext, aero, memory, (f_ext + aero) - (K @ q + memory + springs)
 
-    def noncons_force(st):
-        """Forces that do not derive from the quadratic elastic energy."""
-        f = np.zeros(system.n)
-        for entry, h in zip(system.memory_kernels, st.mem_h):
-            f[entry.i] += h.sum()
-        if system.damping_active:
-            f += system.damping @ st.v
-        return f
+    t, q, v, h = state.time, state.q, state.v, state.h
+    z = inputs(q)
+    f_ext, aero, memory, f = forces(t, z, h)
+    damp = 0.0 if beta is None else beta @ v
+    work = diss = 0.0
+    rows = []
 
-    rec_t, rec_q, rec_v = [], [], []
-    rec_k, rec_u, rec_w, rec_d = [], [], [], []
-    work = 0.0
-    diss = 0.0
+    def record():
+        rows.append((t, q, v, 0.5 * float(np.dot(m, v * v)),
+                     0.5 * float(q @ K @ q), work, diss))
 
-    def record(st):
-        rec_t.append(st.time)
-        rec_q.append(st.q.copy())
-        rec_v.append(st.v.copy())
-        rec_k.append(kinetic(st.v))
-        rec_u.append(elastic(st.q))
-        rec_w.append(work)
-        rec_d.append(diss)
-
-    record(state)
-    current = state
+    record()
     for i in range(n_steps):
-        f_ext0 = system.external_force_at(current.time)
-        nc0 = noncons_force(current)
-        nxt = step(system, current, dt, check_dt=False)
-        dq = nxt.q - current.q
-        f_ext1 = system.external_force_at(nxt.time)
-        nc1 = noncons_force(nxt)
-        aero0 = _aero_force(system, current, current.q)
-        aero1 = _aero_force(system, nxt, nxt.q)
-        work += float(np.dot(0.5 * (f_ext0 + f_ext1) + 0.5 * (aero0 + aero1), dq))
-        diss += float(np.dot(0.5 * (nc0 + nc1), dq))
-        current = nxt
+        v_half = v + 0.5 * dt * ((f - damp) / m)
+        q_new = q + dt * v_half
+        z_new = inputs(q_new)
+        h = decay * h + gain * (z_new - z)[st.source]
+        f_ext1, aero1, memory1, f1 = forces(t + dt, z_new, h)
+        if beta is None:
+            v_new = v_half + 0.5 * dt * f1 / m
+            damp1 = 0.0
+        else:
+            v_new = lu_solve(lu, m * v_half + 0.5 * dt * f1)
+            damp1 = beta @ v_new
+        dq = q_new - q
+        work += float(np.dot(0.5 * (f_ext + f_ext1) + 0.5 * (aero + aero1), dq))
+        diss += float(np.dot(0.5 * ((memory + damp) + (memory1 + damp1)), dq))
+        t, q, v, z = t + dt, q_new, v_new, z_new
+        f_ext, aero, memory, f, damp = f_ext1, aero1, memory1, f1, damp1
         if (i + 1) % record_stride == 0 or i == n_steps - 1:
-            record(current)
+            record()
 
-    return SimulationResult(times=np.asarray(rec_t),
-                            q=np.asarray(rec_q), v=np.asarray(rec_v),
-                            kinetic=np.asarray(rec_k),
-                            elastic=np.asarray(rec_u),
-                            external_work=np.asarray(rec_w),
-                            dissipation=np.asarray(rec_d),
-                            final_state=current)
+    times, qs, vs, kinetic, elastic, external_work, dissipation = zip(*rows)
+    return SimulationResult(times=np.asarray(times),
+                            q=np.asarray(qs), v=np.asarray(vs),
+                            kinetic=np.asarray(kinetic),
+                            elastic=np.asarray(elastic),
+                            external_work=np.asarray(external_work),
+                            dissipation=np.asarray(dissipation),
+                            final_state=SystemState(time=t, q=q, v=v, h=h))
+
+
+def step(system: SpringMassSystem, state: SystemState,
+         dt: float) -> SystemState:
+    """Advance one velocity-Verlet step: :func:`simulate` over one ``dt``."""
+    return simulate(system, state, dt, dt).final_state

@@ -163,6 +163,25 @@ class TestSimulate:
         assert np.max(np.abs(bal - bal[0])) <= 1e-3
 
 
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("matrix", ["stiffness", "damping"])
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_non_finite_matrix_entry(self, tmp_path, capsys, command, matrix,
+                                     value):
+        last = {"stiffness": "2.0", "damping": "0.1", matrix: value}
+        entries = {"stiffness": f"[[2.0, -1.0], [-1.0, {last['stiffness']}]]",
+                   "damping": f"[[0.1, 0.0], [0.0, {last['damping']}]]"}
+        path = write_cfg(tmp_path, "network:\n  masses: [1.0, 1.0]\n"
+                         f"  stiffness: {entries['stiffness']}\n"
+                         f"  damping: {entries['damping']}\n"
+                         "  duration: 1.0\n  dt: 0.01\n")
+        code = cli_main([command, "--config", str(path),
+                         "--out", str(tmp_path / "sim.csv")])
+        assert code == 2
+        assert f"network: {matrix} entries must be finite" in \
+            capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_writes_frequency_table(self, tmp_path, capsys):
         # a small Kelvin sweep (the shipped Fung config is slow by design)

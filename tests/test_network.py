@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlvsim.constitutive import ExponentialTensileLaw
 from qlvsim.errors import DomainError, StabilityError
-from qlvsim.kernels import MaxwellParams, PronySpectrum, maxwell_relaxation
+from qlvsim.kernels import (MaxwellParams, PronySpectrum, maxwell_relaxation,
+                            prony_step)
 from qlvsim.network import (KernelEntry, NonlinearSpring, SpringMassSystem,
                             SystemState, elastic_energy,
                             flexibility_from_stiffness, kernel_force_history,
@@ -188,24 +190,110 @@ class TestKernelStep:
                 memory_kernels=(KernelEntry(0, 0, PronySpectrum(
                     K=1.0, amplitudes=(0.5,), frequencies=(1.0,))),))
 
-    def test_kernel_free_step_reduces_to_explicit_matrices(self):
-        # one velocity-Verlet step against a hand-rolled reference
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"memory_kernels": (KernelEntry(1, 1, PronySpectrum(
+            K=2.0, amplitudes=(0.3, 0.2), frequencies=(1.0, 4.0))),)},
+        {"aero_kernels": (KernelEntry(0, 1, PronySpectrum(
+            K=0.1, amplitudes=(0.05, 0.02), frequencies=(3.0, 8.0))),)},
+        {"nonlinear_springs": (
+            NonlinearSpring(0, 1, ExponentialTensileLaw(B=2.0, C=0.5),
+                            kernel=PronySpectrum(K=0.5, amplitudes=(0.3, 0.2),
+                                                 frequencies=(2.0, 6.0))),
+            NonlinearSpring(1, None, ExponentialTensileLaw(B=1.0, C=0.3)))},
+        {"damping": np.array([[0.1, 0.04], [-0.02, 0.2]])},
+    ], ids=["diagonal-damping", "memory", "aero", "relaxing-spring",
+            "dense-damping"])
+    def test_kernel_free_step_reduces_to_explicit_matrices(self, extra):
+        # three velocity-Verlet steps against a hand-rolled reference that
+        # keeps one internal-variable array per kernel entry
         K = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        beta = 0.1 * np.eye(2)
+        kwargs = {"damping": 0.1 * np.eye(2), **extra}
         system = SpringMassSystem(masses=[1.0, 2.0], stiffness=K,
-                                  damping=beta)
+                                  external_force=lambda t: [0.0, math.sin(t)],
+                                  **kwargs)
         q0 = np.array([0.3, -0.2])
         v0 = np.array([0.1, 0.4])
-        state = step(system, SystemState.initial(system, q=q0, v=v0), 0.01)
+        dt = 0.01
+        state = SystemState.initial(system, q=q0, v=v0)
+        for _ in range(3):
+            state = step(system, state, dt)
         m = np.array([1.0, 2.0])
-        a0 = (-K @ q0 - beta @ v0) / m
-        v_half = v0 + 0.005 * a0
-        q1 = q0 + 0.01 * v_half
-        f1 = -K @ q1
-        A = np.diag(m) + 0.005 * beta
-        v1 = np.linalg.solve(A, m * v_half + 0.005 * f1)
-        assert np.allclose(state.q, q1, atol=1e-15)
-        assert np.allclose(state.v, v1, atol=1e-15)
+        beta = system.damping if system.damping_active else np.zeros((2, 2))
+        mem = system.memory_kernels
+        aero = system.aero_kernels
+        springs = system.nonlinear_springs
+
+        def force(t, q, v, hs):
+            f = np.array([0.0, math.sin(t)]) - K @ q - beta @ v
+            for e, h in zip(mem, hs[0]):
+                f[e.i] -= h.sum()
+            for e, h in zip(aero, hs[1]):
+                f[e.i] += e.spectrum.K * q[e.j] + h.sum()
+            for s, h in zip(springs, hs[2]):
+                tension = s.elastic_force(q) if s.kernel is None else \
+                    s.kernel.K * s.elastic_force(q) + h.sum()
+                f[s.i] -= tension
+                if s.j is not None:
+                    f[s.j] += tension
+            return f
+
+        q, v, t = q0, v0, 0.0
+        hs = ([np.zeros(len(e.spectrum.amplitudes)) for e in mem],
+              [np.zeros(len(e.spectrum.amplitudes)) for e in aero],
+              [np.zeros(len(s.kernel.amplitudes) if s.kernel else 0)
+               for s in springs])
+        for _ in range(3):
+            v_half = v + 0.5 * dt * force(t, q, v, hs) / m
+            q1 = q + dt * v_half
+            dq = q1 - q
+            hs = ([prony_step(e.spectrum, h, dt, dq[e.j])
+                   for e, h in zip(mem, hs[0])],
+                  [prony_step(e.spectrum, h, dt, dq[e.j])
+                   for e, h in zip(aero, hs[1])],
+                  [h if s.kernel is None else prony_step(
+                      s.kernel, h, dt, s.elastic_force(q1) - s.elastic_force(q))
+                   for s, h in zip(springs, hs[2])])
+            f1 = force(t + dt, q1, np.zeros(2), hs)
+            A = np.diag(m) + 0.5 * dt * beta
+            v = np.linalg.solve(A, m * v_half + 0.5 * dt * f1)
+            q, t = q1, t + dt
+        assert np.allclose(state.q, q, rtol=1e-12, atol=1e-15)
+        assert np.allclose(state.v, v, rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           k=st.integers(1, 6))
+    def test_simulate_equals_successive_steps(self, seed, n, k):
+        # the force that ends one step starts the next; a fresh step must
+        # reproduce it bit for bit
+        rng = np.random.default_rng(seed)
+        K = random_spd(rng, n)
+        i, j = (int(x) for x in rng.integers(0, n, size=2))
+        law = ExponentialTensileLaw(B=float(rng.uniform(0.5, 3.0)),
+                                    C=float(rng.uniform(0.1, 1.0)))
+        a, b = rng.uniform(0.05, 0.5, size=2)
+        system = SpringMassSystem(
+            masses=rng.uniform(0.5, 2.0, size=n), stiffness=K,
+            damping=rng.uniform(-0.05, 0.2, size=(n, n)) + 0.3 * np.eye(n),
+            memory_kernels=(KernelEntry(i, j, PronySpectrum(
+                K=K[i, j], amplitudes=(a, b), frequencies=(1.0, 5.0))),),
+            aero_kernels=(KernelEntry(j, i, PronySpectrum(
+                K=-0.1, amplitudes=(b,), frequencies=(2.0,))),),
+            nonlinear_springs=(NonlinearSpring(
+                i, None if i == j else j, law,
+                kernel=PronySpectrum(K=1.0 - a, amplitudes=(a,),
+                                     frequencies=(3.0,))),),
+            external_force=lambda t: np.full(n, 0.1 * math.cos(t)),
+            kernels_replace_damping=bool(rng.integers(2)))
+        dt = 0.2 * system.stability_bound()
+        state = SystemState.initial(system, q=rng.uniform(-0.1, 0.1, size=n),
+                                    v=rng.uniform(-0.1, 0.1, size=n))
+        final = simulate(system, state, k * dt, dt).final_state
+        for _ in range(k):
+            state = step(system, state, dt)
+        for name in ("time", "q", "v", "h"):
+            assert np.array_equal(getattr(final, name), getattr(state, name))
 
 
 class TestSimulate:
@@ -241,21 +329,33 @@ class TestSimulate:
         total = result.kinetic + result.elastic
         assert np.all(np.diff(total) <= 1e-12)
 
-    def test_energy_balance_with_kernels(self):
-        # mechanical energy + dissipation - external work constant to 1e-4
+    @pytest.mark.parametrize("kernels", [
+        {"memory_kernels": (KernelEntry(1, 1, PronySpectrum(
+            K=1.0, amplitudes=(0.5,), frequencies=(2.0,))),)},
+        {"nonlinear_springs": (NonlinearSpring(
+            0, 1, ExponentialTensileLaw(B=1.0, C=1.0), kernel=PronySpectrum(
+                K=0.5, amplitudes=(0.5,), frequencies=(2.0,))),)},
+        {"aero_kernels": (KernelEntry(1, 0, PronySpectrum(
+            K=0.1, amplitudes=(0.2,), frequencies=(3.0,))),)},
+    ], ids=["memory", "relaxing-spring", "aero"])
+    def test_energy_balance_with_kernels(self, kernels):
+        # mechanical energy + dissipation - external work constant to 1e-4;
+        # mechanical energy includes the springs' equilibrium strain energy
         K = np.array([[2.0, -1.0], [-1.0, 1.0]])
-        kernel = KernelEntry(1, 1, PronySpectrum(
-            K=1.0, amplitudes=(0.5,), frequencies=(2.0,)))
         amp = np.array([0.0, 0.05])
         system = SpringMassSystem(
-            masses=[1.0, 1.0], stiffness=K, memory_kernels=(kernel,),
-            external_force=lambda t: amp * math.sin(0.7 * t))
+            masses=[1.0, 1.0], stiffness=K,
+            external_force=lambda t: amp * math.sin(0.7 * t), **kernels)
         state = SystemState.initial(system)
         result = simulate(system, state, duration=30.0, dt=0.002,
                           record_stride=50)
-        balance = (result.kinetic + result.elastic + result.dissipation
-                   - result.external_work)
-        scale = max(np.max(result.kinetic + result.elastic), 1e-12)
+        mechanical = result.kinetic + result.elastic
+        for s in system.nonlinear_springs:
+            x = s.law.B * (result.q[:, s.i] - result.q[:, s.j])
+            mechanical += (s.kernel.K * s.law.C / s.law.B**2
+                           * (np.expm1(x) - x))
+        balance = mechanical + result.dissipation - result.external_work
+        scale = max(np.max(mechanical), 1e-12)
         assert np.max(np.abs(balance - balance[0])) / scale <= 1e-4
 
     def test_dt_violation_raises(self):
@@ -263,6 +363,12 @@ class TestSimulate:
         state = SystemState.initial(system)
         with pytest.raises(DomainError):
             simulate(system, state, duration=1.0, dt=10.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        system = self.chain()
+        with pytest.raises(DomainError, match="dt"):
+            simulate(system, SystemState.initial(system), duration=1.0, dt=dt)
 
 
 class TestNonlinearSpring:
