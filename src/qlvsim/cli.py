@@ -22,7 +22,8 @@ from .network import SystemState, simulate
 from .protocols import (ProtocolSpec, Series, fit_exponential_law,
                         fit_relaxation_spectrum, frequency_sweep, run_creep,
                         run_cyclic, run_relaxation, run_tensile)
-from .seriesio import format_value, read_series, write_series
+from .seriesio import (read_series, serialize_series, write_series,
+                       write_table)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -206,12 +207,8 @@ def _cmd_sweep(args) -> int:
     spec = _protocol_with_overrides(cfg, args, "cyclic")
     freqs, hs = frequency_sweep(spec, specimen, cfg.sweep_frequencies)
     path = _out_path(cfg, args)
-    lines = ["frequency,H"]
-    for f, h in zip(freqs, hs):
-        lines.append(f"{format_value(f, cfg.output_precision)},"
-                     f"{format_value(h, cfg.output_precision)}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ["frequency", "H"], [freqs, hs],
+                precision=cfg.output_precision)
     print(f"wrote {path}", file=sys.stderr)
     return 0
 
@@ -301,7 +298,6 @@ def _cmd_kernels(args) -> int:
         write_series(args.out, series)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
-        from .seriesio import serialize_series
         sys.stdout.write(serialize_series(series))
     return 0
 

@@ -461,16 +461,51 @@ def _build_sweep(v: _Validator, section: dict):
 
 _TOP_KEYS = {"model", "network", "protocol", "sweep", "output"}
 
+# libyaml's loader where the platform has it, the pure-Python one otherwise
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml composes nested collections by C recursion, which overflows the
+# stack (a crash, not an exception) some 20k levels deep.  No valid config
+# nests deeper than 6.
+_MAX_DEPTH = 1000
+
+
+def _deeper_than(text: str, limit: int) -> bool:
+    """Whether a YAML stream nests collections deeper than ``limit``.
+    Reads its events only up to that depth: libyaml's scanner takes time
+    quadratic in the depth."""
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > limit:
+                return True
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return False
+
+
+def _load_yaml(text: str):
+    """The parsed document; ConfigError if it is not valid YAML or nests
+    deeper than _MAX_DEPTH."""
+    try:
+        # every collection opens at one of these characters, so their count
+        # bounds the depth; only a text with many of them is parsed twice
+        if (sum(map(text.count, "[{-?:")) <= _MAX_DEPTH
+                or not _deeper_than(text, _MAX_DEPTH)):
+            return yaml.load(text, Loader=_LOADER)
+    except yaml.YAMLError as exc:
+        raise ConfigError([f"invalid YAML: {exc}"]) from exc
+    except RecursionError:
+        pass    # the pure-Python composer recurses once per level
+    raise ConfigError(["invalid YAML: nesting too deep"])
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate YAML config text into a RunConfig.
 
     Raises ConfigError carrying the full list of validation messages.
     """
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError([f"invalid YAML: {exc}"]) from exc
+    data = _load_yaml(text)
     if data is None:
         raise ConfigError(["empty config"])
     if not isinstance(data, dict):

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import exp1
 
 from .errors import DomainError
@@ -255,6 +254,7 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     h_sum = np.empty(times.size)
     h_sum[0] = h0.sum()
     if dts.size and is_uniform_grid(times):
+        from scipy.signal import lfilter     # lazy: importing it costs ~1 s
         decay = prony_step(spectrum, 1.0, dts[0], 0.0)
         gain = prony_step(spectrum, 0.0, dts[0], 1.0)
         acc = np.zeros(dxs.size)
@@ -285,6 +285,7 @@ def periodic_force_history(spectrum: PronySpectrum, dt: float,
     xs = np.asarray(x_period, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or not dt > 0:
         raise DomainError("a period needs dt > 0 and >= 2 samples in 1-D")
+    from scipy.signal import lfilter         # lazy: importing it costs ~1 s
     n = xs.size
     dxs = np.diff(xs, append=xs[0])
     decay = prony_step(spectrum, 1.0, dt, 0.0)

@@ -237,6 +237,7 @@ class SpringMassSystem:
     external_force: object = None        # callable t -> array of length n
     kernels_replace_damping: bool = True
     _stack: _Stack = field(init=False, repr=False, compare=False)
+    _dt_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=float)
@@ -265,6 +266,9 @@ class SpringMassSystem:
             if not np.all(np.isfinite(beta)):
                 raise DomainError("damping entries must be finite")
         object.__setattr__(self, "_stack", _Stack.of(self))
+        wmax = self.max_natural_frequency()
+        object.__setattr__(self, "_dt_bound",
+                           np.inf if wmax == 0.0 else 2.0 / wmax)
 
     @property
     def n(self) -> int:
@@ -295,8 +299,7 @@ class SpringMassSystem:
 
     def stability_bound(self) -> float:
         """Largest stable explicit time step, 2 / omega_max."""
-        wmax = self.max_natural_frequency()
-        return np.inf if wmax == 0.0 else 2.0 / wmax
+        return self._dt_bound
 
     def external_force_at(self, t: float) -> np.ndarray:
         if self.external_force is None:

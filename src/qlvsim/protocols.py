@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .constitutive import ExponentialTensileLaw
 from .errors import DomainError, FitError
@@ -490,6 +489,7 @@ def fit_relaxation_spectrum(times, values, n_terms: int,
             raise DomainError("frequencies length must equal n_terms")
     freqs = np.sort(freqs)
 
+    from scipy.optimize import nnls     # lazy: importing it costs ~0.6 s
     A = np.column_stack([np.ones_like(t)] +
                         [np.exp(-f * t) for f in freqs])
     coeffs, _ = nnls(A, g)

@@ -1,15 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qlvsim
 from qlvsim.cli import cli_main
 from qlvsim.config import parse_config
 from qlvsim.seriesio import read_series, write_series
 from qlvsim.protocols import Series
 
 CONFIGS = Path(__file__).parents[1] / "configs"
+SRC = str(Path(qlvsim.__file__).parents[1])
 
 RELAX_CFG = CONFIGS / "qlv_relaxation.yaml"
 CYCLIC_CFG = CONFIGS / "fung_cyclic_sweep.yaml"
@@ -83,6 +88,44 @@ class TestExitCodes:
 
     def test_protocol_command_rejects_network(self, capsys):
         assert cli_main(["relax", "--config", str(CHAIN_CFG)]) == 2
+
+    def test_invalid_yaml_reports_its_line(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "model:\n  kernel: [unclosed\nx: 1\n")
+        assert cli_main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid YAML:")
+        assert "line 3" in err
+
+    def test_deep_nesting_is_a_config_error(self, tmp_path, capsys):
+        depth = 3000
+        path = write_cfg(tmp_path, "model: " + "[" * depth + "]" * depth)
+        assert cli_main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: invalid YAML: nesting too deep\n"
+
+    def test_nesting_beyond_the_c_stack(self, tmp_path):
+        # deep enough to overflow the stack of libyaml's recursive
+        # composer; in a child process, so a crash fails only this test
+        depth = 200_000
+        path = write_cfg(tmp_path, "model: " + "[" * depth + "]" * depth)
+        proc = subprocess.run(
+            [sys.executable, "-c", "from qlvsim.cli import main; main()",
+             "validate", "--config", str(path)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: invalid YAML: nesting too deep\n"
+
+
+class TestStartup:
+    def test_cli_import_skips_scipy_signal_and_optimize(self):
+        code = ("import sys, qlvsim.cli; print(sorted(m for m in "
+                "('scipy.signal', 'scipy.optimize') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestValidate:

@@ -1,8 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
+from qlvsim import config
 from qlvsim.config import parse_config
 from qlvsim.errors import ConfigError
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 MINIMAL = """
 model:
@@ -162,3 +168,78 @@ protocol: {kind: relaxation, hold_strain: 1.0, duration: 1.0, dt: 0.1}
         cfg = parse_config(text)
         assert cfg.model is None
         assert cfg.element is not None
+
+
+def flow_network_text(n=100, seed=0):
+    """A network config with dense flow-style n x n stiffness and damping
+    whose entries have both signs."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    K = A @ A.T / n + np.eye(n)
+    damping = 0.01 * (A + A.T)
+
+    def matrix(m):
+        return "[" + ",\n    ".join(
+            "[" + ", ".join(repr(float(x)) for x in row) + "]"
+            for row in m) + "]"
+
+    return (f"network:\n  masses: {[1.0] * n}\n  stiffness: {matrix(K)}\n"
+            f"  damping: {matrix(damping)}\n  duration: 1.0\n  dt: 0.01\n")
+
+
+YAML_EDGE_CASES = """
+bools: [true, false, yes, no, on, off, True, FALSE]
+ints: [0, -7, 0o17, 017, 0x1F, 1_000, 1:30, +12]
+floats: [1.5, -0.0, .inf, -.inf, 1e3, 6.02e+23, 1_0.5, 190:20:30.15]
+strings: [1e3x, "1.5", '0x1F', ~x]
+nulls: [~, null, ]
+times: [2001-12-14t21:59:43.10-05:00, 2002-12-14]
+anchored: &a {k: [1, 2]}
+alias: *a
+merged: {<<: *a, extra: 1}
+"""
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML built without libyaml")
+class TestLibyamlLoader:
+    """libyaml's loader builds the same document as the pure-Python one."""
+
+    @pytest.mark.parametrize("text", [
+        *[p.read_text() for p in sorted(CONFIGS.glob("*.yaml"))],
+        flow_network_text(),
+    ], ids=[*[p.stem for p in sorted(CONFIGS.glob("*.yaml"))], "flow100"])
+    def test_same_config(self, monkeypatch, text):
+        fast = parse_config(text)
+        monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+        reference = parse_config(text)
+        assert fast.raw == reference.raw
+        assert fast.effective_text() == reference.effective_text()
+
+    def test_same_scalars_anchors_and_timestamps(self):
+        assert yaml.load(YAML_EDGE_CASES, Loader=yaml.CSafeLoader) == \
+            yaml.load(YAML_EDGE_CASES, Loader=yaml.SafeLoader)
+
+    def test_wide_config_gets_the_exact_depth_check(self):
+        # more collection-opening characters than the depth limit, so
+        # the text is parsed for its depth before it is loaded
+        text = flow_network_text()
+        assert text.count("-") > config._MAX_DEPTH
+        assert config._deeper_than(text, 3)
+        assert not config._deeper_than(text, 4)
+        assert parse_config(text).network.n == 100
+
+
+class TestNesting:
+    def test_too_deep(self):
+        depth = 3000
+        errs = errors_of("model: " + "[" * depth + "]" * depth + "\n")
+        assert errs == ["invalid YAML: nesting too deep"]
+
+    def test_pure_python_composer_recursion(self, monkeypatch):
+        # within the depth limit, but two frames per level exceed the
+        # interpreter's recursion limit
+        monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+        depth = 600
+        errs = errors_of("model: " + "[" * depth + "]" * depth + "\n")
+        assert errs == ["invalid YAML: nesting too deep"]
