@@ -46,8 +46,8 @@ class RunConfig:
     def effective_text(self) -> str:
         """Canonical YAML rendering of the effective (defaults-filled)
         configuration; re-parsing it reproduces the same effective text."""
-        return yaml.safe_dump(self.raw, sort_keys=True,
-                              default_flow_style=False)
+        return yaml.dump(self.raw, Dumper=_DUMPER, sort_keys=True,
+                         default_flow_style=False)
 
 
 class _Validator:
@@ -461,8 +461,10 @@ def _build_sweep(v: _Validator, section: dict):
 
 _TOP_KEYS = {"model", "network", "protocol", "sweep", "output"}
 
-# libyaml's loader where the platform has it, the pure-Python one otherwise
+# libyaml's loader and emitter where the platform has them, the pure-Python
+# ones otherwise
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 # libyaml composes nested collections by C recursion, which overflows the
 # stack (a crash, not an exception) some 20k levels deep.  No valid config
 # nests deeper than 6.

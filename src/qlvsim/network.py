@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 from .constitutive import ExponentialTensileLaw
 from .errors import DomainError, NumericalError, StabilityError
@@ -71,6 +70,7 @@ def flexibility_from_stiffness(K: np.ndarray) -> np.ndarray:
             f"stiffness matrix is not positive definite: leading minor "
             f"{check.first_failing_minor} is {check.minor_value}",
             minor_index=check.first_failing_minor)
+    from scipy.linalg import cho_factor, cho_solve    # lazy, as in simulate
     c, low = cho_factor(K)
     C = cho_solve((c, low), np.eye(K.shape[0]))
     return 0.5 * (C + C.T)
@@ -292,8 +292,12 @@ class SpringMassSystem:
     def max_natural_frequency(self) -> float:
         K0 = self.instantaneous_stiffness()
         K0 = 0.5 * (K0 + K0.T)
-        m = self.masses
-        A = K0 / np.sqrt(np.outer(m, m))
+        root_m = np.sqrt(self.masses)
+        with np.errstate(over="ignore"):
+            A = K0 / np.outer(root_m, root_m)
+        if not np.all(np.isfinite(A)):
+            raise DomainError("masses and stiffness are too ill-scaled for a "
+                              "finite stability bound")
         w2 = np.linalg.eigvalsh(A)
         return float(np.sqrt(max(w2.max(), 0.0)))
 
@@ -398,6 +402,8 @@ def simulate(system: SpringMassSystem, state: SystemState,
     gain = prony_step(st, 0.0, dt, 1.0)
     beta = system.damping if system.damping_active else None
     if beta is not None:
+        # lazy: only damped runs need scipy.linalg
+        from scipy.linalg import lu_factor, lu_solve
         lu = lu_factor(np.diag(m) + 0.5 * dt * beta)
 
     def inputs(q):

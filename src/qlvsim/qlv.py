@@ -73,14 +73,12 @@ class QlvModel:
     """Elastic law paired with a normalized relaxation function.
 
     ``prony`` is the Prony form used by the fast evaluator; it approximates
-    ``relaxation`` to within ``prony_tolerance`` (recorded at construction
-    on a log-spaced grid).
+    ``relaxation`` to within ``prony_tolerance``, computed when read.
     """
 
     elastic: object
     relaxation: ReducedRelaxation
     prony: PronySpectrum
-    prony_tolerance: float = 0.0
 
     def __post_init__(self):
         if abs(self.prony.at_zero - 1.0) > 1e-9:
@@ -89,17 +87,21 @@ class QlvModel:
 
     @classmethod
     def from_kernel(cls, elastic, kernel, n_prony: int = 64) -> "QlvModel":
-        relax = reduced_relaxation(kernel)
-        prony = kernel_to_prony(kernel, n_terms=n_prony)
-        freqs = np.asarray(prony.frequencies)
+        return cls(elastic=elastic, relaxation=reduced_relaxation(kernel),
+                   prony=kernel_to_prony(kernel, n_terms=n_prony))
+
+    @property
+    def prony_tolerance(self) -> float:
+        """Largest |prony - relaxation| on a log-spaced grid spanning the
+        Prony time scales (a Fung kernel needs E1 on 200 points)."""
+        freqs = np.asarray(self.prony.frequencies)
         if freqs.size:
             grid = np.logspace(np.log10(0.1 / freqs.max()),
                                np.log10(10.0 / freqs.min()), 200)
         else:
             grid = np.logspace(-3, 3, 50)
-        tol = float(np.max(np.abs(prony_relaxation(prony, grid) - relax.value(grid))))
-        return cls(elastic=elastic, relaxation=relax, prony=prony,
-                   prony_tolerance=tol)
+        return float(np.max(np.abs(prony_relaxation(self.prony, grid)
+                                   - self.relaxation.value(grid))))
 
     def elastic_stress(self, history: StrainHistory) -> np.ndarray:
         try:

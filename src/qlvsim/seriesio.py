@@ -100,26 +100,33 @@ def _parse_block(path, records, first_line: int, width: int):
 
 def read_series(path) -> Series:
     """Read a CSV series; malformed content raises DomainError with the
-    offending line number."""
+    offending line number where it is known."""
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "time":
-            raise DomainError(f"{path}: line 1: first column must be 'time', "
-                              f"got {header[0] if header else '(none)'!r}")
-        if len(set(header)) != len(header):
-            raise DomainError(f"{path}: line 1: duplicate column names")
-        values, linenos = [], []
-        first_line = 2
-        while records := list(islice(reader, _BLOCK_ROWS)):
-            block, lines = _parse_block(path, records, first_line, len(header))
-            values.append(block)
-            linenos += lines
-            first_line += len(records)
+            header = next(reader, None)
+            if header is None:
+                raise DomainError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if not header or header[0] != "time":
+                raise DomainError(
+                    f"{path}: line 1: first column must be 'time', "
+                    f"got {header[0] if header else '(none)'!r}")
+            if len(set(header)) != len(header):
+                raise DomainError(f"{path}: line 1: duplicate column names")
+            values, linenos = [], []
+            first_line = 2
+            while records := list(islice(reader, _BLOCK_ROWS)):
+                block, lines = _parse_block(path, records, first_line,
+                                            len(header))
+                values.append(block)
+                linenos += lines
+                first_line += len(records)
+        except csv.Error as exc:
+            raise DomainError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not {exc.encoding} text: "
+                              f"{exc.reason}") from exc
     if not linenos:
         raise DomainError(f"{path}: no data rows")
     data = np.concatenate(values).reshape(-1, len(header))

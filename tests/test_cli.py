@@ -117,6 +117,32 @@ class TestExitCodes:
         assert proc.stderr == "error: invalid YAML: nesting too deep\n"
 
 
+FUNG_CREEP_TEXT = """
+model:
+  elastic: {kind: exponential, B: 2.0, C: 1.0}
+  kernel: {kind: fung, c: 0.5, q1: 0.01, q2: 100.0}
+protocol: {kind: creep, hold_stress: 0.3, duration: 5.0, dt: 0.01}
+"""
+
+# runs one command, then prints as the last line of stdout its exit code
+# and the scipy packages loaded
+SCIPY_AT_EXIT = (
+    "import sys\n"
+    "from qlvsim.cli import cli_main\n"
+    "code = cli_main(sys.argv[1:])\n"
+    "print(code, *sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
+    "                     if m.split('.')[0] == 'scipy'}))\n")
+
+
+def scipy_at_exit(argv):
+    proc = subprocess.run([sys.executable, "-c", SCIPY_AT_EXIT, *argv],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=120)
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return set(loaded)
+
+
 class TestStartup:
     def test_cli_import_skips_scipy_signal_and_optimize(self):
         code = ("import sys, qlvsim.cli; print(sorted(m for m in "
@@ -126,6 +152,39 @@ class TestStartup:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "cyclic", "creep",
+                                         "validate"])
+    def test_command_loads_no_scipy(self, tmp_path, command):
+        config = write_cfg(tmp_path, FUNG_CREEP_TEXT) \
+            if command == "creep" else CYCLIC_CFG
+        argv = [command, "--config", str(config)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        assert scipy_at_exit(argv) == set()
+
+    def test_simulate_loads_neither_special_nor_signal(self, tmp_path):
+        loaded = scipy_at_exit(["simulate", "--config", str(CHAIN_CFG),
+                                "--out", str(tmp_path / "sim.csv")])
+        assert not loaded & {"scipy.special", "scipy.signal"}
+
+    @pytest.mark.parametrize("command", ["tensile", "relax", "kernels",
+                                         "fit"])
+    def test_command_loads_no_scipy_signal(self, tmp_path, capsys,
+                                           command):
+        relaxation = str(tmp_path / "relax.csv")
+        argv = {"tensile": ["tensile", "--config",
+                            str(write_cfg(tmp_path, TENSILE_TEXT)),
+                            "--out", str(tmp_path / "out.csv")],
+                "relax": ["relax", "--config", str(RELAX_CFG),
+                          "--out", relaxation],
+                "kernels": ["kernels", "--kind", "fung", "--c", "0.5",
+                            "--q1", "0.01", "--q2", "100"],
+                "fit": ["fit", "spectrum", relaxation]}[command]
+        if command == "fit":
+            assert cli_main(["relax", "--config", str(RELAX_CFG),
+                             "--out", relaxation]) == 0
+        assert "scipy.signal" not in scipy_at_exit(argv)
 
 
 class TestValidate:
@@ -223,6 +282,17 @@ class TestSimulate:
         assert code == 2
         assert f"network: {matrix} entries must be finite" in \
             capsys.readouterr().err
+
+    def test_tiny_mass_fails_the_stability_check(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "network:\n  masses: [1.0e-300, 1.0]\n"
+                         "  stiffness: [[2.0, -1.0], [-1.0, 1.0]]\n"
+                         "  duration: 1.0\n  dt: 0.01\n")
+        out = tmp_path / "sim.csv"
+        code = cli_main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert "violates the explicit stability bound" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -355,6 +425,18 @@ class TestFit:
         assert text.startswith("K = ")
         k = float(text.splitlines()[0].split(" = ")[1])
         assert k == pytest.approx(0.4, abs=1e-3)
+
+    @pytest.mark.parametrize("content, message", [
+        (b'time,G\n0,1\n1,"' + b"9" * 140_000 + b'"\n',
+         "line 3: field larger than field limit"),
+        (b"time,G\n0,1\n\xff\xfe,1\n", "not utf-8 text"),
+    ], ids=["oversized-field", "not-utf-8"])
+    def test_fit_unreadable_csv(self, tmp_path, capsys, content, message):
+        path = tmp_path / "in.csv"
+        path.write_bytes(content)
+        assert cli_main(["fit", "spectrum", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
 
     def test_fit_missing_column(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

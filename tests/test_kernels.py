@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.signal import lfilter
 from scipy.special import exp1
 
 from qlvsim.errors import DomainError
-from qlvsim.kernels import (FungSpectrum, KelvinParams, MaxwellParams,
-                            PronySpectrum, VoigtParams, exp_integral_e1,
-                            fung_long_time_limit, fung_reduced_relaxation,
-                            fung_to_prony, kelvin_creep, kelvin_relaxation,
+from qlvsim.kernels import (_BLOCK_ROWS, FungSpectrum, KelvinParams,
+                            MaxwellParams, PronySpectrum, VoigtParams,
+                            exp_integral_e1, fung_long_time_limit,
+                            fung_reduced_relaxation, fung_to_prony,
+                            kelvin_creep, kelvin_relaxation,
                             kernel_force_history, kernel_to_prony,
                             maxwell_creep,
-                            maxwell_relaxation, prony_relaxation,
+                            maxwell_relaxation, periodic_force_history,
+                            prony_relaxation, prony_step,
                             reduced_relaxation, unit_step, voigt_creep,
                             voigt_relaxation)
 
@@ -279,3 +283,80 @@ class TestKernelForceHistory:
         s = PronySpectrum(K=1.0, amplitudes=(1.0,), frequencies=(1.0,))
         with pytest.raises(DomainError, match="index 2"):
             kernel_force_history(s, [0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+
+
+def lfilter_force_history(spectrum, times, xs):
+    """Uniform-grid kernel_force_history as one scipy lfilter per term."""
+    dxs = np.diff(xs)
+    h0 = np.asarray(spectrum.amplitudes) * xs[0]
+    decay = prony_step(spectrum, 1.0, np.diff(times)[0], 0.0)
+    gain = prony_step(spectrum, 0.0, np.diff(times)[0], 1.0)
+    acc = np.zeros(dxs.size)
+    for k in range(h0.size):
+        hk, _ = lfilter([gain[k]], [1.0, -decay[k]], dxs,
+                        zi=[decay[k] * h0[k]])
+        acc += hk
+    return spectrum.K * xs + np.concatenate(([h0.sum()], acc))
+
+
+def lfilter_periodic_force_history(spectrum, dt, xs):
+    """periodic_force_history as one scipy lfilter pass per term."""
+    n = xs.size
+    dxs = np.diff(xs, append=xs[0])
+    decay = prony_step(spectrum, 1.0, dt, 0.0)
+    gain = prony_step(spectrum, 0.0, dt, 1.0)
+    closure = -np.expm1(-np.asarray(spectrum.frequencies) * (n * dt))
+    steps = np.arange(n)
+    h_sum = np.zeros(n)
+    for k in range(decay.size):
+        rest = lfilter([gain[k]], [1.0, -decay[k]], dxs)
+        h_star = rest[-1] / closure[k]
+        h_sum[0] += h_star
+        h_sum[1:] += rest[:-1] + decay[k] ** steps[1:] * h_star
+    return spectrum.K * xs + h_sum
+
+
+@st.composite
+def spectra(draw):
+    """1-64 Prony terms with frequencies in [1e-4, 1e3]."""
+    lo = draw(st.floats(-4.0, 3.0))
+    hi = draw(st.floats(lo, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    freqs = np.unique(10.0 ** rng.uniform(lo, hi, draw(st.integers(1, 64))))
+    return PronySpectrum(K=draw(st.floats(0.0, 1.0)),
+                         amplitudes=rng.uniform(0.0, 1.0, freqs.size),
+                         frequencies=freqs)
+
+
+def signal(seed, n):
+    """A random input whose first sample is far from zero."""
+    xs = np.random.default_rng(seed).standard_normal(n)
+    xs[0] = 1.0 + abs(xs[0])
+    return xs
+
+
+class TestNumpyFilterAgainstLfilter:
+    """The numpy filter gives scipy lfilter's floats bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectrum=spectra(), seed=st.integers(0, 2**32 - 1),
+           dt=st.floats(1e-3, 1.0),
+           n=st.one_of(st.integers(2, 40),
+                       st.sampled_from([_BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                        _BLOCK_ROWS + 2, 2 * _BLOCK_ROWS + 1,
+                                        2 * _BLOCK_ROWS + 7]),
+                       st.integers(2, 2 * _BLOCK_ROWS + 3)))
+    def test_kernel_force_history(self, spectrum, seed, dt, n):
+        times = dt * np.arange(n)
+        xs = signal(seed, n)
+        assert np.array_equal(kernel_force_history(spectrum, times, xs),
+                              lfilter_force_history(spectrum, times, xs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectrum=spectra(), seed=st.integers(0, 2**32 - 1),
+           dt=st.floats(1e-3, 1.0), n=st.integers(2, 600))
+    def test_periodic_force_history(self, spectrum, seed, dt, n):
+        xs = signal(seed, n)
+        assert np.array_equal(
+            periodic_force_history(spectrum, dt, xs),
+            lfilter_periodic_force_history(spectrum, dt, xs))

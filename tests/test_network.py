@@ -158,6 +158,20 @@ class TestStep:
         with pytest.raises(DomainError):
             step(system, state, bound * 1.01)
 
+    def test_tiny_mass_keeps_the_stability_check(self):
+        # sqrt(m_i * m_j) underflows to 0 for m = 1e-300; the scaling
+        # sqrt(m_i) * sqrt(m_j) does not, so the bound is finite and tiny
+        system = SpringMassSystem(masses=[1e-300, 1.0],
+                                  stiffness=[[2.0, -1.0], [-1.0, 1.0]])
+        assert 0.0 < system.stability_bound() < 1e-149
+        with pytest.raises(DomainError, match="stability bound"):
+            simulate(system, SystemState.initial(system), 1.0, 0.01)
+
+    def test_bound_that_overflows_is_rejected(self):
+        with pytest.raises(DomainError, match="ill-scaled"):
+            SpringMassSystem(masses=[1e-300, 1.0],
+                             stiffness=[[1e10, -1.0], [-1.0, 1.0]])
+
     def test_second_order_convergence(self):
         system = harmonic_system()
         def max_err(dt):

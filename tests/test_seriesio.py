@@ -158,6 +158,19 @@ class TestRead:
         with pytest.raises(DomainError, match="line 3: could not convert"):
             read_series(path)
 
+    def test_field_over_the_csv_limit(self, tmp_path):
+        big = '"' + "9" * 140_000 + '"'
+        path = self.write(tmp_path, f"time,x\n0,1\n1,{big}\n2,3\n")
+        with pytest.raises(DomainError,
+                           match=r"in\.csv: line 3: field larger than"):
+            read_series(path)
+
+    def test_bytes_that_are_not_text(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"time,x\n0,1\n\xff\xfe,2\n")
+        with pytest.raises(DomainError, match=r"in\.csv: not utf-8 text"):
+            read_series(path)
+
 
 class TestReadPastFirstBlock:
     """Errors in later blocks report the line they are on, counting a
