@@ -1,29 +1,46 @@
-"""Command-line interface.
-
-Subcommands: tensile, creep, relax, cyclic, sweep, simulate, fit, kernels,
-validate.  Data goes to files (or stdout for validate/fit summaries);
-diagnostics go to stderr.  Exit codes: 0 success, 2 validation/usage
-errors, 1 runtime or numerical errors.
-"""
+"""Command line: each command returns its output (a series, a ``(names,
+columns)`` table or text) and its stderr lines; one writer sends the output
+to ``--out``, else ``output.path``, else stdout, and the lines follow.
+Exit codes: 0 success, 2 validation/usage errors, 1 runtime or numerical
+errors."""
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
+from . import protocols
 from .config import RunConfig, load_config
 from .errors import ConfigError, QlvError
-from .kernels import (FungSpectrum, KelvinParams, MaxwellParams,
-                      PronySpectrum, VoigtParams, reduced_relaxation)
+from .kernels import KERNEL_TYPES, reduced_relaxation
 from .network import SystemState, simulate
-from .protocols import (ProtocolSpec, Series, fit_exponential_law,
-                        fit_relaxation_spectrum, frequency_sweep, run_creep,
-                        run_cyclic, run_relaxation, run_tensile)
+from .protocols import (Series, fit_exponential_law,
+                        fit_relaxation_spectrum, frequency_sweep)
 from .seriesio import (read_series, serialize_series, write_series,
                        write_table)
+
+# protocol command -> kind.  The runner, protocols.run_<kind>, is looked up
+# when the command runs, so a wrapper set on the module later is called.
+_PROTOCOLS = {"tensile": "tensile", "creep": "creep", "relax": "relaxation",
+              "cyclic": "cyclic"}
+# the kernel flags that take a comma-separated list; the others take a float
+_LISTS = ("amplitudes", "frequencies")
+_METRICS = ("youngs_modulus", "yield_stress", "uts", "fracture_energy",
+            "relaxation_asymptote", "hysteresis_H")
+
+
+def _finite(text: str) -> float:
+    """argparse type of --dt/--duration: a float that is not inf or nan."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+_finite.__name__ = "float"      # a non-number reads "invalid float value"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,17 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quasi-linear viscoelastic virtual tests and simulation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="path to the YAML run configuration")
-        p.add_argument("--out", help="output CSV path "
-                       "(overrides output.path from the config)")
-        p.add_argument("--dt", type=float, help="override protocol dt")
-        p.add_argument("--duration", type=float,
-                       help="override protocol duration")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized harnesses")
-
     for name, doc in (("tensile", "constant-rate stretch test"),
                       ("creep", "constant-load creep test"),
                       ("relax", "step-strain relaxation test"),
@@ -50,7 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
                       ("sweep", "hysteresis vs frequency sweep"),
                       ("simulate", "spring-mass network simulation"),
                       ("validate", "check a config and print it")):
-        common(sub.add_parser(name, help=doc))
+        p = sub.add_parser(name, help=doc)
+        p.add_argument("--config", required=True,
+                       help="path to the YAML run configuration")
+        p.add_argument("--out", help="output CSV path "
+                       "(overrides output.path from the config)")
+        p.add_argument("--dt", type=_finite, help="override protocol dt")
+        p.add_argument("--duration", type=_finite,
+                       help="override protocol duration")
 
     fit = sub.add_parser("fit", help="fit model parameters to a CSV series")
     fit.add_argument("kind", choices=["exponential", "spectrum"],
@@ -61,76 +74,57 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Prony term count for spectrum fits")
     fit.add_argument("--out", help="write the fit summary here instead of "
                      "stdout")
-    fit.add_argument("--seed", type=int, default=0)
 
     kern = sub.add_parser("kernels",
                           help="tabulate a reduced relaxation function")
-    kern.add_argument("--kind", required=True,
-                      choices=["maxwell", "voigt", "kelvin", "prony", "fung"])
-    kern.add_argument("--mu", type=float)
-    kern.add_argument("--eta", type=float)
-    kern.add_argument("--E-R", dest="E_R", type=float)
-    kern.add_argument("--tau-eps", dest="tau_eps", type=float)
-    kern.add_argument("--tau-sigma", dest="tau_sigma", type=float)
-    kern.add_argument("--K", type=float)
-    kern.add_argument("--amplitudes", help="comma-separated list")
-    kern.add_argument("--frequencies", help="comma-separated list")
-    kern.add_argument("--c", type=float)
-    kern.add_argument("--q1", type=float)
-    kern.add_argument("--q2", type=float)
-    kern.add_argument("--duration", type=float, default=10.0)
-    kern.add_argument("--dt", type=float, default=0.01)
+    kern.add_argument("--kind", required=True, choices=KERNEL_TYPES)
+    for name in dict.fromkeys(f.name for cls in KERNEL_TYPES.values()
+                              for f in fields(cls)):
+        listed = name in _LISTS
+        kern.add_argument("--" + name.replace("_", "-"), dest=name,
+                          type=None if listed else float,
+                          help="comma-separated list" if listed else None)
+    kern.add_argument("--duration", type=_finite, default=10.0)
+    kern.add_argument("--dt", type=_finite, default=0.01)
     kern.add_argument("--out", help="output CSV path")
-    kern.add_argument("--seed", type=int, default=0)
+
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=0,
+                       help="accepted and ignored: no command is randomized")
     return parser
 
 
-def _require(args, names):
-    missing = [f"--{n.replace('_', '-')}" for n in names
-               if getattr(args, n) is None]
+def _kernel_from_args(args):
+    cls = KERNEL_TYPES[args.kind]
+    values = {f.name: getattr(args, f.name) for f in fields(cls)}
+    missing = [f"--{n}".replace("_", "-") for n in values if values[n] is None]
     if missing:
         raise ConfigError([f"kernel kind {args.kind!r} requires "
                            f"{', '.join(missing)}"])
-
-
-def _parse_list(text: str, flag: str) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(","))
+        for name in (n for n in values if n in _LISTS):
+            values[name] = tuple(map(float, values[name].split(",")))
     except ValueError as exc:
-        raise ConfigError([f"{flag}: {exc}"]) from exc
+        raise ConfigError([f"--{name}: {exc}"]) from exc
+    return cls(**values)
 
 
-def _kernel_from_args(args):
-    if args.kind == "maxwell":
-        _require(args, ("mu", "eta"))
-        return MaxwellParams(mu=args.mu, eta=args.eta)
-    if args.kind == "voigt":
-        _require(args, ("mu", "eta"))
-        return VoigtParams(mu=args.mu, eta=args.eta)
-    if args.kind == "kelvin":
-        _require(args, ("E_R", "tau_eps", "tau_sigma"))
-        return KelvinParams(E_R=args.E_R, tau_eps=args.tau_eps,
-                            tau_sigma=args.tau_sigma)
-    if args.kind == "prony":
-        _require(args, ("K", "amplitudes", "frequencies"))
-        return PronySpectrum(K=args.K,
-                             amplitudes=_parse_list(args.amplitudes,
-                                                    "--amplitudes"),
-                             frequencies=_parse_list(args.frequencies,
-                                                     "--frequencies"))
-    _require(args, ("c", "q1", "q2"))
-    return FungSpectrum(c=args.c, q1=args.q1, q2=args.q2)
-
-
-def _protocol_with_overrides(cfg: RunConfig, args,
-                             expected_kind: str) -> ProtocolSpec:
-    spec = cfg.protocol
-    if spec is None:
+def _protocol_and_specimen(cfg: RunConfig, args, expected_kind: str,
+                           command: str):
+    """The config's protocol spec with the --dt/--duration overrides, and
+    its model (or bare element) specimen."""
+    if cfg.network is not None:
+        raise ConfigError([f"network: the {command} command needs a model "
+                           "specimen, not a network"])
+    if command == "tensile" and cfg.model is None:
+        raise ConfigError(["model.elastic: the tensile command needs a "
+                           "model with an elastic law"])
+    if cfg.protocol is None:
         raise ConfigError([f"protocol: section required for the "
                            f"{expected_kind} command"])
-    if spec.kind != expected_kind:
+    if cfg.protocol.kind != expected_kind:
         raise ConfigError([f"protocol.kind: expected {expected_kind!r}, "
-                           f"got {spec.kind!r}"])
+                           f"got {cfg.protocol.kind!r}"])
     overrides = {name: getattr(args, name) for name in ("dt", "duration")
                  if getattr(args, name) is not None}
     if expected_kind == "cyclic":
@@ -142,79 +136,41 @@ def _protocol_with_overrides(cfg: RunConfig, args,
             print("warning: protocol.max_cycles/settle_time are ignored; "
                   "cyclic runs use the exact periodic steady state",
                   file=sys.stderr)
-    return replace(spec, **overrides)
+    specimen = cfg.model if cfg.model is not None else cfg.element
+    return replace(cfg.protocol, **overrides), specimen
 
 
-def _specimen(cfg: RunConfig, command: str):
-    if cfg.network is not None:
-        raise ConfigError([f"network: the {command} command needs a model "
-                           "specimen, not a network"])
-    if cfg.model is not None:
-        return cfg.model
-    return cfg.element
+def _strided(series: Series, stride: int) -> Series:
+    """Rows 0, stride, 2*stride, ... and the last row, chosen by slicing;
+    the series itself at stride 1."""
+    if stride == 1:
+        return series
+    n = series.times.size
+    # a[tail:] is the last row, or nothing when a[::stride] ends on it
+    tail = n - 1 if (n - 1) % stride else n
+    times, *cols = (np.concatenate([a[::stride], a[tail:]])
+                    for a in (series.times, *series.columns.values()))
+    return Series(times=times, columns=dict(zip(series.columns, cols)))
 
 
-def _out_path(cfg_or_none, args):
-    if args.out:
-        return args.out
-    if cfg_or_none is not None and cfg_or_none.output_path:
-        return cfg_or_none.output_path
-    raise ConfigError(["output.path: no output path given "
-                       "(set output.path or pass --out)"])
+def _cmd_protocol(args, cfg: RunConfig):
+    kind = _PROTOCOLS[args.command]
+    spec, specimen = _protocol_and_specimen(cfg, args, kind, kind)
+    series, report = getattr(protocols, f"run_{kind}")(spec, specimen)
+    lines = [f"{name} = {getattr(report, name)}" for name in _METRICS
+             if getattr(report, name) is not None]
+    return _strided(series, cfg.output_stride), lines
 
 
-def _emit(series: Series, cfg: RunConfig, args) -> None:
-    path = _out_path(cfg, args)
-    stride = cfg.output_stride
-    if stride > 1:
-        idx = np.arange(0, series.times.size, stride)
-        if idx[-1] != series.times.size - 1:
-            idx = np.append(idx, series.times.size - 1)
-        series = Series(times=series.times[idx],
-                        columns={k: v[idx] for k, v in series.columns.items()})
-    write_series(path, series, precision=cfg.output_precision)
-    print(f"wrote {path}", file=sys.stderr)
-
-
-def _report_metrics(report, stream) -> None:
-    for name in ("youngs_modulus", "yield_stress", "uts", "fracture_energy",
-                 "relaxation_asymptote", "hysteresis_H"):
-        value = getattr(report, name)
-        if value is not None:
-            print(f"{name} = {value}", file=stream)
-
-
-def _cmd_protocol(args, kind: str) -> int:
-    cfg = load_config(args.config)
-    specimen = _specimen(cfg, kind)
-    runner = {"tensile": run_tensile, "creep": run_creep,
-              "relaxation": run_relaxation, "cyclic": run_cyclic}[kind]
-    if kind == "tensile" and cfg.model is None:
-        raise ConfigError(["model.elastic: the tensile command needs a "
-                           "model with an elastic law"])
-    spec = _protocol_with_overrides(cfg, args, kind)
-    series, report = runner(spec, specimen)
-    _emit(series, cfg, args)
-    _report_metrics(report, sys.stderr)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_sweep(args, cfg: RunConfig):
     if cfg.sweep_frequencies is None:
         raise ConfigError(["sweep: section required for the sweep command"])
-    specimen = _specimen(cfg, "sweep")
-    spec = _protocol_with_overrides(cfg, args, "cyclic")
+    spec, specimen = _protocol_and_specimen(cfg, args, "cyclic", "sweep")
     freqs, hs = frequency_sweep(spec, specimen, cfg.sweep_frequencies)
-    path = _out_path(cfg, args)
-    write_table(path, ["frequency", "H"], [freqs, hs],
-                precision=cfg.output_precision)
-    print(f"wrote {path}", file=sys.stderr)
-    return 0
+    return (["frequency", "H"], [freqs, hs]), []
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_simulate(args, cfg: RunConfig):
     if cfg.network is None:
         raise ConfigError(["network: section required for the simulate "
                            "command"])
@@ -224,116 +180,93 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(["network.duration: simulate needs positive "
                            "duration and dt (network.duration/network.dt "
                            "or --duration/--dt)"])
-    state = SystemState.initial(cfg.network, q=cfg.initial_q,
-                                v=cfg.initial_v)
+    state = SystemState.initial(cfg.network, q=cfg.initial_q, v=cfg.initial_v)
     result = simulate(cfg.network, state, duration=duration, dt=dt,
                       record_stride=cfg.output_stride)
-    columns = {}
-    for i in range(cfg.network.n):
-        columns[f"q{i}"] = result.q[:, i]
-    for i in range(cfg.network.n):
-        columns[f"v{i}"] = result.v[:, i]
-    columns["kinetic"] = result.kinetic
-    columns["elastic"] = result.elastic
-    columns["external_work"] = result.external_work
-    columns["dissipation"] = result.dissipation
-    series = Series(times=result.times, columns=columns)
-    path = _out_path(cfg, args)
-    write_series(path, series, precision=cfg.output_precision)
-    print(f"wrote {path}", file=sys.stderr)
-    return 0
+    columns = {**{f"q{i}": q for i, q in enumerate(result.q.T)},
+               **{f"v{i}": v for i, v in enumerate(result.v.T)},
+               "kinetic": result.kinetic, "elastic": result.elastic,
+               "external_work": result.external_work,
+               "dissipation": result.dissipation}
+    return Series(times=result.times, columns=columns), []
 
 
-def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    sys.stdout.write(cfg.effective_text())
-    return 0
-
-
-def _cmd_fit(args) -> int:
+def _cmd_fit(args, cfg):
     series = read_series(args.series)
-    lines = []
+    cols = series.columns
     if args.kind == "exponential":
         for col in ("stretch", "stress"):
-            if col not in series.columns:
+            if col not in cols:
                 raise ConfigError([f"{args.series}: missing column {col!r}"])
-        law, diag = fit_exponential_law(series.columns["stretch"],
-                                        series.columns["stress"])
-        lines.append(f"B = {law.B!r}")
-        lines.append(f"C = {law.C!r}")
+        law, diag = fit_exponential_law(cols["stretch"], cols["stress"])
+        lines = [f"B = {law.B!r}", f"C = {law.C!r}"]
     else:
-        col = "normalized_stress" if "normalized_stress" in series.columns \
-            else "G"
-        if col not in series.columns:
+        g = cols.get("normalized_stress", cols.get("G"))
+        if g is None:
             raise ConfigError([f"{args.series}: missing column "
                                "'normalized_stress' (or 'G')"])
-        spectrum, diag = fit_relaxation_spectrum(series.times,
-                                                 series.columns[col],
+        spectrum, diag = fit_relaxation_spectrum(series.times, g,
                                                  n_terms=args.terms)
-        lines.append(f"K = {spectrum.K!r}")
-        for a, f in zip(spectrum.amplitudes, spectrum.frequencies):
-            lines.append(f"term frequency={f!r} amplitude={a!r}")
-    lines.append(f"iterations = {diag.get('iterations', 0)}")
-    lines.append(f"residual = {diag.get('residual_norm', diag.get('max_error'))!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0
+        lines = [f"K = {spectrum.K!r}"] + [
+            f"term frequency={f!r} amplitude={a!r}"
+            for a, f in zip(spectrum.amplitudes, spectrum.frequencies)]
+    lines += [f"iterations = {diag.get('iterations', 0)}",
+              f"residual = {diag.get('residual_norm', diag.get('max_error'))!r}"]
+    return "\n".join(lines) + "\n", []
 
 
-def _cmd_kernels(args) -> int:
-    kernel = _kernel_from_args(args)
-    relax = reduced_relaxation(kernel)
+def _cmd_kernels(args, cfg):
+    relax = reduced_relaxation(_kernel_from_args(args))
     if args.dt <= 0 or args.duration <= 0:
         raise ConfigError(["--dt/--duration must be > 0"])
     n = max(1, int(round(args.duration / args.dt)))
     t = np.linspace(0.0, n * args.dt, n + 1)
-    g = relax.value(t)
-    series = Series(times=t, columns={"G": np.asarray(g, dtype=float)})
-    if args.out:
-        write_series(args.out, series)
-        print(f"wrote {args.out}", file=sys.stderr)
+    return Series(times=t, columns={"G": relax.value(t)}), []
+
+
+_COMMANDS = {**dict.fromkeys(_PROTOCOLS, _cmd_protocol), "fit": _cmd_fit,
+             "sweep": _cmd_sweep, "simulate": _cmd_simulate,
+             "kernels": _cmd_kernels,
+             "validate": lambda args, cfg: (cfg.effective_text(), [])}
+
+
+def _write(output, args, cfg: RunConfig | None) -> None:
+    """Deliver a command's output to --out, else output.path, else stdout;
+    validate always prints, and the other config commands need a file."""
+    path = args.out or (cfg.output_path if cfg else None)
+    if args.command == "validate" or not (path or cfg):
+        sys.stdout.write(output if isinstance(output, str)
+                         else serialize_series(output))
+        return
+    if not path:
+        raise ConfigError(["output.path: no output path given "
+                           "(set output.path or pass --out)"])
+    precision = cfg.output_precision if cfg else 17
+    if isinstance(output, str):
+        with open(path, "w", newline="") as fh:
+            fh.write(output)
+    elif isinstance(output, Series):
+        write_series(path, output, precision=precision)
     else:
-        sys.stdout.write(serialize_series(series))
-    return 0
+        write_table(path, *output, precision=precision)
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command in ("tensile", "creep", "cyclic"):
-            kind = args.command
-            return _cmd_protocol(args, kind)
-        if args.command == "relax":
-            return _cmd_protocol(args, "relaxation")
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "kernels":
-            return _cmd_kernels(args)
-        parser.error(f"unknown command {args.command!r}")
-        return 2
+        cfg = load_config(args.config) if "config" in args else None
+        output, lines = _COMMANDS[args.command](args, cfg)
+        _write(output, args, cfg)
+        sys.stderr.writelines(f"{line}\n" for line in lines)
+        return 0
     except ConfigError as exc:
-        for message in exc.errors:
-            print(f"error: {message}", file=sys.stderr)
+        sys.stderr.writelines(f"error: {message}\n" for message in exc.errors)
         return 2
-    except QlvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QlvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,8 @@ stopping at the first; unknown keys are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -18,7 +19,7 @@ import yaml
 from .constitutive import (ExponentialTensileLaw, FungBiaxialParams,
                            FungUniaxialLaw, LinearElasticLaw)
 from .errors import ConfigError, DomainError, StabilityError
-from .kernels import (FungSpectrum, KelvinParams, MaxwellParams,
+from .kernels import (KERNEL_TYPES, KelvinParams, MaxwellParams,
                       PronySpectrum, VoigtParams)
 from .network import KernelEntry, NonlinearSpring, SpringMassSystem
 from .protocols import ProtocolSpec
@@ -50,6 +51,12 @@ class RunConfig:
                          default_flow_style=False)
 
 
+def _finite(x) -> bool:
+    """Whether a YAML number is a finite float: not inf, not nan, and not an
+    integer too large for a float."""
+    return abs(x) <= sys.float_info.max
+
+
 class _Validator:
     """Collects dotted-key-path error messages across the whole document."""
 
@@ -71,25 +78,32 @@ class _Validator:
                           f"unknown key (allowed: {sorted(allowed)})")
         return data
 
+    def lookup(self, section: dict, path: str, key: str, required: bool):
+        """The value at ``key``; None (an error if required) when the key is
+        missing or null."""
+        v = section.get(key)
+        if v is None and required:
+            self.fail(f"{path}.{key}", "required key missing")
+        return v
+
     def number(self, section: dict, path: str, key: str, default=None,
                required: bool = False):
-        if key not in section or section[key] is None:
-            if required:
-                self.fail(f"{path}.{key}", "required key missing")
+        v = self.lookup(section, path, key, required)
+        if v is None:
             return default
-        v = section[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.fail(f"{path}.{key}", f"must be a number, got {v!r}")
-            return default
-        return float(v)
+        elif not _finite(v):
+            self.fail(f"{path}.{key}", f"must be finite, got {v!r}")
+        else:
+            return float(v)
+        return default
 
     def integer(self, section: dict, path: str, key: str, default=None,
                 required: bool = False):
-        if key not in section or section[key] is None:
-            if required:
-                self.fail(f"{path}.{key}", "required key missing")
+        v = self.lookup(section, path, key, required)
+        if v is None:
             return default
-        v = section[key]
         if isinstance(v, bool) or not isinstance(v, int):
             self.fail(f"{path}.{key}", f"must be an integer, got {v!r}")
             return default
@@ -97,11 +111,9 @@ class _Validator:
 
     def string(self, section: dict, path: str, key: str, default=None,
                required: bool = False, choices=None):
-        if key not in section or section[key] is None:
-            if required:
-                self.fail(f"{path}.{key}", "required key missing")
+        v = self.lookup(section, path, key, required)
+        if v is None:
             return default
-        v = section[key]
         if not isinstance(v, str):
             self.fail(f"{path}.{key}", f"must be a string, got {v!r}")
             return default
@@ -112,33 +124,32 @@ class _Validator:
         return v
 
     def boolean(self, section: dict, path: str, key: str, default=None):
-        if key not in section or section[key] is None:
+        v = self.lookup(section, path, key, False)
+        if v is None:
             return default
-        v = section[key]
         if not isinstance(v, bool):
             self.fail(f"{path}.{key}", f"must be true or false, got {v!r}")
             return default
         return v
 
     def vector(self, section: dict, path: str, key: str, required=False):
-        if key not in section or section[key] is None:
-            if required:
-                self.fail(f"{path}.{key}", "required key missing")
+        v = self.lookup(section, path, key, required)
+        if v is None:
             return None
-        v = section[key]
         if (not isinstance(v, list) or not v
                 or any(isinstance(x, bool) or not isinstance(x, (int, float))
                        for x in v)):
             self.fail(f"{path}.{key}", "must be a non-empty list of numbers")
-            return None
-        return np.asarray(v, dtype=float)
+        elif not all(map(_finite, v)):
+            self.fail(f"{path}.{key}", "entries must be finite")
+        else:
+            return np.asarray(v, dtype=float)
+        return None
 
     def matrix(self, section: dict, path: str, key: str, required=False):
-        if key not in section or section[key] is None:
-            if required:
-                self.fail(f"{path}.{key}", "required key missing")
+        v = self.lookup(section, path, key, required)
+        if v is None:
             return None
-        v = section[key]
         ok = isinstance(v, list) and v and all(
             isinstance(row, list) and row and all(
                 not isinstance(x, bool) and isinstance(x, (int, float))
@@ -165,9 +176,8 @@ _ELASTIC_KEYS = {"kind", "B", "C", "k", "c", "a1", "a2", "a3", "a4",
                  "alpha1", "alpha2", "alpha3", "alpha4",
                  "gamma1", "gamma2", "gamma3", "gamma4", "gamma5",
                  "include_quadratic_group", "include_third_order"}
-_KERNEL_KEYS = {"kind", "mu", "eta", "E_R", "tau_eps", "tau_sigma",
-                "K", "amplitudes", "frequencies", "c", "q1", "q2",
-                "prony_terms"}
+_KERNEL_KEYS = {"kind", "prony_terms",
+                *(f.name for cls in KERNEL_TYPES.values() for f in fields(cls))}
 
 
 def _build_elastic(v: _Validator, section: dict, path: str):
@@ -200,47 +210,29 @@ def _build_elastic(v: _Validator, section: dict, path: str):
     return None
 
 
+def _kernel_args(v: _Validator, sec: dict, path: str, cls):
+    """The parameters of kernel type ``cls`` read from ``sec``: lists for a
+    Prony spectrum's amplitudes and frequencies, numbers otherwise.  None
+    if any is missing or invalid."""
+    args = {f.name: (v.vector if f.name in ("amplitudes", "frequencies")
+                     else v.number)(sec, path, f.name, required=True)
+            for f in fields(cls)}
+    return None if any(a is None for a in args.values()) else args
+
+
 def _build_kernel(v: _Validator, section: dict, path: str):
     """Returns (kernel object, prony_terms) or (None, n)."""
     sec = v.section(section, path, _KERNEL_KEYS)
-    kind = v.string(sec, path, "kind", required=True,
-                    choices={"maxwell", "voigt", "kelvin", "prony", "fung"})
+    kind = v.string(sec, path, "kind", required=True, choices=KERNEL_TYPES)
     n_terms = v.integer(sec, path, "prony_terms", default=64)
     if n_terms is not None and n_terms < 1:
         v.fail(f"{path}.prony_terms", f"must be >= 1, got {n_terms}")
         n_terms = 64
-    if kind in ("maxwell", "voigt"):
-        mu = v.number(sec, path, "mu", required=True)
-        eta = v.number(sec, path, "eta", required=True)
-        if mu is None or eta is None:
-            return None, n_terms
-        cls = MaxwellParams if kind == "maxwell" else VoigtParams
-        return v.construct(path, cls, mu=mu, eta=eta), n_terms
-    if kind == "kelvin":
-        er = v.number(sec, path, "E_R", required=True)
-        te = v.number(sec, path, "tau_eps", required=True)
-        ts = v.number(sec, path, "tau_sigma", required=True)
-        if None in (er, te, ts):
-            return None, n_terms
-        return v.construct(path, KelvinParams, E_R=er, tau_eps=te,
-                           tau_sigma=ts), n_terms
-    if kind == "prony":
-        K = v.number(sec, path, "K", required=True)
-        amps = v.vector(sec, path, "amplitudes", required=True)
-        freqs = v.vector(sec, path, "frequencies", required=True)
-        if K is None or amps is None or freqs is None:
-            return None, n_terms
-        return v.construct(path, PronySpectrum, K=K,
-                           amplitudes=tuple(amps),
-                           frequencies=tuple(freqs)), n_terms
-    if kind == "fung":
-        c = v.number(sec, path, "c", required=True)
-        q1 = v.number(sec, path, "q1", required=True)
-        q2 = v.number(sec, path, "q2", required=True)
-        if None in (c, q1, q2):
-            return None, n_terms
-        return v.construct(path, FungSpectrum, c=c, q1=q1, q2=q2), n_terms
-    return None, n_terms
+    args = None if kind is None else \
+        _kernel_args(v, sec, path, KERNEL_TYPES[kind])
+    if args is None:
+        return None, n_terms
+    return v.construct(path, KERNEL_TYPES[kind], **args), n_terms
 
 
 def _build_model(v: _Validator, section: dict):
@@ -280,17 +272,14 @@ def _build_kernel_entry(v: _Validator, item, path: str, n: int):
     sec = v.section(item, path, _KERNEL_ENTRY_KEYS)
     i = v.integer(sec, path, "i", required=True)
     j = v.integer(sec, path, "j", required=True)
-    K = v.number(sec, path, "K", required=True)
-    amps = v.vector(sec, path, "amplitudes", required=True)
-    freqs = v.vector(sec, path, "frequencies", required=True)
-    if None in (i, j, K) or amps is None or freqs is None:
+    args = _kernel_args(v, sec, path, PronySpectrum)
+    if None in (i, j, args):
         return None
     for name, idx in (("i", i), ("j", j)):
         if not 0 <= idx < n:
             v.fail(f"{path}.{name}", f"index out of range [0, {n})")
             return None
-    spectrum = v.construct(path, PronySpectrum, K=K, amplitudes=tuple(amps),
-                           frequencies=tuple(freqs))
+    spectrum = v.construct(path, PronySpectrum, **args)
     if spectrum is None:
         return None
     return KernelEntry(i=i, j=j, spectrum=spectrum)
@@ -314,13 +303,10 @@ def _build_spring(v: _Validator, item, path: str, n: int):
     if sec.get("kernel") is not None:
         ksec = v.section(sec["kernel"], f"{path}.kernel",
                          {"K", "amplitudes", "frequencies"})
-        K = v.number(ksec, f"{path}.kernel", "K", required=True)
-        amps = v.vector(ksec, f"{path}.kernel", "amplitudes", required=True)
-        freqs = v.vector(ksec, f"{path}.kernel", "frequencies", required=True)
-        if K is None or amps is None or freqs is None:
+        args = _kernel_args(v, ksec, f"{path}.kernel", PronySpectrum)
+        if args is None:
             return None
-        kernel = v.construct(f"{path}.kernel", PronySpectrum, K=K,
-                             amplitudes=tuple(amps), frequencies=tuple(freqs))
+        kernel = v.construct(f"{path}.kernel", PronySpectrum, **args)
         if kernel is None:
             return None
     if law is None:
@@ -374,21 +360,15 @@ def _build_network(v: _Validator, section: dict):
         return None, None, None, duration, dt
     n = masses.size
     damping = v.matrix(sec, "network", "damping")
-    kernels = []
-    for idx, item in enumerate(sec.get("kernels") or []):
-        entry = _build_kernel_entry(v, item, f"network.kernels[{idx}]", n)
-        if entry is not None:
-            kernels.append(entry)
-    aero = []
-    for idx, item in enumerate(sec.get("aero_kernels") or []):
-        entry = _build_kernel_entry(v, item, f"network.aero_kernels[{idx}]", n)
-        if entry is not None:
-            aero.append(entry)
-    springs = []
-    for idx, item in enumerate(sec.get("springs") or []):
-        spring = _build_spring(v, item, f"network.springs[{idx}]", n)
-        if spring is not None:
-            springs.append(spring)
+
+    def build_list(key, build):
+        built = [build(v, item, f"network.{key}[{idx}]", n)
+                 for idx, item in enumerate(sec.get(key) or [])]
+        return tuple(x for x in built if x is not None)
+
+    kernels = build_list("kernels", _build_kernel_entry)
+    aero = build_list("aero_kernels", _build_kernel_entry)
+    springs = build_list("springs", _build_spring)
     replace = v.boolean(sec, "network", "kernels_replace_damping",
                         default=True)
     force = None
@@ -407,9 +387,8 @@ def _build_network(v: _Validator, section: dict):
         return None, None, None, duration, dt
     system = v.construct("network", SpringMassSystem, masses=masses,
                          stiffness=stiffness, damping=damping,
-                         memory_kernels=tuple(kernels),
-                         aero_kernels=tuple(aero),
-                         nonlinear_springs=tuple(springs),
+                         memory_kernels=kernels, aero_kernels=aero,
+                         nonlinear_springs=springs,
                          external_force=force,
                          kernels_replace_damping=replace)
     return system, q0, v0, duration, dt

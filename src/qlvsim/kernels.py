@@ -148,6 +148,12 @@ class FungSpectrum:
             raise DomainError(f"need 0 < q1 < q2, got q1={self.q1}, q2={self.q2}")
 
 
+# each kernel type by its name in configs and on the command line; the
+# fields of a type are its parameters
+KERNEL_TYPES = {"maxwell": MaxwellParams, "voigt": VoigtParams,
+                "kelvin": KelvinParams, "prony": PronySpectrum,
+                "fung": FungSpectrum}
+
 def maxwell_creep(p: MaxwellParams, t):
     """Creep function (1/mu + t/eta) * step(t)."""
     t = np.asarray(t, dtype=float)
@@ -267,6 +273,8 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     if np.any(dts <= 0):
         idx = int(np.argmax(dts <= 0))
         raise DomainError(f"times must be strictly increasing (index {idx + 1})")
+    if not spectrum.amplitudes:     # no internal variables
+        return spectrum.K * xs + 0.0
     dxs = np.diff(xs)
     h0 = np.asarray(spectrum.amplitudes) * xs[0]
     h_sum = np.zeros(times.size)

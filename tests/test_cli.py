@@ -483,3 +483,87 @@ class TestKernels:
         g = [float(line.split(",")[1]) for line in lines[1:]]
         assert g[0] == pytest.approx(1.0)
         assert all(a >= b - 1e-12 for a, b in zip(g, g[1:]))
+
+
+class TestStride:
+    @pytest.mark.parametrize("stride", [1, 2, 3, 7, 250, 499, 500, 501,
+                                        2**63])
+    def test_first_every_stride_th_and_last_row(self, tmp_path, capsys,
+                                                stride):
+        full, out = tmp_path / "full.csv", tmp_path / "strided.csv"
+        assert cli_main(["creep", "--config",
+                         str(write_cfg(tmp_path, CREEP_TEXT, "full.yaml")),
+                         "--out", str(full)]) == 0
+        cfg = write_cfg(tmp_path,
+                        CREEP_TEXT + f"output: {{stride: {stride}}}\n")
+        assert cli_main(["creep", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        header, *rows = full.read_text().splitlines()
+        want = rows[::stride]
+        if (len(rows) - 1) % stride:
+            want.append(rows[-1])
+        assert out.read_text().splitlines() == [header, *want]
+
+    def test_stride_beyond_int64_writes_first_and_last_rows(self, tmp_path,
+                                                            capsys):
+        cfg = write_cfg(tmp_path, CREEP_TEXT
+                        + "output: {stride: 9223372036854775808}\n")
+        out = tmp_path / "creep.csv"
+        assert cli_main(["creep", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        series = read_series(out)
+        assert series.times.tolist() == [0.0, pytest.approx(5.0)]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("flag", ["--dt", "--duration"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["creep", "kernels"])
+    def test_flag_is_a_usage_error(self, tmp_path, capsys, command, flag,
+                                   value):
+        argv = (["creep", "--config", str(write_cfg(tmp_path, CREEP_TEXT)),
+                 "--out", str(tmp_path / "out.csv")]
+                if command == "creep" else
+                ["kernels", "--kind", "maxwell", "--mu", "1", "--eta", "1"])
+        assert cli_main(argv + [f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be finite, got '{value}'" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_non_number_flag_message_is_unchanged(self, capsys):
+        assert cli_main(["kernels", "--kind", "maxwell", "--mu", "1",
+                         "--eta", "1", "--dt", "abc"]) == 2
+        assert "argument --dt: invalid float value: 'abc'" in \
+            capsys.readouterr().err
+
+    CHAIN = ("network:\n  masses: [1.0, 1.0]\n"
+             "  stiffness: [[2.0, -1.0], [-1.0, 1.0]]\n"
+             "  duration: 1.0\n  dt: 0.01\n")
+
+    @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan",
+                                       "1" + "0" * 400],
+                             ids=["inf", "-inf", "nan", "int-1e400"])
+    @pytest.mark.parametrize("command, text, key", [
+        ("creep", CREEP_TEXT.replace("duration: 5.0", "duration: VALUE"),
+         "protocol.duration"),
+        ("creep", CREEP_TEXT.replace("hold_stress: 0.3", "hold_stress: VALUE"),
+         "protocol.hold_stress"),
+        ("simulate", CHAIN + "  force: {kind: sinusoid, amplitudes: [0, 1],"
+         " angular_frequency: VALUE}\n", "network.force.angular_frequency"),
+        ("simulate", CHAIN + "  force: {kind: sinusoid, amplitudes:"
+         " [0, VALUE], angular_frequency: 1.0}\n", "network.force.amplitudes"),
+        ("simulate", CHAIN + "  initial: {q: [VALUE, 0.0]}\n",
+         "network.initial.q"),
+        ("simulate", CHAIN + "  kernels: [{i: 0, j: 0, K: VALUE,"
+         " amplitudes: [0.5], frequencies: [1.0]}]\n", "network.kernels[0].K"),
+    ], ids=["duration", "hold_stress", "angular_frequency", "amplitudes",
+            "initial_q", "kernel_K"])
+    def test_config_number_is_a_config_error(self, tmp_path, capsys, command,
+                                             text, key, value):
+        cfg = write_cfg(tmp_path, text.replace("VALUE", value))
+        out = tmp_path / "out.csv"
+        assert cli_main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and "finite" in err, err
+        assert not out.exists()

@@ -284,6 +284,25 @@ class TestKernelForceHistory:
         with pytest.raises(DomainError, match="index 2"):
             kernel_force_history(s, [0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("times", [0.5 * np.arange(6.0),
+                                       [0.0, 0.1, 0.5, 0.6, 2.0, 3.5]],
+                             ids=["uniform", "non-uniform"])
+    @pytest.mark.parametrize("spectrum", [
+        kernel_to_prony(KelvinParams(E_R=1.0, tau_eps=0.5, tau_sigma=0.5)),
+        PronySpectrum(K=0.7)], ids=["kelvin", "K-only"])
+    def test_no_terms_is_the_elastic_part(self, monkeypatch, spectrum, times):
+        def unused(*args):
+            raise AssertionError("a spectrum with no terms has no filter")
+
+        monkeypatch.setattr("qlvsim.kernels._prony_filter", unused)
+        monkeypatch.setattr("qlvsim.kernels.prony_step", unused)
+        xs = np.array([-0.0, 1.0, -2.0, 0.5, -0.0, 3.0])
+        got = kernel_force_history(spectrum, times, xs)
+        want = spectrum.K * xs + 0.0
+        assert spectrum.amplitudes == ()
+        assert np.array_equal(got, want)
+        assert not np.signbit(got[[0, 4]]).any()
+
 
 def lfilter_force_history(spectrum, times, xs):
     """Uniform-grid kernel_force_history as one scipy lfilter per term."""
