@@ -27,8 +27,6 @@ from .seriesio import (read_series, serialize_series, write_series,
 # when the command runs, so a wrapper set on the module later is called.
 _PROTOCOLS = {"tensile": "tensile", "creep": "creep", "relax": "relaxation",
               "cyclic": "cyclic"}
-# the kernel flags that take a comma-separated list; the others take a float
-_LISTS = ("amplitudes", "frequencies")
 _METRICS = ("youngs_modulus", "yield_stress", "uts", "fracture_energy",
             "relaxation_asymptote", "hysteresis_H")
 
@@ -78,9 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     kern = sub.add_parser("kernels",
                           help="tabulate a reduced relaxation function")
     kern.add_argument("--kind", required=True, choices=KERNEL_TYPES)
-    for name in dict.fromkeys(f.name for cls in KERNEL_TYPES.values()
-                              for f in fields(cls)):
-        listed = name in _LISTS
+    # a tuple field takes a comma-separated list, the others a float
+    for name, type_ in {f.name: f.type for cls in KERNEL_TYPES.values()
+                        for f in fields(cls)}.items():
+        listed = type_.startswith("tuple")
         kern.add_argument("--" + name.replace("_", "-"), dest=name,
                           type=None if listed else float,
                           help="comma-separated list" if listed else None)
@@ -102,7 +101,8 @@ def _kernel_from_args(args):
         raise ConfigError([f"kernel kind {args.kind!r} requires "
                            f"{', '.join(missing)}"])
     try:
-        for name in (n for n in values if n in _LISTS):
+        for name in (f.name for f in fields(cls)
+                     if f.type.startswith("tuple")):
             values[name] = tuple(map(float, values[name].split(",")))
     except ValueError as exc:
         raise ConfigError([f"--{name}: {exc}"]) from exc

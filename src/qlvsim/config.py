@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
 
-from .constitutive import (ExponentialTensileLaw, FungBiaxialParams,
-                           FungUniaxialLaw, LinearElasticLaw)
+from .constitutive import (ELASTIC_TYPES, ExponentialTensileLaw,
+                           FungBiaxialParams, FungUniaxialLaw)
 from .errors import ConfigError, DomainError, StabilityError
 from .kernels import (KERNEL_TYPES, KelvinParams, MaxwellParams,
                       PronySpectrum, VoigtParams)
@@ -55,6 +55,12 @@ def _finite(x) -> bool:
     """Whether a YAML number is a finite float: not inf, not nan, and not an
     integer too large for a float."""
     return abs(x) <= sys.float_info.max
+
+
+def _numbers(v) -> bool:
+    """Whether a YAML value is a non-empty list of numbers."""
+    return isinstance(v, list) and bool(v) and not any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
 
 
 class _Validator:
@@ -109,6 +115,15 @@ class _Validator:
             return default
         return v
 
+    def index(self, section: dict, path: str, key: str, n: int,
+              required: bool = True):
+        """An integer in [0, n)."""
+        i = self.integer(section, path, key, required=required)
+        if i is not None and not 0 <= i < n:
+            self.fail(f"{path}.{key}", f"index out of range [0, {n})")
+            return None
+        return i
+
     def string(self, section: dict, path: str, key: str, default=None,
                required: bool = False, choices=None):
         v = self.lookup(section, path, key, required)
@@ -123,8 +138,9 @@ class _Validator:
             return default
         return v
 
-    def boolean(self, section: dict, path: str, key: str, default=None):
-        v = self.lookup(section, path, key, False)
+    def boolean(self, section: dict, path: str, key: str, default=None,
+                required: bool = False):
+        v = self.lookup(section, path, key, required)
         if v is None:
             return default
         if not isinstance(v, bool):
@@ -132,16 +148,18 @@ class _Validator:
             return default
         return v
 
-    def vector(self, section: dict, path: str, key: str, required=False):
+    def vector(self, section: dict, path: str, key: str, required=False,
+               size: int | None = None):
         v = self.lookup(section, path, key, required)
         if v is None:
             return None
-        if (not isinstance(v, list) or not v
-                or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                       for x in v)):
+        if not _numbers(v):
             self.fail(f"{path}.{key}", "must be a non-empty list of numbers")
         elif not all(map(_finite, v)):
             self.fail(f"{path}.{key}", "entries must be finite")
+        elif size is not None and len(v) != size:
+            self.fail(f"{path}.{key}", f"expected {size} entries, "
+                      f"got {len(v)}")
         else:
             return np.asarray(v, dtype=float)
         return None
@@ -150,17 +168,17 @@ class _Validator:
         v = self.lookup(section, path, key, required)
         if v is None:
             return None
-        ok = isinstance(v, list) and v and all(
-            isinstance(row, list) and row and all(
-                not isinstance(x, bool) and isinstance(x, (int, float))
-                for x in row) for row in v)
-        if ok and len({len(row) for row in v}) != 1:
-            ok = False
-        if not ok:
+        if not (isinstance(v, list) and v and all(map(_numbers, v))
+                and len({len(row) for row in v}) == 1):
             self.fail(f"{path}.{key}",
                       "must be a non-empty rectangular list of number lists")
             return None
-        return np.asarray(v, dtype=float)
+        # inf and nan pass here: the network reports them by entry
+        try:
+            return np.asarray(v, dtype=float)
+        except OverflowError:       # an integer too large for a float
+            self.fail(f"{path}.{key}", "entries must be finite")
+            return None
 
     def construct(self, path: str, factory, *args, **kwargs):
         """Run a module constructor, converting domain errors to config
@@ -171,53 +189,42 @@ class _Validator:
             self.fail(path, str(exc))
             return None
 
+    def build(self, section: dict, path: str, cls, require_all=False,
+              **given):
+        """A ``cls`` from the keys of ``section`` named after its fields,
+        except the fields ``given``.  Each is read by the reader of its
+        annotation and is required if it has no default (every one is, with
+        ``require_all``).  None unless every field read cleanly and the
+        constructor accepted them."""
+        errors = len(self.errors)
+        for f in fields(cls):
+            if f.name not in given:
+                value = getattr(self, _READERS[f.type])(
+                    section, path, f.name,
+                    required=require_all or f.default is MISSING)
+                if value is not None:
+                    given[f.name] = value
+        if len(self.errors) > errors:
+            return None
+        return self.construct(path, cls, **given)
 
-_ELASTIC_KEYS = {"kind", "B", "C", "k", "c", "a1", "a2", "a3", "a4",
-                 "alpha1", "alpha2", "alpha3", "alpha4",
-                 "gamma1", "gamma2", "gamma3", "gamma4", "gamma5",
-                 "include_quadratic_group", "include_third_order"}
+
+# the _Validator reader of each field annotation; a section's keys are the
+# fields of the types it may build
+_READERS = {"float": "number", "int": "integer", "bool": "boolean",
+            "tuple[float, ...]": "vector"}
+_ELASTIC_KEYS = {"kind", *(f.name for cls in ELASTIC_TYPES.values()
+                           for f in fields(cls))}
 _KERNEL_KEYS = {"kind", "prony_terms",
                 *(f.name for cls in KERNEL_TYPES.values() for f in fields(cls))}
 
 
 def _build_elastic(v: _Validator, section: dict, path: str):
     sec = v.section(section, path, _ELASTIC_KEYS)
-    kind = v.string(sec, path, "kind", required=True,
-                    choices={"exponential", "linear", "fung"})
-    if kind == "exponential":
-        B = v.number(sec, path, "B", required=True)
-        C = v.number(sec, path, "C", required=True)
-        if B is None or C is None:
-            return None
-        return v.construct(path, ExponentialTensileLaw, B=B, C=C)
-    if kind == "linear":
-        k = v.number(sec, path, "k", required=True)
-        if k is None:
-            return None
-        return v.construct(path, LinearElasticLaw, k=k)
-    if kind == "fung":
-        kwargs = {}
-        for name in ("c", "a1", "a2", "a3", "a4",
-                     "alpha1", "alpha2", "alpha3", "alpha4",
-                     "gamma1", "gamma2", "gamma3", "gamma4", "gamma5"):
-            kwargs[name] = v.number(sec, path, name, default=0.0)
-        kwargs["include_quadratic_group"] = v.boolean(
-            sec, path, "include_quadratic_group", default=True)
-        kwargs["include_third_order"] = v.boolean(
-            sec, path, "include_third_order", default=False)
-        params = v.construct(path, FungBiaxialParams, **kwargs)
-        return None if params is None else FungUniaxialLaw(params)
-    return None
-
-
-def _kernel_args(v: _Validator, sec: dict, path: str, cls):
-    """The parameters of kernel type ``cls`` read from ``sec``: lists for a
-    Prony spectrum's amplitudes and frequencies, numbers otherwise.  None
-    if any is missing or invalid."""
-    args = {f.name: (v.vector if f.name in ("amplitudes", "frequencies")
-                     else v.number)(sec, path, f.name, required=True)
-            for f in fields(cls)}
-    return None if any(a is None for a in args.values()) else args
+    kind = v.string(sec, path, "kind", required=True, choices=ELASTIC_TYPES)
+    law = None if kind is None else v.build(sec, path, ELASTIC_TYPES[kind])
+    # a QLV specimen is uniaxial: the biaxial energy acts through E11 alone
+    return FungUniaxialLaw(law) if isinstance(law, FungBiaxialParams) else law
 
 
 def _build_kernel(v: _Validator, section: dict, path: str):
@@ -225,44 +232,44 @@ def _build_kernel(v: _Validator, section: dict, path: str):
     sec = v.section(section, path, _KERNEL_KEYS)
     kind = v.string(sec, path, "kind", required=True, choices=KERNEL_TYPES)
     n_terms = v.integer(sec, path, "prony_terms", default=64)
-    if n_terms is not None and n_terms < 1:
+    if n_terms < 1:
         v.fail(f"{path}.prony_terms", f"must be >= 1, got {n_terms}")
         n_terms = 64
-    args = None if kind is None else \
-        _kernel_args(v, sec, path, KERNEL_TYPES[kind])
-    if args is None:
-        return None, n_terms
-    return v.construct(path, KERNEL_TYPES[kind], **args), n_terms
+    kernel = None if kind is None else \
+        v.build(sec, path, KERNEL_TYPES[kind], require_all=True)
+    return kernel, n_terms
 
 
-def _build_model(v: _Validator, section: dict):
+def _build_model(v: _Validator, section: dict) -> dict:
+    """The RunConfig fields of a model specimen."""
     sec = v.section(section, "model", {"elastic", "kernel"})
     if "kernel" not in sec:
         v.fail("model.kernel", "required key missing")
-        return None, None
+        return {}
     kernel, n_terms = _build_kernel(v, sec.get("kernel"), "model.kernel")
     # a classical element with no elastic law is a specimen by itself
     if "elastic" not in sec:
         if isinstance(kernel, (MaxwellParams, VoigtParams, KelvinParams)):
-            return None, kernel
+            return {"element": kernel}
         v.fail("model.elastic", "required key missing (only classical "
                "elements may be used without an elastic law)")
-        return None, None
+        return {}
     elastic = _build_elastic(v, sec.get("elastic"), "model.elastic")
     if elastic is None or kernel is None:
-        return None, None
+        return {}
     if isinstance(kernel, VoigtParams):
         v.fail("model.kernel.kind", "the Voigt element has an impulsive "
                "relaxation and cannot drive the hereditary integral; use it "
                "as a bare element without model.elastic")
-        return None, None
-    model = v.construct("model", QlvModel.from_kernel, elastic, kernel,
-                        n_prony=n_terms)
-    return model, None
+        return {}
+    return {"model": v.construct("model", QlvModel.from_kernel, elastic,
+                                 kernel, n_prony=n_terms)}
 
 
-_KERNEL_ENTRY_KEYS = {"i", "j", "K", "amplitudes", "frequencies"}
-_SPRING_KEYS = {"i", "j", "B", "C", "rest_length", "kernel"}
+_PRONY_KEYS = {f.name for f in fields(PronySpectrum)}
+_KERNEL_ENTRY_KEYS = {"i", "j", *_PRONY_KEYS}
+_SPRING_KEYS = {"i", "j", "rest_length", "kernel",
+                *(f.name for f in fields(ExponentialTensileLaw))}
 _NETWORK_KEYS = {"masses", "stiffness", "damping", "kernels", "aero_kernels",
                  "springs", "kernels_replace_damping", "initial", "force",
                  "duration", "dt"}
@@ -270,84 +277,55 @@ _NETWORK_KEYS = {"masses", "stiffness", "damping", "kernels", "aero_kernels",
 
 def _build_kernel_entry(v: _Validator, item, path: str, n: int):
     sec = v.section(item, path, _KERNEL_ENTRY_KEYS)
-    i = v.integer(sec, path, "i", required=True)
-    j = v.integer(sec, path, "j", required=True)
-    args = _kernel_args(v, sec, path, PronySpectrum)
-    if None in (i, j, args):
-        return None
-    for name, idx in (("i", i), ("j", j)):
-        if not 0 <= idx < n:
-            v.fail(f"{path}.{name}", f"index out of range [0, {n})")
-            return None
-    spectrum = v.construct(path, PronySpectrum, **args)
-    if spectrum is None:
+    i = v.index(sec, path, "i", n)
+    j = v.index(sec, path, "j", n)
+    spectrum = v.build(sec, path, PronySpectrum, require_all=True)
+    if None in (i, j, spectrum):
         return None
     return KernelEntry(i=i, j=j, spectrum=spectrum)
 
 
 def _build_spring(v: _Validator, item, path: str, n: int):
     sec = v.section(item, path, _SPRING_KEYS)
-    i = v.integer(sec, path, "i", required=True)
-    j = v.integer(sec, path, "j")
-    B = v.number(sec, path, "B", required=True)
-    C = v.number(sec, path, "C", required=True)
+    errors = len(v.errors)
+    i = v.index(sec, path, "i", n)
+    j = v.index(sec, path, "j", n, required=False)
+    law = v.build(sec, path, ExponentialTensileLaw)
     rest = v.number(sec, path, "rest_length", default=1.0)
-    if None in (i, B, C, rest):
-        return None
-    for name, idx in (("i", i), ("j", j)):
-        if idx is not None and not 0 <= idx < n:
-            v.fail(f"{path}.{name}", f"index out of range [0, {n})")
-            return None
-    law = v.construct(path, ExponentialTensileLaw, B=B, C=C)
     kernel = None
     if sec.get("kernel") is not None:
-        ksec = v.section(sec["kernel"], f"{path}.kernel",
-                         {"K", "amplitudes", "frequencies"})
-        args = _kernel_args(v, ksec, f"{path}.kernel", PronySpectrum)
-        if args is None:
-            return None
-        kernel = v.construct(f"{path}.kernel", PronySpectrum, **args)
-        if kernel is None:
-            return None
-    if law is None:
+        ksec = v.section(sec["kernel"], f"{path}.kernel", _PRONY_KEYS)
+        kernel = v.build(ksec, f"{path}.kernel", PronySpectrum,
+                         require_all=True)
+    if len(v.errors) > errors:
         return None
     return v.construct(path, NonlinearSpring, i=i, j=j, law=law,
                        rest_length=rest, kernel=kernel)
 
 
 def _build_force(v: _Validator, section: dict, n: int):
-    sec = v.section(section, "network.force",
+    path = "network.force"
+    sec = v.section(section, path,
                     {"kind", "values", "amplitudes", "angular_frequency"})
-    kind = v.string(sec, "network.force", "kind", required=True,
+    kind = v.string(sec, path, "kind", required=True,
                     choices={"constant", "sinusoid"})
     if kind == "constant":
-        values = v.vector(sec, "network.force", "values", required=True)
-        if values is None:
-            return None
-        if values.size != n:
-            v.fail("network.force.values", f"expected {n} entries, "
-                   f"got {values.size}")
-            return None
-        const = values.copy()
-        return lambda t: const
+        values = v.vector(sec, path, "values", required=True, size=n)
+        return None if values is None else lambda t: values
     if kind == "sinusoid":
-        amps = v.vector(sec, "network.force", "amplitudes", required=True)
-        w = v.number(sec, "network.force", "angular_frequency", required=True)
+        amps = v.vector(sec, path, "amplitudes", required=True, size=n)
+        w = v.number(sec, path, "angular_frequency", required=True)
         if amps is None or w is None:
             return None
-        if amps.size != n:
-            v.fail("network.force.amplitudes", f"expected {n} entries, "
-                   f"got {amps.size}")
-            return None
         if w <= 0:
-            v.fail("network.force.angular_frequency", f"must be > 0, got {w}")
+            v.fail(f"{path}.angular_frequency", f"must be > 0, got {w}")
             return None
-        amps = amps.copy()
         return lambda t: amps * math.sin(w * t)
     return None
 
 
-def _build_network(v: _Validator, section: dict):
+def _build_network(v: _Validator, section: dict) -> dict:
+    """The RunConfig fields of a network specimen."""
     sec = v.section(section, "network", _NETWORK_KEYS)
     masses = v.vector(sec, "network", "masses", required=True)
     stiffness = v.matrix(sec, "network", "stiffness", required=True)
@@ -357,14 +335,18 @@ def _build_network(v: _Validator, section: dict):
         if val is not None and val <= 0:
             v.fail(f"network.{name}", f"must be > 0, got {val}")
     if masses is None or stiffness is None:
-        return None, None, None, duration, dt
+        return {}
     n = masses.size
     damping = v.matrix(sec, "network", "damping")
 
     def build_list(key, build):
-        built = [build(v, item, f"network.{key}[{idx}]", n)
-                 for idx, item in enumerate(sec.get(key) or [])]
-        return tuple(x for x in built if x is not None)
+        items = sec.get(key)
+        if items is not None and not isinstance(items, list):
+            v.fail(f"network.{key}", "must be a list")
+            return ()
+        # an entry is None only after an error, and then nothing is built
+        return tuple(build(v, item, f"network.{key}[{idx}]", n)
+                     for idx, item in enumerate(items or []))
 
     kernels = build_list("kernels", _build_kernel_entry)
     aero = build_list("aero_kernels", _build_kernel_entry)
@@ -376,50 +358,36 @@ def _build_network(v: _Validator, section: dict):
         force = _build_force(v, sec["force"], n)
 
     init = v.section(sec.get("initial"), "network.initial", {"q", "v"})
-    q0 = v.vector(init, "network.initial", "q")
-    v0 = v.vector(init, "network.initial", "v")
-    for name, vec in (("q", q0), ("v", v0)):
-        if vec is not None and vec.size != n:
-            v.fail(f"network.initial.{name}", f"expected {n} entries, "
-                   f"got {vec.size}")
+    q0 = v.vector(init, "network.initial", "q", size=n)
+    v0 = v.vector(init, "network.initial", "v", size=n)
 
     if v.errors:
-        return None, None, None, duration, dt
+        return {}
     system = v.construct("network", SpringMassSystem, masses=masses,
                          stiffness=stiffness, damping=damping,
                          memory_kernels=kernels, aero_kernels=aero,
                          nonlinear_springs=springs,
                          external_force=force,
                          kernels_replace_damping=replace)
-    return system, q0, v0, duration, dt
+    return dict(network=system, initial_q=q0, initial_v=v0,
+                sim_duration=duration, sim_dt=dt)
 
 
-_PROTOCOL_KEYS = {"kind", "duration", "dt", "stretch_rate", "hold_stress",
-                  "hold_strain", "amplitude", "mean", "angular_frequency",
-                  "cycles", "samples_per_cycle", "max_cycles", "settle_time"}
+_PROTOCOL_KEYS = {"max_cycles", "settle_time",
+                  *(f.name for f in fields(ProtocolSpec))}
 
 
 def _build_protocol(v: _Validator, section: dict):
     sec = v.section(section, "protocol", _PROTOCOL_KEYS)
-    kwargs = {}
     kind = v.string(sec, "protocol", "kind", required=True,
                     choices={"tensile", "creep", "relaxation", "cyclic"})
     if kind is None:
         return None
-    kwargs["kind"] = kind
-    for key in ("duration", "dt", "stretch_rate", "hold_stress",
-                "hold_strain", "amplitude", "mean", "angular_frequency"):
-        val = v.number(sec, "protocol", key)
-        if val is not None:
-            kwargs[key] = val
-    for key in ("cycles", "samples_per_cycle"):
-        val = v.integer(sec, "protocol", key)
-        if val is not None:
-            kwargs[key] = val
+    spec = v.build(sec, "protocol", ProtocolSpec, kind=kind)
     # no-ops since cyclic runs solve the steady state; still type-checked
     v.number(sec, "protocol", "settle_time")
     v.integer(sec, "protocol", "max_cycles")
-    return v.construct("protocol", ProtocolSpec, **kwargs)
+    return spec
 
 
 def _build_sweep(v: _Validator, section: dict):
@@ -504,13 +472,11 @@ def parse_config(text: str) -> RunConfig:
         v.fail("model", "exactly one of 'model' and 'network' is required; "
                "neither is present")
 
-    model = element = network = None
-    q0 = v0 = sim_duration = sim_dt = None
+    specimen = {}
     if has_model and not has_network:
-        model, element = _build_model(v, data["model"])
+        specimen = _build_model(v, data["model"])
     if has_network and not has_model:
-        network, q0, v0, sim_duration, sim_dt = _build_network(
-            v, data["network"])
+        specimen = _build_network(v, data["network"])
 
     protocol = None
     if data.get("protocol") is not None:
@@ -534,12 +500,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(v.errors)
 
     effective = _effective_dict(data, stride, precision)
-    return RunConfig(raw=effective, model=model, element=element,
-                     network=network, initial_q=q0, initial_v=v0,
-                     protocol=protocol, sim_duration=sim_duration,
-                     sim_dt=sim_dt, sweep_frequencies=sweep,
-                     output_path=out_path, output_stride=stride,
-                     output_precision=precision)
+    return RunConfig(raw=effective, **specimen, protocol=protocol,
+                     sweep_frequencies=sweep, output_path=out_path,
+                     output_stride=stride, output_precision=precision)
 
 
 def _effective_dict(data: dict, stride: int, precision: int) -> dict:

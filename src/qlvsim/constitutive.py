@@ -184,6 +184,12 @@ class FungBiaxialParams:
                 object.__setattr__(self, name, 0.0)
 
 
+# each elastic law by its name in configs; the fields of a type are its
+# parameters, and a Fung law is given by its biaxial parameters
+ELASTIC_TYPES = {"exponential": ExponentialTensileLaw,
+                 "linear": LinearElasticLaw, "fung": FungBiaxialParams}
+
+
 def tensile_stress(law: ExponentialTensileLaw, lam):
     """Nominal stress of the exponential law, T = (C/B)*(exp(B*(lam-1)) - 1)."""
     lam = np.asarray(lam, dtype=float)

@@ -390,16 +390,12 @@ class ReducedRelaxation:
     """Normalized relaxation function: value(0) = 1, non-increasing.
 
     ``kernel`` is one of the parameter types above (already in normalized
-    form where that matters); ``method`` records how values are computed:
-    "closed-form" or "prony-approximation".
+    form where that matters).
     """
 
     kernel: object
-    method: str = "closed-form"
 
     def __post_init__(self):
-        if self.method not in ("closed-form", "prony-approximation"):
-            raise DomainError(f"unknown evaluation method {self.method!r}")
         if isinstance(self.kernel, PronySpectrum):
             if abs(self.kernel.at_zero - 1.0) > 1e-9:
                 raise DomainError(

@@ -335,18 +335,6 @@ class SystemState:
 
 
 @dataclass(frozen=True)
-class EnergyReport:
-    kinetic: float
-    elastic: float
-    external_work: float
-    dissipation: float
-
-    @property
-    def mechanical(self) -> float:
-        return self.kinetic + self.elastic
-
-
-@dataclass(frozen=True)
 class SimulationResult:
     """Recorded samples: states and energy bookkeeping per record."""
 
@@ -358,12 +346,6 @@ class SimulationResult:
     external_work: np.ndarray
     dissipation: np.ndarray
     final_state: SystemState
-
-    def energy_report(self, index: int = -1) -> EnergyReport:
-        return EnergyReport(kinetic=float(self.kinetic[index]),
-                            elastic=float(self.elastic[index]),
-                            external_work=float(self.external_work[index]),
-                            dissipation=float(self.dissipation[index]))
 
 
 def simulate(system: SpringMassSystem, state: SystemState,

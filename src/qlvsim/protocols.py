@@ -93,13 +93,10 @@ class TestReport:
     yield_stress: float | None = None
     uts: float | None = None
     fracture_energy: float | None = None
-    creep_rate_times: np.ndarray | None = None
     creep_rate: np.ndarray | None = None
-    relaxation_rate_times: np.ndarray | None = None
     relaxation_rate: np.ndarray | None = None
     relaxation_asymptote: float | None = None
     hysteresis_H: float | None = None
-    strain_convention: str = "green"
 
     def __post_init__(self):
         if (self.uts is not None and self.yield_stress is not None
@@ -169,13 +166,8 @@ def run_tensile(spec: ProtocolSpec, model: QlvModel) -> tuple[Series, TestReport
     series = Series(times=t, columns={"stretch": stretch, "green_strain": green,
                                       "stress": stress})
     report = TestReport(youngs_modulus=modulus, yield_stress=yield_stress,
-                        uts=uts, fracture_energy=fracture_energy,
-                        strain_convention="green")
+                        uts=uts, fracture_energy=fracture_energy)
     return series, report
-
-
-def _centered_rates(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.gradient(y, t)
 
 
 def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
@@ -197,9 +189,7 @@ def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
     if isinstance(model, (MaxwellParams, VoigtParams, KelvinParams)):
         u = _element_creep(model, t, load)
         series = Series(times=t, columns={"deformation": u})
-        rates = _centered_rates(t, u)
-        report = TestReport(creep_rate_times=t, creep_rate=rates)
-        return series, report
+        return series, TestReport(creep_rate=np.gradient(u, t))
 
     if load == 0.0:
         green = np.zeros_like(t)
@@ -219,67 +209,59 @@ def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
             te[i] = (load - free.sum() + gsum * te[i - 1]) / (prony.K + gsum)
             h = free + gain * (te[i] - te[i - 1])
         green = model.elastic.green_at_stress(te)
-    rates = _centered_rates(t, green)
     series = Series(times=t, columns={"green_strain": green,
                                       "stretch": np.sqrt(2 * green + 1.0)})
-    report = TestReport(creep_rate_times=t, creep_rate=rates)
-    return series, report
+    return series, TestReport(creep_rate=np.gradient(green, t))
+
+
+def _trapezoid(u0: float, a: float, b: float, t: np.ndarray) -> np.ndarray:
+    """Trapezoidal integration of du/dt = b - a*u from u(0) = u0 over the
+    uniform grid ``t``; each step is implicit and linear."""
+    u = np.empty_like(t)
+    u[0] = u0
+    dt = t[1] - t[0]
+    for i in range(1, t.size):
+        u[i] = ((1 - 0.5 * dt * a) * u[i - 1] + dt * b) / (1 + 0.5 * dt * a)
+    return u
 
 
 def _element_creep(element, t: np.ndarray, load: float) -> np.ndarray:
     """Trapezoidal integration of the element deflection under constant load."""
-    u = np.empty_like(t)
-    dt = t[1] - t[0]
     if isinstance(element, MaxwellParams):
         # du/dt = F/eta after the initial elastic jump F/mu
-        u[0] = load / element.mu
-        rate = load / element.eta
-        for i in range(1, t.size):
-            u[i] = u[i - 1] + dt * rate
-        return u
+        return _trapezoid(load / element.mu, 0.0, load / element.eta, t)
     if isinstance(element, VoigtParams):
         # du/dt = (F - mu u)/eta, u(0) = 0
-        u[0] = 0.0
-        a, b = element.mu / element.eta, load / element.eta
-        for i in range(1, t.size):
-            # trapezoidal: u' averaged over the step, implicit and linear
-            u[i] = ((1 - 0.5 * dt * a) * u[i - 1] + dt * b) / (1 + 0.5 * dt * a)
-        return u
+        return _trapezoid(0.0, element.mu / element.eta, load / element.eta,
+                          t)
     if isinstance(element, KelvinParams):
         # E_R tau_sigma du/dt = F - E_R u (constant F), u(0) from the
         # initial condition tau_eps F = E_R tau_sigma u
-        u[0] = element.tau_eps * load / (element.E_R * element.tau_sigma)
-        a = 1.0 / element.tau_sigma
-        b = load / (element.E_R * element.tau_sigma)
-        for i in range(1, t.size):
-            u[i] = ((1 - 0.5 * dt * a) * u[i - 1] + dt * b) / (1 + 0.5 * dt * a)
-        return u
+        scale = element.E_R * element.tau_sigma
+        return _trapezoid(element.tau_eps * load / scale,
+                          1.0 / element.tau_sigma, load / scale, t)
     raise DomainError(f"unsupported element type {type(element).__name__}")
 
 
 def _element_relaxation(element, t: np.ndarray) -> np.ndarray:
     """Trapezoidal integration of the element force under unit deflection."""
-    f = np.empty_like(t)
-    dt = t[1] - t[0]
     if isinstance(element, MaxwellParams):
-        # dF/dt = -mu F / eta after the elastic jump F(0) = mu
+        # dF/dt = -mu F / eta after the elastic jump F(0) = mu, stepped as
+        # F *= (1 - dt a/2)/(1 + dt a/2), which rounds unlike _trapezoid
+        f = np.empty_like(t)
         f[0] = element.mu
-        a = element.mu / element.eta
+        a, dt = element.mu / element.eta, t[1] - t[0]
         for i in range(1, t.size):
             f[i] = (1 - 0.5 * dt * a) / (1 + 0.5 * dt * a) * f[i - 1]
         return f
     if isinstance(element, VoigtParams):
         # regular part only; the impulsive term lives at t = 0
-        f[:] = element.mu
-        return f
+        return np.full_like(t, element.mu)
     if isinstance(element, KelvinParams):
         # tau_eps dF/dt = E_R u - F with u = 1, F(0) = E_R tau_sigma/tau_eps
-        f[0] = element.E_R * element.tau_sigma / element.tau_eps
-        a = 1.0 / element.tau_eps
-        b = element.E_R / element.tau_eps
-        for i in range(1, t.size):
-            f[i] = ((1 - 0.5 * dt * a) * f[i - 1] + dt * b) / (1 + 0.5 * dt * a)
-        return f
+        return _trapezoid(element.E_R * element.tau_sigma / element.tau_eps,
+                          1.0 / element.tau_eps, element.E_R / element.tau_eps,
+                          t)
     raise DomainError(f"unsupported element type {type(element).__name__}")
 
 
@@ -306,10 +288,9 @@ def run_relaxation(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
         stress = g * te0
         asymptote = model.relaxation.long_time_limit * te0
         normalized = g if te0 != 0 else stress
-    rates = _centered_rates(t, stress)
     series = Series(times=t, columns={"stress": stress,
                                       "normalized_stress": np.asarray(normalized)})
-    report = TestReport(relaxation_rate_times=t, relaxation_rate=rates,
+    report = TestReport(relaxation_rate=np.gradient(stress, t),
                         relaxation_asymptote=asymptote)
     return series, report
 

@@ -196,6 +196,15 @@ class TestValidate:
         assert cfg.effective_text() == out
         assert "kelvin" in out
 
+    @pytest.mark.parametrize("key", ["kernels", "aero_kernels", "springs"])
+    @pytest.mark.parametrize("value", ["1", "2.5", "true", '"x"', "{i: 0}"])
+    def test_network_list_that_is_not_a_list(self, tmp_path, capsys, key,
+                                             value):
+        path = write_cfg(tmp_path, TestNonFinite.CHAIN + f"  {key}: {value}\n")
+        assert cli_main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: network.{key}: must be a list\n"
+
 
 class TestProtocols:
     def test_relax_first_row_normalized(self, tmp_path, capsys):
@@ -282,6 +291,24 @@ class TestSimulate:
         assert code == 2
         assert f"network: {matrix} entries must be finite" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("matrix", ["stiffness", "damping"])
+    def test_matrix_integer_too_large_for_a_float(self, tmp_path, capsys,
+                                                  command, matrix):
+        entries = {"stiffness": "[[2.0, -1.0], [-1.0, 2.0]]",
+                   "damping": "[[0.1, 0.0], [0.0, 0.1]]"}
+        entries[matrix] = f"[[1{'0' * 400}, 0.0], [0.0, 1.0]]"
+        path = write_cfg(tmp_path, "network:\n  masses: [1.0, 1.0]\n"
+                         f"  stiffness: {entries['stiffness']}\n"
+                         f"  damping: {entries['damping']}\n"
+                         "  duration: 1.0\n  dt: 0.01\n")
+        out = tmp_path / "sim.csv"
+        assert cli_main([command, "--config", str(path), "--out",
+                         str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: network.{matrix}: entries must be finite\n"
+        assert not out.exists()
 
     def test_tiny_mass_fails_the_stability_check(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "network:\n  masses: [1.0e-300, 1.0]\n"

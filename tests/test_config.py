@@ -1,3 +1,5 @@
+import ast
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from qlvsim import config
 from qlvsim.config import parse_config
-from qlvsim.errors import ConfigError
+from qlvsim.constitutive import (ELASTIC_TYPES, ExponentialTensileLaw,
+                                 FungUniaxialLaw)
+from qlvsim.errors import ConfigError, DomainError
+from qlvsim.kernels import KERNEL_TYPES, PronySpectrum
+from qlvsim.protocols import ProtocolSpec
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -295,3 +301,113 @@ class TestNesting:
         depth = 600
         errs = errors_of("model: " + "[" * depth + "]" * depth + "\n")
         assert errs == ["invalid YAML: nesting too deep"]
+
+
+def names(*types):
+    return {f.name for cls in types for f in fields(cls)}
+
+
+NET = "network:\n  masses: [1.0]\n  stiffness: [[1.0]]\n"
+MAXWELL = "{kind: maxwell, mu: 1.0, eta: 1.0}"
+PRONY = "K: 1.0, amplitudes: [1.0], frequencies: [1.0]"
+# values drawn for a field, by its annotation
+FIELD_VALUES = {
+    "float": st.one_of(st.floats(-10.0, 100.0), st.integers(-5, 100)),
+    "bool": st.booleans(),
+    "tuple[float, ...]": st.lists(st.floats(0.01, 100.0), min_size=1,
+                                  max_size=3, unique=True).map(sorted),
+}
+
+
+def draw_fields(data, cls, require_all=False):
+    """Values for the fields of ``cls``; a field with a default is left out
+    at random unless ``require_all``."""
+    return {f.name: data.draw(FIELD_VALUES[f.type]) for f in fields(cls)
+            if require_all or f.default is MISSING or data.draw(st.booleans())}
+
+
+def built_directly(cls, values):
+    try:
+        return cls(**values)
+    except DomainError:
+        return None
+
+
+class TestSchemaRule:
+    """A section's keys are the fields of the type it builds, read by their
+    annotations, and the type is built only from fields that read cleanly."""
+
+    @pytest.mark.parametrize("path, text, expected", [
+        ("model.elastic", "model:\n  elastic: {kind: linear, k: 1.0, bogus: 1}"
+         f"\n  kernel: {MAXWELL}\n", {"kind", *names(*ELASTIC_TYPES.values())}),
+        ("model.kernel", "model:\n  kernel: {kind: maxwell, mu: 1.0, eta: 1.0,"
+         " bogus: 1}\n",
+         {"kind", "prony_terms", *names(*KERNEL_TYPES.values())}),
+        ("network.kernels[0]", NET + f"  kernels: [{{i: 0, j: 0, {PRONY},"
+         " bogus: 1}]\n", {"i", "j", *names(PronySpectrum)}),
+        ("network.aero_kernels[0]", NET + f"  aero_kernels: [{{i: 0, j: 0, "
+         f"{PRONY}, bogus: 1}}]\n", {"i", "j", *names(PronySpectrum)}),
+        ("network.springs[0]", NET + "  springs: [{i: 0, B: 1.0, C: 1.0,"
+         " bogus: 1}]\n",
+         {"i", "j", "rest_length", "kernel", *names(ExponentialTensileLaw)}),
+        ("network.springs[0].kernel", NET + "  springs: [{i: 0, B: 1.0, C: 1.0,"
+         f" kernel: {{{PRONY}, bogus: 1}}}}]\n", names(PronySpectrum)),
+        ("protocol", f"model:\n  kernel: {MAXWELL}\nprotocol: {{kind: creep,"
+         " duration: 1.0, dt: 0.1, bogus: 1}\n",
+         {"max_cycles", "settle_time", *names(ProtocolSpec)}),
+    ], ids=["elastic", "kernel", "kernels", "aero_kernels", "springs",
+            "spring_kernel", "protocol"])
+    def test_allowed_keys_are_the_fields(self, path, text, expected):
+        [err] = [e for e in errors_of(text) if e.startswith(f"{path}.bogus:")]
+        assert set(ast.literal_eval(err.split("(allowed: ")[1][:-1])) == \
+            expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(ELASTIC_TYPES)), data=st.data())
+    def test_elastic_section_builds_its_type(self, kind, data):
+        cls = ELASTIC_TYPES[kind]
+        values = draw_fields(data, cls)
+        expected = built_directly(cls, values)
+        if kind == "fung" and expected is not None:
+            expected = FungUniaxialLaw(expected)
+        v = config._Validator()
+        law = config._build_elastic(v, {"kind": kind, **values}, "e")
+        assert law == expected
+        assert bool(v.errors) == (expected is None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(KERNEL_TYPES)), data=st.data())
+    def test_kernel_section_builds_its_type(self, kind, data):
+        cls = KERNEL_TYPES[kind]
+        values = draw_fields(data, cls, require_all=True)
+        expected = built_directly(cls, values)
+        v = config._Validator()
+        kernel, _ = config._build_kernel(v, {"kind": kind, **values}, "k")
+        assert kernel == expected
+        assert bool(v.errors) == (expected is None)
+
+    def test_prony_lists_are_required(self):
+        errs = errors_of(f"model:\n  elastic: {{kind: linear, k: 1.0}}\n"
+                         "  kernel: {kind: prony, K: 1.0}\n")
+        assert errs == ["model.kernel.amplitudes: required key missing",
+                        "model.kernel.frequencies: required key missing"]
+
+    @pytest.mark.parametrize("text, error", [
+        # a default in place of the bad field would fail the cyclic checks
+        (f"model:\n  kernel: {MAXWELL}\nprotocol: {{kind: cyclic, mean: 0.1,"
+         " amplitude: x, angular_frequency: 1.0, cycles: 2}\n",
+         "protocol.amplitude: must be a number, got 'x'"),
+        # ... and a1 = 0 would make the exponent indefinite
+        ("model:\n  elastic: {kind: fung, c: 1.0, a1: x, a2: 1.0, a4: 0.5}\n"
+         f"  kernel: {MAXWELL}\n", "model.elastic.a1: must be a number, got 'x'"),
+    ], ids=["protocol", "fung"])
+    def test_bad_field_builds_nothing(self, text, error):
+        assert errors_of(text) == [error]
+
+    @pytest.mark.parametrize("key, entry", [
+        ("kernels", PRONY), ("aero_kernels", PRONY), ("springs", "B: 1, C: 1")],
+        ids=["kernels", "aero_kernels", "springs"])
+    def test_both_indices_out_of_range(self, key, entry):
+        errs = errors_of(NET + f"  {key}: [{{i: 2, j: 3, {entry}}}]\n")
+        assert errs == [f"network.{key}[0].i: index out of range [0, 1)",
+                        f"network.{key}[0].j: index out of range [0, 1)"]
