@@ -15,7 +15,7 @@ import numpy as np
 
 from . import protocols
 from .config import RunConfig, load_config
-from .errors import ConfigError, QlvError
+from .errors import ConfigError, DomainError, QlvError
 from .kernels import KERNEL_TYPES, reduced_relaxation
 from .network import SystemState, simulate
 from .protocols import (Series, fit_exponential_law,
@@ -137,7 +137,10 @@ def _protocol_and_specimen(cfg: RunConfig, args, expected_kind: str,
                   "cyclic runs use the exact periodic steady state",
                   file=sys.stderr)
     specimen = cfg.model if cfg.model is not None else cfg.element
-    return replace(cfg.protocol, **overrides), specimen
+    try:
+        return replace(cfg.protocol, **overrides), specimen
+    except DomainError as exc:
+        raise ConfigError([f"--dt/--duration: {exc}"]) from exc
 
 
 def _strided(series: Series, stride: int) -> Series:

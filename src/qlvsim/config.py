@@ -22,7 +22,7 @@ from .errors import ConfigError, DomainError, StabilityError
 from .kernels import (KERNEL_TYPES, KelvinParams, MaxwellParams,
                       PronySpectrum, VoigtParams)
 from .network import KernelEntry, NonlinearSpring, SpringMassSystem
-from .protocols import ProtocolSpec
+from .protocols import SIZE_BUDGET, ProtocolSpec
 from .qlv import QlvModel
 
 
@@ -232,8 +232,10 @@ def _build_kernel(v: _Validator, section: dict, path: str):
     sec = v.section(section, path, _KERNEL_KEYS)
     kind = v.string(sec, path, "kind", required=True, choices=KERNEL_TYPES)
     n_terms = v.integer(sec, path, "prony_terms", default=64)
-    if n_terms < 1:
-        v.fail(f"{path}.prony_terms", f"must be >= 1, got {n_terms}")
+    low = 2 if kind == "fung" else 1    # only a Fung spectrum is discretized
+    if not low <= n_terms <= SIZE_BUDGET:
+        v.fail(f"{path}.prony_terms", f"must be >= {low}, got {n_terms}"
+               if n_terms < low else f"must be <= {SIZE_BUDGET}")
         n_terms = 64
     kernel = None if kind is None else \
         v.build(sec, path, KERNEL_TYPES[kind], require_all=True)
@@ -400,8 +402,9 @@ def _build_sweep(v: _Validator, section: dict):
     if start <= 0 or stop <= start:
         v.fail("sweep.start", "need 0 < start < stop for a log-spaced sweep")
         return None
-    if count < 2:
-        v.fail("sweep.count", f"must be >= 2, got {count}")
+    if not 2 <= count <= SIZE_BUDGET:
+        v.fail("sweep.count", f"must be >= 2, got {count}" if count < 2
+               else f"must be <= {SIZE_BUDGET}")
         return None
     return np.logspace(math.log10(start), math.log10(stop), count)
 
@@ -481,6 +484,11 @@ def parse_config(text: str) -> RunConfig:
     protocol = None
     if data.get("protocol") is not None:
         protocol = _build_protocol(v, data["protocol"])
+
+    # an elastic law needs a Green strain; a bare element holds any strain
+    if protocol and specimen.get("model") and protocol.hold_strain < -0.5:
+        v.fail("protocol.hold_strain", "must be >= -0.5 (a Green strain) "
+               f"for a model specimen, got {protocol.hold_strain}")
 
     sweep = None
     if data.get("sweep") is not None:

@@ -35,8 +35,8 @@ def unit_step(t):
 
 
 @dataclass(frozen=True)
-class MaxwellParams:
-    """Spring (mu) and dashpot (eta) in series."""
+class _SpringDashpot:
+    """A spring (mu) and a dashpot (eta): the Maxwell and Voigt elements."""
 
     mu: float
     eta: float
@@ -53,21 +53,13 @@ class MaxwellParams:
 
 
 @dataclass(frozen=True)
-class VoigtParams:
+class MaxwellParams(_SpringDashpot):
+    """Spring (mu) and dashpot (eta) in series."""
+
+
+@dataclass(frozen=True)
+class VoigtParams(_SpringDashpot):
     """Spring (mu) and dashpot (eta) in parallel."""
-
-    mu: float
-    eta: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise DomainError(f"mu must be > 0, got {self.mu}")
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise DomainError(f"eta must be > 0, got {self.eta}")
-
-    @property
-    def relaxation_time(self) -> float:
-        return self.eta / self.mu
 
 
 @dataclass(frozen=True)

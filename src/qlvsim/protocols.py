@@ -20,6 +20,11 @@ from .kernels import (KelvinParams, MaxwellParams, PronySpectrum, VoigtParams,
 from .qlv import QlvModel, StrainHistory, hysteresis_ratio, qlv_stress_fast
 
 
+# The most samples a protocol, Prony terms a kernel and frequencies a sweep
+# may ask for, checked before any allocation: 100 times a 1e5-row record.
+SIZE_BUDGET = 10_000_000
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Drive definition for a virtual test.
@@ -60,11 +65,18 @@ class ProtocolSpec:
                                   "samples_per_cycle >= 2")
             if self.mean < 0:
                 raise DomainError("cyclic mean strain must be >= 0")
+            if self.cycles * self.samples_per_cycle > SIZE_BUDGET:
+                raise DomainError(f"cycles*samples_per_cycle must be <= "
+                                  f"{SIZE_BUDGET}")
         else:
             if self.dt <= 0:
                 raise DomainError(f"dt must be > 0, got {self.dt}")
             if self.duration <= 0:
                 raise DomainError("protocol needs duration > 0")
+            if self.kind == "tensile" and self.stretch_rate <= 0:
+                raise DomainError("tensile test needs stretch_rate > 0")
+            if self.duration / self.dt > SIZE_BUDGET:
+                raise DomainError(f"duration/dt must be <= {SIZE_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +163,6 @@ def run_tensile(spec: ProtocolSpec, model: QlvModel) -> tuple[Series, TestReport
     """
     if spec.kind != "tensile":
         raise DomainError(f"expected a tensile spec, got {spec.kind!r}")
-    if spec.stretch_rate <= 0:
-        raise DomainError("tensile test needs stretch_rate > 0")
     t = _time_grid(spec.duration, spec.dt)
     stretch = 1.0 + spec.stretch_rate * t
     history = StrainHistory(times=t, values=stretch, measure="stretch")

@@ -2,16 +2,17 @@
 
 Files have a single header row naming the columns (the first must be
 ``time``), LF line endings, and values formatted with a fixed precision so
-identical data always serializes to identical bytes.  Rows are formatted
-and parsed in blocks of ``_BLOCK_ROWS``, which bounds the memory of the
-text held at once.
+identical data always serializes to identical bytes.  Rows are written in
+blocks of ``_BLOCK_ROWS`` and read by one pass of numpy's C parser; only a
+file that pass fails on is read again, row by row with ``csv.reader``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from itertools import chain, islice
+import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -74,38 +75,51 @@ def write_series(path, series: Series, precision: int = _DEFAULT_PRECISION) -> N
     write_table(path, *_table(series), precision)
 
 
-def _parse_block(path, records, first_line: int, width: int):
-    """Values and line numbers of the non-blank records of a block whose
-    first record is on ``first_line``.  One pass converts a well-formed
-    block; otherwise row by row, raising at the first malformed record."""
-    lines = [n for n, row in enumerate(records, first_line) if row]
-    rows = [row for row in records if row]
-    if all(len(row) == width for row in rows):
-        try:
-            return np.fromiter(map(float, chain.from_iterable(rows)), float,
-                               len(rows) * width), lines
-        except ValueError:
-            pass
-    values = []
-    for lineno, row in zip(lines, rows):
-        if len(row) != width:
-            raise DomainError(f"{path}: line {lineno}: expected "
-                              f"{width} fields, got {len(row)}")
-        try:
-            values += [float(v) for v in row]
-        except ValueError as exc:
-            raise DomainError(f"{path}: line {lineno}: {exc}") from exc
-    return np.array(values), lines
+def _bad_row(data: np.ndarray):
+    """(index, message) of the first row with a non-finite value, else of
+    the first whose time does not increase; None if there is neither."""
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        return int(np.argmin(finite)), "non-finite value"
+    times = data[:, 0]
+    decreasing = np.flatnonzero(times[1:] <= times[:-1])
+    if decreasing.size:
+        i = decreasing[0] + 1
+        return i, (f"time must be strictly increasing "
+                   f"(got {times[i]} after {times[i - 1]})")
 
 
-def read_series(path) -> Series:
-    """Read a CSV series; malformed content raises DomainError with the
-    offending line number where it is known."""
+def _loadtxt(path, fh, header: list[str]):
+    """The rows after the header, read by numpy's C parser; None where the
+    row loop must read the file: an invalid header, a failed check, a field
+    over csv's size limit (its line holds a whole chunk of half the limit),
+    or an ASCII separator \\x1c-\\x1f, which numpy strips as whitespace."""
+    if header[:1] != ["time"] or len(set(header)) < len(header):
+        return None
+    size = csv.field_size_limit() // 2
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(size), b""):
+            if (len(chunk) == size and b"\n" not in chunk) or \
+                    any(c in chunk for c in b"\x1c\x1d\x1e\x1f"):
+                return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # numpy warns on no rows
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return data if data.shape[1] == len(header) and _bad_row(data) is None \
+        else None
+
+
+def _read_rows(path):
+    """The header and rows, one record at a time with csv.reader and
+    float(); DomainError at the first fault, with its line if known."""
+    rows, lines = [], []
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header is None:
+            if (header := next(reader, None)) is None:
                 raise DomainError(f"{path}: empty file")
             header = [h.strip() for h in header]
             if not header or header[0] != "time":
@@ -114,31 +128,39 @@ def read_series(path) -> Series:
                     f"got {header[0] if header else '(none)'!r}")
             if len(set(header)) != len(header):
                 raise DomainError(f"{path}: line 1: duplicate column names")
-            values, linenos = [], []
-            first_line = 2
-            while records := list(islice(reader, _BLOCK_ROWS)):
-                block, lines = _parse_block(path, records, first_line,
-                                            len(header))
-                values.append(block)
-                linenos += lines
-                first_line += len(records)
+            for n, row in enumerate(reader, 2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DomainError(f"{path}: line {n}: expected "
+                                      f"{len(header)} fields, got {len(row)}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise DomainError(f"{path}: line {n}: {exc}") from exc
+                lines.append(n)
         except csv.Error as exc:
             raise DomainError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise DomainError(f"{path}: not {exc.encoding} text: "
                               f"{exc.reason}") from exc
-    if not linenos:
+    if not rows:
         raise DomainError(f"{path}: no data rows")
-    data = np.concatenate(values).reshape(-1, len(header))
-    if not np.all(np.isfinite(data)):
-        bad = int(np.argwhere(~np.isfinite(data))[0][0])
-        raise DomainError(f"{path}: line {linenos[bad]}: non-finite value")
-    times = data[:, 0]
-    decreasing = np.flatnonzero(times[1:] <= times[:-1])
-    if decreasing.size:
-        i = decreasing[0] + 1
-        raise DomainError(
-            f"{path}: line {linenos[i]}: time must be strictly "
-            f"increasing (got {times[i]} after {times[i - 1]})")
-    columns = {name: data[:, i] for i, name in enumerate(header) if i > 0}
-    return Series(times=times, columns=columns)
+    data = np.array(rows)
+    if (bad := _bad_row(data)) is not None:
+        raise DomainError(f"{path}: line {lines[bad[0]]}: {bad[1]}")
+    return header, data
+
+
+def read_series(path) -> Series:
+    """Read a CSV series; malformed content raises DomainError with the
+    offending line number where it is known."""
+    try:
+        with open(path, "r", newline="") as fh:
+            header = [h.strip() for h in next(csv.reader(fh), [])]
+            data = _loadtxt(path, fh, header)
+    except (csv.Error, UnicodeDecodeError):    # the row loop names them
+        data = None
+    if data is None:
+        header, data = _read_rows(path)
+    return Series(times=data[:, 0], columns=dict(zip(header[1:], data[:, 1:].T)))

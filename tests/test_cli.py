@@ -206,6 +206,75 @@ class TestValidate:
             f"error: network.{key}: must be a list\n"
 
 
+class TestValidateAgreesWithTheRun:
+    """A config that validate accepts runs; one the run would reject fails
+    validation, under validate and the run command alike, with exit 2 and
+    the key to change."""
+
+    CASES = [
+        ("relax", RELAX_CFG.read_text().replace("hold_strain: 0.1",
+                                                "hold_strain: -1.0"),
+         "protocol.hold_strain: must be >= -0.5 (a Green strain) for a "
+         "model specimen, got -1.0"),
+        ("tensile", TENSILE_TEXT.replace("stretch_rate: 0.1",
+                                         "stretch_rate: 0.0"),
+         "protocol: tensile test needs stretch_rate > 0"),
+        ("tensile", TENSILE_TEXT.replace("  stretch_rate: 0.1\n", ""),
+         "protocol: tensile test needs stretch_rate > 0"),
+        ("sweep", CYCLIC_CFG.read_text().replace(
+            "prony_terms: 64", "prony_terms: 1" + "0" * 400),
+         "model.kernel.prony_terms: must be <= 10000000"),
+        ("sweep", CYCLIC_CFG.read_text().replace(
+            "prony_terms: 64", "prony_terms: 1"),
+         "model.kernel.prony_terms: must be >= 2, got 1"),
+        ("sweep", CYCLIC_CFG.read_text().replace(
+            "count: 9", "count: 1" + "0" * 400),
+         "sweep.count: must be <= 10000000"),
+        ("cyclic", CYCLIC_CFG.read_text().replace(
+            "cycles: 5", "cycles: 1" + "0" * 400),
+         "protocol: cycles*samples_per_cycle must be <= 10000000"),
+        ("creep", CREEP_TEXT.replace("dt: 0.01", "dt: 1.0e-300"),
+         "protocol: duration/dt must be <= 10000000"),
+    ]
+    IDS = ["hold_strain", "stretch_rate", "no-stretch_rate", "prony_terms",
+           "one-prony_term", "sweep_count", "cycles", "dt"]
+
+    @pytest.mark.parametrize("command, text, error", CASES, ids=IDS)
+    @pytest.mark.parametrize("validate", [True, False],
+                             ids=["validate", "run"])
+    def test_rejected_at_its_key(self, tmp_path, capsys, command, text, error,
+                                 validate):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out.csv"
+        argv = ["validate" if validate else command, "--config", str(cfg)]
+        assert cli_main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_bare_element_holds_any_strain(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "model:\n  kernel: {kind: maxwell, mu: 1.0,"
+                        " eta: 1.0}\nprotocol: {kind: relaxation, hold_strain:"
+                        " -1.0, duration: 1.0, dt: 0.5}\n")
+        out = tmp_path / "out.csv"
+        assert cli_main(["validate", "--config", str(cfg)]) == 0
+        assert cli_main(["relax", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_series(out).columns["stress"][0] == -1.0
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--dt", "1e-300"], "duration/dt must be <= 10000000"),
+        (["--duration", "1e300"], "duration/dt must be <= 10000000"),
+        (["--dt", "-0.1"], "dt must be > 0, got -0.1"),
+    ], ids=["dt", "duration", "negative-dt"])
+    def test_overrides_are_checked_as_usage(self, tmp_path, capsys, flags,
+                                            error):
+        cfg = write_cfg(tmp_path, CREEP_TEXT)
+        out = tmp_path / "out.csv"
+        assert cli_main(["creep", "--config", str(cfg), "--out", str(out),
+                         *flags]) == 2
+        assert capsys.readouterr().err == f"error: --dt/--duration: {error}\n"
+        assert not out.exists()
+
+
 class TestProtocols:
     def test_relax_first_row_normalized(self, tmp_path, capsys):
         out = tmp_path / "relax.csv"

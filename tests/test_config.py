@@ -13,7 +13,7 @@ from qlvsim.constitutive import (ELASTIC_TYPES, ExponentialTensileLaw,
                                  FungUniaxialLaw)
 from qlvsim.errors import ConfigError, DomainError
 from qlvsim.kernels import KERNEL_TYPES, PronySpectrum
-from qlvsim.protocols import ProtocolSpec
+from qlvsim.protocols import SIZE_BUDGET, ProtocolSpec
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -175,6 +175,94 @@ protocol: {kind: relaxation, hold_strain: 1.0, duration: 1.0, dt: 0.1}
         cfg = parse_config(text)
         assert cfg.model is None
         assert cfg.element is not None
+
+
+FUNG = "{kind: fung, c: 0.5, q1: 0.01, q2: 100.0"
+HUGE = "1" + "0" * 400      # an integer too large for a float
+
+
+class TestSizeBudget:
+    """Sizes over SIZE_BUDGET are reported at their key before anything is
+    allocated; none of these tests allocates one."""
+
+    def test_budget_holds_the_largest_series_in_use(self):
+        # far inside the budget: a 1e5-step relaxation record
+        assert SIZE_BUDGET >= 50 * 100_001
+
+    @pytest.mark.parametrize("value, error", [
+        (HUGE, f"must be <= {SIZE_BUDGET}"),
+        (str(SIZE_BUDGET + 1), f"must be <= {SIZE_BUDGET}"),
+        ("1", "must be >= 2, got 1"),
+        ("0", "must be >= 2, got 0"),
+    ], ids=["401-digits", "budget+1", "one", "zero"])
+    def test_fung_prony_terms(self, value, error):
+        errs = errors_of("model:\n  elastic: {kind: linear, k: 1.0}\n"
+                         f"  kernel: {FUNG}, prony_terms: {value}}}\n")
+        assert errs == [f"model.kernel.prony_terms: {error}"]
+
+    def test_prony_terms_at_the_budget_is_accepted(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(config.QlvModel, "from_kernel",
+                            lambda *args, n_prony: seen.append(n_prony))
+        parse_config("model:\n  elastic: {kind: linear, k: 1.0}\n"
+                     f"  kernel: {FUNG}, prony_terms: {SIZE_BUDGET}}}\n")
+        assert seen == [SIZE_BUDGET]
+
+    def test_one_term_is_still_accepted_where_unused(self):
+        cfg = parse_config("model:\n  elastic: {kind: linear, k: 1.0}\n"
+                           f"  kernel: {{kind: maxwell, mu: 1.0, eta: 1.0,"
+                           " prony_terms: 1}\n")
+        assert cfg.model is not None
+
+    @pytest.mark.parametrize("count", [HUGE, str(SIZE_BUDGET + 1)],
+                             ids=["401-digits", "budget+1"])
+    def test_sweep_count(self, count):
+        errs = errors_of(f"model:\n  kernel: {MAXWELL}\n"
+                         f"sweep: {{start: 0.1, stop: 10.0, count: {count}}}\n")
+        assert errs == [f"sweep.count: must be <= {SIZE_BUDGET}"]
+
+    @pytest.mark.parametrize("drive, error", [
+        ("{kind: creep, duration: 1.0, dt: 1.0e-300}",
+         f"duration/dt must be <= {SIZE_BUDGET}"),
+        ("{kind: relaxation, duration: 1.0e+300, dt: 1.0}",
+         f"duration/dt must be <= {SIZE_BUDGET}"),
+        (f"{{kind: cyclic, amplitude: 0.1, angular_frequency: 1.0,"
+         f" cycles: {HUGE}}}",
+         f"cycles*samples_per_cycle must be <= {SIZE_BUDGET}"),
+        (f"{{kind: cyclic, amplitude: 0.1, angular_frequency: 1.0,"
+         f" cycles: 1, samples_per_cycle: {SIZE_BUDGET + 1}}}",
+         f"cycles*samples_per_cycle must be <= {SIZE_BUDGET}"),
+    ], ids=["tiny-dt", "long-duration", "cycles", "samples_per_cycle"])
+    def test_protocol_sample_count(self, drive, error):
+        errs = errors_of(f"model:\n  kernel: {MAXWELL}\nprotocol: {drive}\n")
+        assert errs == [f"protocol: {error}"]
+
+    def test_sample_count_at_the_budget_is_accepted(self):
+        spec = ProtocolSpec(kind="creep", duration=float(SIZE_BUDGET), dt=1.0)
+        assert spec.duration / spec.dt == SIZE_BUDGET
+
+
+class TestProtocolChecks:
+    """What a run rejects, validation rejects, at the key to change."""
+
+    @pytest.mark.parametrize("rate", ["0.0", "-0.1"])
+    def test_tensile_stretch_rate(self, rate):
+        errs = errors_of("model:\n  elastic: {kind: linear, k: 1.0}\n"
+                         f"  kernel: {MAXWELL}\nprotocol: {{kind: tensile,"
+                         f" stretch_rate: {rate}, duration: 1.0, dt: 0.1}}\n")
+        assert errs == ["protocol: tensile test needs stretch_rate > 0"]
+
+    def test_hold_strain_below_a_green_strain(self):
+        errs = errors_of(MINIMAL.replace("hold_strain: 0.1",
+                                         "hold_strain: -1.0"))
+        assert errs == ["protocol.hold_strain: must be >= -0.5 (a Green "
+                        "strain) for a model specimen, got -1.0"]
+
+    def test_hold_strain_of_a_bare_element_is_free(self):
+        cfg = parse_config(f"model:\n  kernel: {MAXWELL}\nprotocol: "
+                           "{kind: relaxation, hold_strain: -1.0, "
+                           "duration: 1.0, dt: 0.1}\n")
+        assert cfg.protocol.hold_strain == -1.0
 
 
 def flow_network_text(n=100, seed=0):

@@ -1,3 +1,4 @@
+import csv
 import sys
 from unittest import mock
 
@@ -207,3 +208,183 @@ class TestReadPastFirstBlock:
         back = read_series(path)
         assert np.array_equal(back.times, t)
         assert np.array_equal(back.columns["x"], series.columns["x"])
+
+
+def reference_read(path):
+    """The specified reading of a CSV series, one row at a time with
+    csv.reader and float(): the (rows, width) array and the header, or the
+    DomainError text."""
+    rows, lines = [], []
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for lineno, row in enumerate(reader, 1):
+                if lineno == 1:
+                    header = [h.strip() for h in row]
+                    if not header or header[0] != "time":
+                        return (f"{path}: line 1: first column must be "
+                                f"'time', got "
+                                f"{header[0] if header else '(none)'!r}")
+                    if len(set(header)) != len(header):
+                        return f"{path}: line 1: duplicate column names"
+                elif row:
+                    if len(row) != len(header):
+                        return (f"{path}: line {lineno}: expected "
+                                f"{len(header)} fields, got {len(row)}")
+                    try:
+                        rows.append([float(v) for v in row])
+                    except ValueError as exc:
+                        return f"{path}: line {lineno}: {exc}"
+                    lines.append(lineno)
+        except csv.Error as exc:
+            return f"{path}: line {reader.line_num}: {exc}"
+    if reader.line_num == 0:
+        return f"{path}: empty file"
+    if not rows:
+        return f"{path}: no data rows"
+    for i, row in enumerate(rows):
+        if not all(np.isfinite(row)):
+            return f"{path}: line {lines[i]}: non-finite value"
+    for i in range(1, len(rows)):
+        if rows[i][0] <= rows[i - 1][0]:
+            return (f"{path}: line {lines[i]}: time must be strictly "
+                    f"increasing (got {np.float64(rows[i][0])} after "
+                    f"{np.float64(rows[i - 1][0])})")
+    return np.array(rows, dtype=float), header
+
+
+def read_outcome(path):
+    """read_series in the form of reference_read."""
+    try:
+        series = read_series(path)
+    except DomainError as exc:
+        return str(exc)
+    data = np.column_stack([series.times, *series.columns.values()])
+    return data, ["time", *series.columns]
+
+
+def same_outcome(a, b) -> bool:
+    """Equal error texts, or bit-identical arrays under equal headers."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return (a[1] == b[1] and a[0].shape == b[0].shape
+            and a[0].tobytes() == b[0].tobytes())
+
+
+LIMIT = csv.field_size_limit()
+ODD_CELLS = st.one_of(
+    # read by csv.reader and float(), some of them not by numpy
+    st.sampled_from(['"1"', '" 2"', "1_0", "\uff11", "\u0661", "+9", ".5",
+                     "5.", "3\u00a0", "4\x0c", "\t7", "8 ", "1e5"]),
+    # rejected by csv.reader or float(), or not finite
+    st.sampled_from(['"3,4"', '"5\n6"', '""', '"', "1__0", "_1", "#", "1#2",
+                     "", " ", "1 2", "0x1", "1d2", "7\x00", "x", "inf",
+                     "-inf", "nan", "1e400", "-1e400", "Infinity"]),
+    # ASCII separators, which numpy strips as whitespace
+    st.sampled_from(["5\x1c", "\x1d6", "7\x1e", "\x1f8"]),
+    # fields at and over the CSV limit (over it half the time), quoted and not
+    st.sampled_from([LIMIT - 1, LIMIT, LIMIT + 1, LIMIT + 1]).map(
+        lambda n: "0" * n), st.just(f'"{"0" * (LIMIT + 1)}"'))
+HEADERS = st.sampled_from(["time,x"] * 6 + [
+    "time", "time,x,y", " time , x ", '"time",x', "time,time", "t,x", "",
+    "time,x,"])
+ODD_ENDS = st.sampled_from(["\n\n", "\r\n\r\n", "\n \n", "\n\t\n",
+                            "\r\r\n", "\r\n\n"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV-like texts: a well-formed series of finite numbers with one line
+    end throughout, and up to two faults or odd forms: a cell from
+    ODD_CELLS, a repeated or falling time, a ragged row, a blank or
+    whitespace-only line."""
+    header = draw(HEADERS)
+    width = header.count(",") + 1
+    rows = [[str(t)] + [repr(draw(st.floats(allow_nan=False,
+                                            allow_infinity=False)))
+                        for _ in range(width - 1)]
+            for t in range(draw(st.integers(0, 5)))]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"]))] * (len(rows) + 1)
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["cell", "cell", "time", "ragged",
+                                      "end"]))
+        if fault == "end":
+            ends[draw(st.integers(0, len(rows)))] = draw(ODD_ENDS)
+            continue
+        k = draw(st.integers(0, len(rows) - 1)) if rows else None
+        if k is None or not rows[k]:
+            continue
+        if fault == "cell":
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(ODD_CELLS)
+        elif fault == "time":
+            rows[k][0] = str(k - draw(st.integers(1, 2)))
+        elif draw(st.booleans()):
+            rows[k].pop()
+        else:
+            rows[k].append("1")
+    text = header + "".join(e + ",".join(r) for e, r in zip(ends, rows))
+    return text + (ends[-1] if draw(st.booleans()) else "")
+
+
+class TestReadMatchesTheRowByRowReference:
+    """numpy's parser reads a well-formed file; anything else is read or
+    rejected exactly as the row-by-row reference does."""
+
+    def read_both(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        return read_outcome(path), reference_read(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_property(self, tmp_path_factory, text):
+        got, want = self.read_both(tmp_path_factory.mktemp("csv"), text)
+        assert same_outcome(got, want), (text[:200], got, want)
+
+    def test_single_data_row(self, tmp_path):
+        got, want = self.read_both(tmp_path, "time,x\n0,1\n")
+        assert same_outcome(got, want)
+        assert got[0].tolist() == [[0.0, 1.0]]
+
+    @pytest.mark.parametrize("text, rows", [
+        ('time,x\n"0","1.5"\n1,"2"\n', [[0, 1.5], [1, 2]]),
+        ("time,x\n0,1_0\n1_0,2\n", [[0, 10], [10, 2]]),
+        ("time,x\r0,1\r1,2\r", [[0, 1], [1, 2]]),
+        ("time,x\n\uff10,\uff11\n\uff11,2\n", [[0, 1], [1, 2]]),
+    ], ids=["quoted", "underscore", "cr-only", "fullwidth"])
+    def test_valid_forms_loadtxt_rejects(self, tmp_path, text, rows):
+        # np.loadtxt rejects each in a text stream; the CR-only file still
+        # takes the one pass, as the open file splits its lines at CR
+        got, want = self.read_both(tmp_path, text)
+        assert same_outcome(got, want)
+        assert got[0].tolist() == rows
+
+    def test_unquoted_field_over_the_limit(self, tmp_path):
+        # numpy's parser would read it as 1e-140001
+        big = "0." + "0" * 140_000 + "1"
+        got, want = self.read_both(tmp_path, f"time,x\n0,1\n1,{big}\n")
+        assert got == want
+        assert got.endswith("in.csv: line 3: field larger than field limit "
+                            f"({LIMIT})")
+
+    def test_ascii_separator_is_not_whitespace(self, tmp_path):
+        # numpy's parser strips \x1c-\x1f as whitespace; float() does not
+        got, want = self.read_both(tmp_path, "time,x\n0,1\n1,2\x1c\n")
+        assert got == want
+        assert got.endswith("line 3: could not convert string to float: "
+                            "'2\\x1c'")
+
+    def test_no_data_rows_warns_nothing(self, tmp_path, recwarn):
+        got, want = self.read_both(tmp_path, "time,x\n\n")
+        assert got == want and got.endswith("in.csv: no data rows")
+        assert not recwarn.list
+
+    def test_well_formed_file_skips_the_row_loop(self, tmp_path):
+        path = tmp_path / "s.csv"
+        series = sample_series()
+        write_series(path, series)
+        with mock.patch.object(seriesio, "_read_rows",
+                               side_effect=AssertionError("row loop used")):
+            back = read_series(path)
+        assert np.array_equal(back.columns["stress"], series.columns["stress"])
