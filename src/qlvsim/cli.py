@@ -2,7 +2,7 @@
 columns)`` table or text) and its stderr lines; one writer sends the output
 to ``--out``, else ``output.path``, else stdout, and the lines follow.
 Exit codes: 0 success, 2 validation/usage errors, 1 runtime or numerical
-errors."""
+errors, a float overflow or invalid operation among them."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from . import protocols
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, QlvError
-from .kernels import KERNEL_TYPES, reduced_relaxation
+from .kernels import KERNEL_TYPES, grid_steps, reduced_relaxation
 from .network import SystemState, simulate
 from .protocols import (Series, fit_exponential_law,
                         fit_relaxation_spectrum, frequency_sweep)
@@ -93,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kernel_from_args(args):
+def _relaxation_from_args(args):
+    """The --kind kernel's reduced relaxation; a bad parameter exits 2."""
     cls = KERNEL_TYPES[args.kind]
     values = {f.name: getattr(args, f.name) for f in fields(cls)}
     missing = [f"--{n}".replace("_", "-") for n in values if values[n] is None]
@@ -104,9 +105,11 @@ def _kernel_from_args(args):
         for name in (f.name for f in fields(cls)
                      if f.type.startswith("tuple")):
             values[name] = tuple(map(float, values[name].split(",")))
+        return reduced_relaxation(cls(**values))
+    except DomainError as exc:      # as the same value in a config does
+        raise ConfigError([str(exc)]) from exc
     except ValueError as exc:
         raise ConfigError([f"--{name}: {exc}"]) from exc
-    return cls(**values)
 
 
 def _protocol_and_specimen(cfg: RunConfig, args, expected_kind: str,
@@ -183,6 +186,10 @@ def _cmd_simulate(args, cfg: RunConfig):
         raise ConfigError(["network.duration: simulate needs positive "
                            "duration and dt (network.duration/network.dt "
                            "or --duration/--dt)"])
+    try:
+        grid_steps(duration, dt)
+    except DomainError as exc:
+        raise ConfigError([f"--dt/--duration: {exc}"]) from exc
     state = SystemState.initial(cfg.network, q=cfg.initial_q, v=cfg.initial_v)
     result = simulate(cfg.network, state, duration=duration, dt=dt,
                       record_stride=cfg.output_stride)
@@ -219,10 +226,13 @@ def _cmd_fit(args, cfg):
 
 
 def _cmd_kernels(args, cfg):
-    relax = reduced_relaxation(_kernel_from_args(args))
+    relax = _relaxation_from_args(args)
     if args.dt <= 0 or args.duration <= 0:
         raise ConfigError(["--dt/--duration must be > 0"])
-    n = max(1, int(round(args.duration / args.dt)))
+    try:
+        n = max(1, grid_steps(args.duration, args.dt))
+    except DomainError as exc:
+        raise ConfigError([f"--dt/--duration: {exc}"]) from exc
     t = np.linspace(0.0, n * args.dt, n + 1)
     return Series(times=t, columns={"G": relax.value(t)}), []
 
@@ -261,15 +271,16 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = load_config(args.config) if "config" in args else None
-        output, lines = _COMMANDS[args.command](args, cfg)
+        with np.errstate(over="raise", invalid="raise"):
+            cfg = load_config(args.config) if "config" in args else None
+            output, lines = _COMMANDS[args.command](args, cfg)
         _write(output, args, cfg)
         sys.stderr.writelines(f"{line}\n" for line in lines)
         return 0
     except ConfigError as exc:
         sys.stderr.writelines(f"error: {message}\n" for message in exc.errors)
         return 2
-    except (QlvError, OSError) as exc:
+    except (QlvError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

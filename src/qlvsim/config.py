@@ -19,10 +19,10 @@ import yaml
 from .constitutive import (ELASTIC_TYPES, ExponentialTensileLaw,
                            FungBiaxialParams, FungUniaxialLaw)
 from .errors import ConfigError, DomainError, StabilityError
-from .kernels import (KERNEL_TYPES, KelvinParams, MaxwellParams,
-                      PronySpectrum, VoigtParams)
+from .kernels import (KERNEL_TYPES, SIZE_BUDGET, KelvinParams, MaxwellParams,
+                      PronySpectrum, VoigtParams, grid_steps)
 from .network import KernelEntry, NonlinearSpring, SpringMassSystem
-from .protocols import SIZE_BUDGET, ProtocolSpec
+from .protocols import ProtocolSpec
 from .qlv import QlvModel
 
 
@@ -336,6 +336,8 @@ def _build_network(v: _Validator, section: dict) -> dict:
     for name, val in (("duration", duration), ("dt", dt)):
         if val is not None and val <= 0:
             v.fail(f"network.{name}", f"must be > 0, got {val}")
+    if duration and dt and duration > 0 and dt > 0:
+        v.construct("network.duration", grid_steps, duration, dt)
     if masses is None or stiffness is None:
         return {}
     n = masses.size

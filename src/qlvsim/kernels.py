@@ -6,25 +6,29 @@ continuous 1/q spectrum whose reduced relaxation function involves the
 exponential integral E1.  All causal functions follow the half-at-zero
 step convention: value 1 for t > 0, 1/2 at t = 0, 0 for t < 0.
 
-The exact exponential recursion of a Prony kernel's internal variables,
-shared by the QLV evaluator, the protocols and the network, is
-:func:`prony_step`; :func:`kernel_force_history` applies it to a whole
-sampled history, and :func:`periodic_force_history` gives its exact
-periodic steady state under a periodic input.  On uniform grids both run
-one numpy filter, vectorized across terms, in place of a per-term loop.
-scipy is imported only by :func:`exp_integral_e1`, where E1 is needed.
+The exact exponential recursion of a Prony kernel's internal variables has
+one form, h <- decay*h + gain*dx per term, with the decay and gain of a
+step size taken once from :func:`prony_step`.  :func:`kernel_force_history`
+runs it over a sampled history and :func:`periodic_force_history` gives its
+exact periodic steady state, both through one numpy filter vectorized
+across terms.  scipy is imported only by :func:`exp_integral_e1`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DomainError
 
 _BLOCK_ROWS = 1024      # filter block: 512 KB of states at 64 terms
+
+# The most samples a grid, Prony terms a kernel and frequencies a sweep may
+# ask for, checked before any allocation: 100 times a 1e5-row record.
+SIZE_BUDGET = 10_000_000
 
 
 def unit_step(t):
@@ -46,10 +50,6 @@ class _SpringDashpot:
             raise DomainError(f"mu must be > 0, got {self.mu}")
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise DomainError(f"eta must be > 0, got {self.eta}")
-
-    @property
-    def relaxation_time(self) -> float:
-        return self.eta / self.mu
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,7 @@ def voigt_relaxation(p: VoigtParams, t) -> tuple[float, float]:
     The Dirac part cannot be a pointwise value, so the result is the pair
     (impulse weight at t = 0, regular part at t).
     """
-    t = np.asarray(t, dtype=float)
-    regular = p.mu * unit_step(t)
-    regular = float(regular) if np.ndim(regular) == 0 else regular
-    return (p.eta, regular)
+    return (p.eta, p.mu * unit_step(t))
 
 
 def kelvin_creep(p: KelvinParams, t):
@@ -232,17 +229,26 @@ def is_uniform_grid(times) -> bool:
     return dts.size == 0 or bool(np.allclose(dts, dts[0], rtol=1e-9, atol=0.0))
 
 
+def grid_steps(duration: float, dt: float) -> int:
+    """round(duration/dt), the steps of a ``dt`` grid over ``duration``, once
+    duration/dt is checked against SIZE_BUDGET before any allocation."""
+    if duration / dt > SIZE_BUDGET:
+        raise DomainError(f"duration/dt must be <= {SIZE_BUDGET}")
+    return round(duration / dt)
+
+
 def _prony_filter(decay, gain, dx, carry) -> np.ndarray:
-    """Internal variables h[i] = decay*h[i-1] + gain*dx[i] of every term,
-    one column per term, from h[-1] = ``carry``.
+    """Internal variables h[i] = decay[i]*h[i-1] + gain[i]*dx[i] of every
+    term, one column per term, from h[-1] = ``carry``.  ``decay`` and
+    ``gain`` hold one row per sample, or one row shared by every sample.
 
     Each step rounds as fl(fl(decay*h) + fl(gain*dx)), as the transposed
     direct form of the first-order filter gain / (1 - decay*z^-1) does.
     """
-    h = np.multiply.outer(dx, gain)
+    h = dx[:, None] * gain
     prev = carry
-    for row in h:
-        row += decay * prev
+    for row, d in zip(h, decay if decay.ndim == 2 else repeat(decay)):
+        row += d * prev
         prev = row
     return h
 
@@ -253,9 +259,9 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     sampled input x, taken linear in time between samples.
 
     The input is treated as applied at t = 0 (quiescent before that), so a
-    nonzero first sample acts as an initial step.  Uniform grids run the
-    terms through one filter, ``_BLOCK_ROWS`` samples at a time; other
-    grids use :func:`prony_step` sample by sample.
+    nonzero first sample acts as an initial step.  One filter runs the terms
+    ``_BLOCK_ROWS`` samples at a time, with each block's decay and gain from
+    its steps, or from the first step on a uniform grid.
     """
     times = np.asarray(times, dtype=float)
     xs = np.asarray(displacement, dtype=float)
@@ -268,25 +274,20 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     if not spectrum.amplitudes:     # no internal variables
         return spectrum.K * xs + 0.0
     dxs = np.diff(xs)
-    h0 = np.asarray(spectrum.amplitudes) * xs[0]
+    h = np.asarray(spectrum.amplitudes) * xs[0]
     h_sum = np.zeros(times.size)
-    h_sum[0] = h0.sum()
-    if dts.size and is_uniform_grid(times):
-        decay = prony_step(spectrum, 1.0, dts[0], 0.0)
-        gain = prony_step(spectrum, 0.0, dts[0], 1.0)
-        h = h0
-        for start in range(0, dxs.size, _BLOCK_ROWS):
-            states = _prony_filter(decay, gain,
-                                   dxs[start:start + _BLOCK_ROWS], h)
-            acc = h_sum[1 + start:1 + start + len(states)]
-            for column in states.T:     # term by term, not pairwise
-                acc += column
-            h = states[-1]
-    else:
-        h = h0
-        for i in range(dxs.size):
-            h = prony_step(spectrum, h, dts[i], dxs[i])
-            h_sum[i + 1] = h.sum()
+    h_sum[0] = h.sum()
+    uniform = is_uniform_grid(times)
+    for start in range(0, dxs.size, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        dt = dts[0] if uniform else dts[start:stop, None]
+        states = _prony_filter(prony_step(spectrum, 1.0, dt, 0.0),
+                               prony_step(spectrum, 0.0, dt, 1.0),
+                               dxs[start:stop], h)
+        acc = h_sum[1 + start:1 + stop]
+        for column in states.T:     # term by term, not pairwise
+            acc += column
+        h = states[-1]
     return spectrum.K * xs + h_sum
 
 

@@ -21,7 +21,8 @@ import numpy as np
 from .constitutive import ExponentialTensileLaw
 from .errors import DomainError, NumericalError, StabilityError
 # kernel_force_history is re-exported for callers of the network API
-from .kernels import PronySpectrum, kernel_force_history, prony_step
+from .kernels import (PronySpectrum, grid_steps, kernel_force_history,
+                      prony_step)
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
         raise DomainError(f"duration must be finite and >= 0, got {duration}")
     if record_stride < 1:
         raise DomainError(f"record_stride must be >= 1, got {record_stride}")
-    n_steps = max(1, round(duration / dt)) if duration > 0 else 0
+    n_steps = max(1, grid_steps(duration, dt)) if duration > 0 else 0
     if n_steps > 0:
         bound = system.stability_bound()
         if dt >= bound:

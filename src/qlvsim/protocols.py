@@ -15,14 +15,10 @@ import numpy as np
 
 from .constitutive import ExponentialTensileLaw
 from .errors import DomainError, FitError
-from .kernels import (KelvinParams, MaxwellParams, PronySpectrum, VoigtParams,
-                      kernel_to_prony, periodic_force_history, prony_step)
+from .kernels import (SIZE_BUDGET, KelvinParams, MaxwellParams, PronySpectrum,
+                      VoigtParams, grid_steps, kernel_to_prony,
+                      periodic_force_history, prony_step)
 from .qlv import QlvModel, StrainHistory, hysteresis_ratio, qlv_stress_fast
-
-
-# The most samples a protocol, Prony terms a kernel and frequencies a sweep
-# may ask for, checked before any allocation: 100 times a 1e5-row record.
-SIZE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -71,12 +67,10 @@ class ProtocolSpec:
         else:
             if self.dt <= 0:
                 raise DomainError(f"dt must be > 0, got {self.dt}")
-            if self.duration <= 0:
-                raise DomainError("protocol needs duration > 0")
             if self.kind == "tensile" and self.stretch_rate <= 0:
                 raise DomainError("tensile test needs stretch_rate > 0")
-            if self.duration / self.dt > SIZE_BUDGET:
-                raise DomainError(f"duration/dt must be <= {SIZE_BUDGET}")
+            if grid_steps(self.duration, self.dt) < 1:
+                raise DomainError("duration and dt produce an empty series")
 
 
 @dataclass(frozen=True)
@@ -119,9 +113,7 @@ class TestReport:
 
 
 def _time_grid(duration: float, dt: float) -> np.ndarray:
-    n = int(round(duration / dt))
-    if n < 1:
-        raise DomainError("duration and dt produce an empty series")
+    n = grid_steps(duration, dt)
     return np.linspace(0.0, n * dt, n + 1)
 
 
@@ -185,11 +177,11 @@ def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
 
     For QLV specimens the hereditary relation is linear in the elastic
     stress T_e, so the T_e history is solved step by step through the Prony
-    recursion without reference to the elastic law; the Green strain then
-    follows in one call to the law's ``green_at_stress``.  Classical
-    elements (Maxwell, Voigt, Kelvin) integrate their governing
-    force-deflection equation with the trapezoidal rule; their deformation
-    channel is the element deflection.
+    recursion, with its decay and gain taken once, without reference to the
+    elastic law; the Green strain then follows in one call to the law's
+    ``green_at_stress``.  Classical elements (Maxwell, Voigt, Kelvin)
+    integrate their force-deflection equation with the trapezoidal rule;
+    their deformation channel is the element deflection.
     """
     if spec.kind != "creep":
         raise DomainError(f"expected a creep spec, got {spec.kind!r}")
@@ -206,6 +198,7 @@ def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
     else:
         prony = model.prony
         dt = t[1] - t[0]
+        decay = prony_step(prony, 1.0, dt, 0.0)
         gain = prony_step(prony, 0.0, dt, 1.0)
         gsum = float(gain.sum())
         te = np.empty_like(t)
@@ -215,7 +208,7 @@ def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
         for i in range(1, t.size):
             # the step is linear in (h, increment): decay the memory, then
             # solve K*te_i + sum(free) + gsum*(te_i - te[i-1]) = load
-            free = prony_step(prony, h, dt, 0.0)
+            free = decay * h
             te[i] = (load - free.sum() + gsum * te[i - 1]) / (prony.K + gsum)
             h = free + gain * (te[i] - te[i - 1])
         green = model.elastic.green_at_stress(te)
@@ -354,20 +347,12 @@ def run_cyclic(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
 
 
 def _loop_hysteresis(strain: np.ndarray, stress: np.ndarray) -> float:
-    """Hysteresis ratio of one cycle; the cycle is rotated to start at the
-    strain minimum so loading and unloading branches are well defined."""
-    # drop the duplicated closing sample before rotating
-    s = strain[:-1]
-    y = stress[:-1]
-    k = int(np.argmin(s))
-    s = np.roll(s, -k)
-    y = np.roll(y, -k)
-    top = int(np.argmax(s))
-    loading_strain, loading_stress = s[:top + 1], y[:top + 1]
-    unloading_strain = np.concatenate([s[top:], s[:1]])
-    unloading_stress = np.concatenate([y[top:], y[:1]])
-    return hysteresis_ratio(loading_strain, loading_stress,
-                            unloading_strain, unloading_stress)
+    """Hysteresis ratio of one cycle, closing sample included.  The cycle
+    must start at its strain minimum, as run_cyclic's drive does: it loads
+    up to its strain maximum and unloads back."""
+    top = int(np.argmax(strain[:-1]))
+    return hysteresis_ratio(strain[:top + 1], stress[:top + 1],
+                            strain[top:], stress[top:])
 
 
 def frequency_sweep(spec: ProtocolSpec, model,

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import qlvsim
 from qlvsim.cli import cli_main
@@ -235,19 +237,30 @@ class TestValidateAgreesWithTheRun:
          "protocol: cycles*samples_per_cycle must be <= 10000000"),
         ("creep", CREEP_TEXT.replace("dt: 0.01", "dt: 1.0e-300"),
          "protocol: duration/dt must be <= 10000000"),
+        ("relax", RELAX_CFG.read_text().replace("duration: 10.0",
+                                                "duration: 0.004"),
+         "protocol: duration and dt produce an empty series"),
+        ("simulate", CHAIN_CFG.read_text().replace("duration: 50.0",
+                                                   "duration: 1.0e+300"),
+         "network.duration: duration/dt must be <= 10000000"),
+        ("simulate", CHAIN_CFG.read_text().replace("dt: 0.01",
+                                                   "dt: 1.0e-300"),
+         "network.duration: duration/dt must be <= 10000000"),
     ]
     IDS = ["hold_strain", "stretch_rate", "no-stretch_rate", "prony_terms",
-           "one-prony_term", "sweep_count", "cycles", "dt"]
+           "one-prony_term", "sweep_count", "cycles", "dt", "empty-grid",
+           "network-duration", "network-dt"]
 
     @pytest.mark.parametrize("command, text, error", CASES, ids=IDS)
     @pytest.mark.parametrize("validate", [True, False],
                              ids=["validate", "run"])
-    def test_rejected_at_its_key(self, tmp_path, capsys, command, text, error,
-                                 validate):
+    def test_rejected_at_its_key(self, tmp_path, capsys, alarm, command, text,
+                                 error, validate):
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out.csv"
         argv = ["validate" if validate else command, "--config", str(cfg)]
-        assert cli_main(argv + ["--out", str(out)]) == 2
+        with alarm(20):     # a run that is not rejected fails, not hangs
+            assert cli_main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
@@ -264,7 +277,8 @@ class TestValidateAgreesWithTheRun:
         (["--dt", "1e-300"], "duration/dt must be <= 10000000"),
         (["--duration", "1e300"], "duration/dt must be <= 10000000"),
         (["--dt", "-0.1"], "dt must be > 0, got -0.1"),
-    ], ids=["dt", "duration", "negative-dt"])
+        (["--duration", "0.004"], "duration and dt produce an empty series"),
+    ], ids=["dt", "duration", "negative-dt", "empty-grid"])
     def test_overrides_are_checked_as_usage(self, tmp_path, capsys, flags,
                                             error):
         cfg = write_cfg(tmp_path, CREEP_TEXT)
@@ -272,6 +286,21 @@ class TestValidateAgreesWithTheRun:
         assert cli_main(["creep", "--config", str(cfg), "--out", str(out),
                          *flags]) == 2
         assert capsys.readouterr().err == f"error: --dt/--duration: {error}\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv", [
+        ["kernels", "--kind", "maxwell", "--mu", "1", "--eta", "1",
+         "--dt", "1e-300"],
+        ["simulate", "--config", str(CHAIN_CFG), "--dt", "1e-300"],
+        ["simulate", "--config", str(CHAIN_CFG), "--duration", "1e300"],
+    ], ids=["kernels", "simulate-dt", "simulate-duration"])
+    def test_grid_flags_over_the_budget(self, tmp_path, capsys, alarm, argv):
+        out = tmp_path / "out.csv"
+        with alarm(20):     # a grid that is built or stepped fails, not hangs
+            assert cli_main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: --dt/--duration: duration/dt must be <= 10000000\n"
         assert not out.exists()
 
 
@@ -570,6 +599,21 @@ class TestKernels:
         assert cli_main(["kernels", "--kind", "maxwell", "--mu", "1.0"]) == 2
         assert "--eta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--kind", "maxwell", "--mu", "-1", "--eta", "1"],
+         "mu must be > 0, got -1.0"),
+        (["--kind", "kelvin", "--E-R", "1", "--tau-eps", "0.5",
+          "--tau-sigma", "0.2"],
+         "need 0 < tau_eps <= tau_sigma, got tau_eps=0.5, tau_sigma=0.2"),
+        (["--kind", "prony", "--K", "0.5", "--amplitudes", "0.3,0.2",
+          "--frequencies", "2,1"], "frequencies must be strictly increasing"),
+    ], ids=["mu", "tau_sigma", "frequencies"])
+    def test_parameter_out_of_its_domain_is_a_usage_error(self, capsys, flags,
+                                                          error):
+        # exit 2, as the same value in a config
+        assert cli_main(["kernels", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_fung_tabulation(self, capsys):
         code = cli_main(["kernels", "--kind", "fung", "--c", "0.5",
                          "--q1", "0.1", "--q2", "10.0",
@@ -579,6 +623,77 @@ class TestKernels:
         g = [float(line.split(",")[1]) for line in lines[1:]]
         assert g[0] == pytest.approx(1.0)
         assert all(a >= b - 1e-12 for a, b in zip(g, g[1:]))
+
+
+def leaf_paths(node, path=()):
+    """Key paths of the scalars of a parsed YAML document, list items
+    included."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+SHIPPED = {"relax": RELAX_CFG, "sweep": CYCLIC_CFG, "simulate": CHAIN_CFG}
+LEAVES = [(command, path) for command, cfg in SHIPPED.items()
+          for path in leaf_paths(yaml.safe_load(cfg.read_text()))]
+LEAF_VALUES = [-1, 0, 1e300, -1e300, 1e-300, 2**63, "x", None, True, [], {}]
+KERNEL_FLAGS = {"maxwell": {"mu": "1", "eta": "1"},
+                "voigt": {"mu": "1", "eta": "1"},
+                "kelvin": {"E-R": "1", "tau-eps": "0.5", "tau-sigma": "1.5"},
+                "prony": {"K": "0.5", "amplitudes": "0.3,0.2",
+                          "frequencies": "1,10"},
+                "fung": {"c": "0.5", "q1": "0.01", "q2": "100"}}
+KERNEL_CASES = [(kind, name) for kind, flags in KERNEL_FLAGS.items()
+                for name in (*flags, "duration", "dt")]
+FLAG_VALUES = ["-1", "0", "1e300", "-1e300", "1e-300", str(2**63), "x", "",
+               "nan", "inf", "2,1", "1,x"]
+
+
+class TestExitCodeContract:
+    """Whatever one leaf of a shipped config or one kernels flag holds,
+    cli_main exits 0, 1 or 2, raises nothing, and a non-zero exit says why
+    on an error line.  Each call runs under an alarm, so a hang fails."""
+
+    @staticmethod
+    def check(argv, capsys, alarm):
+        with alarm(20):
+            code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert code == 0 or "error:" in err, err
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(leaf=st.sampled_from(LEAVES), value=st.sampled_from(LEAF_VALUES))
+    @example(leaf=("simulate", ("network", "duration")), value=1e300)
+    @example(leaf=("simulate", ("network", "dt")), value=1e-300)
+    def test_config_leaf(self, tmp_path, capsys, alarm, leaf, value):
+        command, path = leaf
+        doc = yaml.safe_load(SHIPPED[command].read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
+        for run in (command, "validate"):
+            self.check([run, "--config", str(cfg),
+                        "--out", str(tmp_path / "out.csv")], capsys, alarm)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(flag=st.sampled_from(KERNEL_CASES),
+           value=st.sampled_from(FLAG_VALUES))
+    @example(flag=("maxwell", "dt"), value="1e-300")
+    def test_kernels_flag(self, capsys, alarm, flag, value):
+        kind, name = flag
+        flags = {**KERNEL_FLAGS[kind], "duration": "10", "dt": "0.01",
+                 name: value}
+        self.check(["kernels", "--kind", kind,
+                    *(f"--{key}={v}" for key, v in flags.items())],
+                   capsys, alarm)
 
 
 class TestStride:

@@ -8,11 +8,11 @@ from scipy.signal import lfilter
 from scipy.special import exp1
 
 from qlvsim.errors import DomainError
-from qlvsim.kernels import (_BLOCK_ROWS, FungSpectrum, KelvinParams,
-                            MaxwellParams, PronySpectrum, VoigtParams,
-                            exp_integral_e1, fung_long_time_limit,
+from qlvsim.kernels import (_BLOCK_ROWS, SIZE_BUDGET, FungSpectrum,
+                            KelvinParams, MaxwellParams, PronySpectrum,
+                            VoigtParams, exp_integral_e1, fung_long_time_limit,
                             fung_reduced_relaxation, fung_to_prony,
-                            kelvin_creep, kelvin_relaxation,
+                            grid_steps, is_uniform_grid, kelvin_creep, kelvin_relaxation,
                             kernel_force_history, kernel_to_prony,
                             maxwell_creep,
                             maxwell_relaxation, periodic_force_history,
@@ -379,3 +379,79 @@ class TestNumpyFilterAgainstLfilter:
         assert np.array_equal(
             periodic_force_history(spectrum, dt, xs),
             lfilter_periodic_force_history(spectrum, dt, xs))
+
+
+def step_loop_force_history(spectrum, times, xs):
+    """kernel_force_history as one prony_step call per sample, summing the
+    terms with ``h.sum()``: the form it took on non-uniform grids before
+    every grid ran through the filter."""
+    h = np.asarray(spectrum.amplitudes) * xs[0]
+    h_sum = [h.sum()]
+    for dt, dx in zip(np.diff(times), np.diff(xs)):
+        h = prony_step(spectrum, h, dt, dx)
+        h_sum.append(h.sum())
+    return spectrum.K * xs + np.array(h_sum)
+
+
+def non_uniform_times(seed, dt, n):
+    steps = dt * np.random.default_rng(seed).uniform(0.2, 1.8, n - 1)
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+class TestNonUniformGridAgainstTheStepLoop:
+    """A non-uniform grid runs through the filter with each block's decay
+    and gain; its states are those of the step loop, and only the order of
+    the sum over terms differs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectrum=spectra(), seed=st.integers(0, 2**32 - 1),
+           dt=st.floats(1e-3, 1.0),
+           n=st.one_of(st.integers(3, 40),
+                       st.sampled_from([_BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                        _BLOCK_ROWS + 2, 2 * _BLOCK_ROWS + 1,
+                                        2 * _BLOCK_ROWS + 2,
+                                        3 * _BLOCK_ROWS + 1]),
+                       st.integers(3, 3 * _BLOCK_ROWS + 1)))
+    def test_kernel_force_history(self, spectrum, seed, dt, n):
+        times = non_uniform_times(seed, dt, n)
+        xs = signal(seed, n)
+        assert not is_uniform_grid(times)
+        want = step_loop_force_history(spectrum, times, xs)
+        got = kernel_force_history(spectrum, times, xs)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "non-uniform"])
+    def test_decay_and_gain_at_most_once_per_block(self, monkeypatch,
+                                                   uniform):
+        calls = []
+
+        def counted(spectrum, h, dt, dx):
+            calls.append((h, dx))
+            return prony_step(spectrum, h, dt, dx)
+
+        monkeypatch.setattr("qlvsim.kernels.prony_step", counted)
+        n = 2 * _BLOCK_ROWS + 2         # three blocks of steps
+        times = (0.01 * np.arange(n) if uniform
+                 else non_uniform_times(1, 0.01, n))
+        spectrum = PronySpectrum(K=0.2, amplitudes=(0.5, 0.3),
+                                 frequencies=(1.0, 30.0))
+        kernel_force_history(spectrum, times, signal(1, n))
+        # decay/gain pairs only, never a step of the internal variables
+        assert set(calls) == {(1.0, 0.0), (0.0, 1.0)}
+        assert len(calls) <= 2 * 3
+
+
+class TestGridSteps:
+    def test_rounds_the_step_count(self):
+        assert grid_steps(1.0, 0.3) == 3
+        assert grid_steps(0.004, 0.01) == 0
+        assert grid_steps(float(SIZE_BUDGET), 1.0) == SIZE_BUDGET
+
+    @pytest.mark.parametrize("duration, dt", [
+        (float(SIZE_BUDGET + 1), 1.0), (1.0, 1e-300), (1e300, 1.0),
+        (1e300, 1e-300)], ids=["budget+1", "tiny-dt", "long", "overflow"])
+    def test_over_the_budget(self, duration, dt):
+        with pytest.raises(DomainError,
+                           match=f"duration/dt must be <= {SIZE_BUDGET}"):
+            grid_steps(duration, dt)

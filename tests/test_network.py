@@ -324,6 +324,14 @@ class TestSimulate:
         assert result.times.shape == (1,)
         assert np.allclose(result.q[0], [0.1, 0.0, 0.0])
 
+    def test_step_count_over_the_budget(self, alarm):
+        # checked before the first step; the alarm fails a run that steps
+        system = self.chain()
+        state = SystemState.initial(system, q=[0.1, 0.0, 0.0])
+        with alarm(20), pytest.raises(
+                DomainError, match="duration/dt must be <= 10000000"):
+            simulate(system, state, duration=1e300, dt=0.01)
+
     def test_conservative_energy_drift(self):
         system = self.chain()
         state = SystemState.initial(system, q=[0.1, 0.2, 0.3])

@@ -137,6 +137,45 @@ class TestCreep:
         recovered = qlv_stress_fast(model, hist).values
         assert np.max(np.abs(recovered - load)) <= 1e-10 * load
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), terms=st.integers(1, 64),
+           exponential=st.booleans(), sign=st.sampled_from([-1.0, 1.0]),
+           size=st.floats(0.01, 1.0), dt=st.floats(1e-3, 0.1),
+           n=st.integers(1, 2000))
+    def test_green_strain_is_the_step_loop_bit_for_bit(
+            self, seed, terms, exponential, sign, size, dt, n):
+        # the memory decays by the decay computed once, which is the
+        # per-step prony_step(prony, h, dt, 0.0) up to the sign of a zero
+        rng = np.random.default_rng(seed)
+        law = (ExponentialTensileLaw(B=rng.uniform(1.0, 10.0),
+                                     C=rng.uniform(0.5, 5.0)) if exponential
+               else LinearElasticLaw(k=rng.uniform(0.5, 5.0)))
+        freqs = np.unique(10.0 ** rng.uniform(-3.0, 3.0, terms))
+        model = QlvModel.from_kernel(law, PronySpectrum(
+            K=rng.uniform(0.05, 1.0), amplitudes=rng.uniform(0.0, 1.0,
+                                                             freqs.size),
+            frequencies=freqs))
+        prony = model.prony
+        # |T_e| stays below |load|/K, inside either law's domain
+        scale = law.C / law.B if exponential else law.k
+        load = sign * size * 0.4 * prony.K * scale
+        spec = ProtocolSpec(kind="creep", duration=n * dt, dt=dt,
+                            hold_stress=load)
+        series, _ = run_creep(spec, model)
+        t = series.times
+        step = t[1] - t[0]
+        gain = prony_step(prony, 0.0, step, 1.0)
+        gsum = float(gain.sum())
+        te = np.empty_like(t)
+        te[0] = load
+        h = np.asarray(prony.amplitudes) * load
+        for i in range(1, t.size):
+            free = prony_step(prony, h, step, 0.0)
+            te[i] = (load - free.sum() + gsum * te[i - 1]) / (prony.K + gsum)
+            h = free + gain * (te[i] - te[i - 1])
+        assert np.array_equal(series.columns["green_strain"],
+                              law.green_at_stress(te))
+
     def test_second_order_dt_convergence(self):
         p = VoigtParams(mu=2.0, eta=3.0)
         def err(dt):
