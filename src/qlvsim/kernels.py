@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -231,23 +230,22 @@ def is_uniform_grid(times) -> bool:
 
 def grid_steps(duration: float, dt: float) -> int:
     """round(duration/dt), the steps of a ``dt`` grid over ``duration``, once
-    duration/dt is checked against SIZE_BUDGET before any allocation."""
-    if duration / dt > SIZE_BUDGET:
+    |duration/dt| is checked against SIZE_BUDGET before any allocation."""
+    if not abs(duration / dt) <= SIZE_BUDGET:
         raise DomainError(f"duration/dt must be <= {SIZE_BUDGET}")
     return round(duration / dt)
 
 
 def _prony_filter(decay, gain, dx, carry) -> np.ndarray:
-    """Internal variables h[i] = decay[i]*h[i-1] + gain[i]*dx[i] of every
-    term, one column per term, from h[-1] = ``carry``.  ``decay`` and
-    ``gain`` hold one row per sample, or one row shared by every sample.
+    """Internal variables h[i] = decay[i]*h[i-1] + gain[i]*dx[i], one column
+    per term, from h[-1] = carry; decay/gain broadcast to one row per sample.
 
     Each step rounds as fl(fl(decay*h) + fl(gain*dx)), as the transposed
     direct form of the first-order filter gain / (1 - decay*z^-1) does.
     """
     h = dx[:, None] * gain
     prev = carry
-    for row, d in zip(h, decay if decay.ndim == 2 else repeat(decay)):
+    for row, d in zip(h, np.broadcast_to(decay, h.shape)):
         row += d * prev
         prev = row
     return h

@@ -67,6 +67,8 @@ class ProtocolSpec:
         else:
             if self.dt <= 0:
                 raise DomainError(f"dt must be > 0, got {self.dt}")
+            if self.duration <= 0:
+                raise DomainError("protocol needs duration > 0")
             if self.kind == "tensile" and self.stretch_rate <= 0:
                 raise DomainError("tensile test needs stretch_rate > 0")
             if grid_steps(self.duration, self.dt) < 1:

@@ -240,6 +240,9 @@ class TestValidateAgreesWithTheRun:
         ("relax", RELAX_CFG.read_text().replace("duration: 10.0",
                                                 "duration: 0.004"),
          "protocol: duration and dt produce an empty series"),
+        ("creep", CREEP_TEXT.replace("duration: 5.0", "duration: -1.0e+300")
+         .replace("dt: 0.01", "dt: 1.0e-10"),
+         "protocol: protocol needs duration > 0"),
         ("simulate", CHAIN_CFG.read_text().replace("duration: 50.0",
                                                    "duration: 1.0e+300"),
          "network.duration: duration/dt must be <= 10000000"),
@@ -249,7 +252,7 @@ class TestValidateAgreesWithTheRun:
     ]
     IDS = ["hold_strain", "stretch_rate", "no-stretch_rate", "prony_terms",
            "one-prony_term", "sweep_count", "cycles", "dt", "empty-grid",
-           "network-duration", "network-dt"]
+           "negative-duration", "network-duration", "network-dt"]
 
     @pytest.mark.parametrize("command, text, error", CASES, ids=IDS)
     @pytest.mark.parametrize("validate", [True, False],
@@ -278,7 +281,9 @@ class TestValidateAgreesWithTheRun:
         (["--duration", "1e300"], "duration/dt must be <= 10000000"),
         (["--dt", "-0.1"], "dt must be > 0, got -0.1"),
         (["--duration", "0.004"], "duration and dt produce an empty series"),
-    ], ids=["dt", "duration", "negative-dt", "empty-grid"])
+        (["--duration=-1e300", "--dt", "1e-10"],
+         "protocol needs duration > 0"),
+    ], ids=["dt", "duration", "negative-dt", "empty-grid", "negative-duration"])
     def test_overrides_are_checked_as_usage(self, tmp_path, capsys, flags,
                                             error):
         cfg = write_cfg(tmp_path, CREEP_TEXT)

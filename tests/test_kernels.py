@@ -450,7 +450,9 @@ class TestGridSteps:
 
     @pytest.mark.parametrize("duration, dt", [
         (float(SIZE_BUDGET + 1), 1.0), (1.0, 1e-300), (1e300, 1.0),
-        (1e300, 1e-300)], ids=["budget+1", "tiny-dt", "long", "overflow"])
+        (1e300, 1e-300), (-1e300, 1e-10), (float("nan"), 1.0)],
+        ids=["budget+1", "tiny-dt", "long", "overflow", "negative-overflow",
+             "nan"])
     def test_over_the_budget(self, duration, dt):
         with pytest.raises(DomainError,
                            match=f"duration/dt must be <= {SIZE_BUDGET}"):
