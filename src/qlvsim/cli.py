@@ -17,7 +17,7 @@ from . import protocols
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, QlvError
 from .kernels import KERNEL_TYPES, grid_steps, reduced_relaxation
-from .network import SystemState, simulate
+from .network import SystemState, simulate, steps_and_records
 from .protocols import (Series, fit_exponential_law,
                         fit_relaxation_spectrum, frequency_sweep)
 from .seriesio import (read_series, serialize_series, write_series,
@@ -187,7 +187,7 @@ def _cmd_simulate(args, cfg: RunConfig):
                            "duration and dt (network.duration/network.dt "
                            "or --duration/--dt)"])
     try:
-        grid_steps(duration, dt)
+        steps_and_records(cfg.network.n, duration, dt, cfg.output_stride)
     except DomainError as exc:
         raise ConfigError([f"--dt/--duration: {exc}"]) from exc
     state = SystemState.initial(cfg.network, q=cfg.initial_q, v=cfg.initial_v)

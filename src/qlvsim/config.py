@@ -20,8 +20,10 @@ from .constitutive import (ELASTIC_TYPES, ExponentialTensileLaw,
                            FungBiaxialParams, FungUniaxialLaw)
 from .errors import ConfigError, DomainError, StabilityError
 from .kernels import (KERNEL_TYPES, SIZE_BUDGET, KelvinParams, MaxwellParams,
-                      PronySpectrum, VoigtParams, grid_steps)
-from .network import KernelEntry, NonlinearSpring, SpringMassSystem
+                      PronySpectrum, VoigtParams, check_filter_size,
+                      grid_steps)
+from .network import (KernelEntry, NonlinearSpring, SpringMassSystem,
+                      steps_and_records)
 from .protocols import ProtocolSpec
 from .qlv import QlvModel
 
@@ -491,6 +493,11 @@ def parse_config(text: str) -> RunConfig:
     if protocol and specimen.get("model") and protocol.hold_strain < -0.5:
         v.fail("protocol.hold_strain", "must be >= -0.5 (a Green strain) "
                f"for a model specimen, got {protocol.hold_strain}")
+    # a model's periodic steady state filters one period through its terms
+    if protocol and protocol.kind == "cyclic" and specimen.get("model"):
+        v.construct("protocol.samples_per_cycle", check_filter_size,
+                    protocol.samples_per_cycle,
+                    len(specimen["model"].prony.amplitudes))
 
     sweep = None
     if data.get("sweep") is not None:
@@ -503,6 +510,11 @@ def parse_config(text: str) -> RunConfig:
     precision = v.integer(out, "output", "precision", default=17)
     if stride is not None and stride < 1:
         v.fail("output.stride", f"must be >= 1, got {stride}")
+    elif (stride is not None and specimen.get("network") is not None
+          and None not in (specimen["sim_duration"], specimen["sim_dt"])):
+        v.construct("output.stride", steps_and_records,
+                    specimen["network"].n, specimen["sim_duration"],
+                    specimen["sim_dt"], stride)
     if precision is not None and not 1 <= precision <= 17:
         v.fail("output.precision", f"must be in [1, 17], got {precision}")
 

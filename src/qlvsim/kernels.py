@@ -26,7 +26,8 @@ from .errors import DomainError
 _BLOCK_ROWS = 1024      # filter block: 512 KB of states at 64 terms
 
 # The most samples a grid, Prony terms a kernel and frequencies a sweep may
-# ask for, checked before any allocation: 100 times a 1e5-row record.
+# ask for, and values a filter's states or a network's records may hold,
+# checked before any allocation: 100 times a 1e5-row record.
 SIZE_BUDGET = 10_000_000
 
 
@@ -236,6 +237,14 @@ def grid_steps(duration: float, dt: float) -> int:
     return round(duration / dt)
 
 
+def check_filter_size(samples: int, terms: int) -> None:
+    """Check the samples x terms states of one filter pass against
+    SIZE_BUDGET before they are allocated."""
+    if samples * terms > SIZE_BUDGET:
+        raise DomainError(f"samples x Prony terms must be <= {SIZE_BUDGET}, "
+                          f"got {samples} x {terms}")
+
+
 def _prony_filter(decay, gain, dx, carry) -> np.ndarray:
     """Internal variables h[i] = decay[i]*h[i-1] + gain[i]*dx[i], one column
     per term, from h[-1] = carry; decay/gain broadcast to one row per sample.
@@ -258,7 +267,8 @@ def kernel_force_history(spectrum: PronySpectrum, times,
 
     The input is treated as applied at t = 0 (quiescent before that), so a
     nonzero first sample acts as an initial step.  One filter runs the terms
-    ``_BLOCK_ROWS`` samples at a time, with each block's decay and gain from
+    ``_BLOCK_ROWS`` samples at a time, fewer when that many rows of states
+    would exceed SIZE_BUDGET values, with each block's decay and gain from
     its steps, or from the first step on a uniform grid.
     """
     times = np.asarray(times, dtype=float)
@@ -276,8 +286,9 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     h_sum = np.zeros(times.size)
     h_sum[0] = h.sum()
     uniform = is_uniform_grid(times)
-    for start in range(0, dxs.size, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
+    block = max(1, min(_BLOCK_ROWS, SIZE_BUDGET // h.size))
+    for start in range(0, dxs.size, block):
+        stop = start + block
         dt = dts[0] if uniform else dts[start:stop, None]
         states = _prony_filter(prony_step(spectrum, 1.0, dt, 0.0),
                                prony_step(spectrum, 0.0, dt, 1.0),
@@ -285,7 +296,8 @@ def kernel_force_history(spectrum: PronySpectrum, times,
         acc = h_sum[1 + start:1 + stop]
         for column in states.T:     # term by term, not pairwise
             acc += column
-        h = states[-1]
+        h = states[-1].copy()
+        del states, column          # free the block before the next one
     return spectrum.K * xs + h_sum
 
 
@@ -299,10 +311,12 @@ def periodic_force_history(spectrum: PronySpectrum, dt: float,
     variable repeats after N steps only from
     h* = (sum_i d^(N-1-i) * g * dx_i) / (1 - d^N); one filter pass from rest
     gives the numerator, and the state at sample i is that pass + d^i * h*.
+    The pass holds samples x terms values, at most SIZE_BUDGET.
     """
     xs = np.asarray(x_period, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or not dt > 0:
         raise DomainError("a period needs dt > 0 and >= 2 samples in 1-D")
+    check_filter_size(xs.size, len(spectrum.amplitudes))
     n = xs.size
     dxs = np.diff(xs, append=xs[0])
     decay = prony_step(spectrum, 1.0, dt, 0.0)
@@ -404,18 +418,17 @@ class ReducedRelaxation:
             return fung_reduced_relaxation(k, t)
         if isinstance(k, MaxwellParams):
             out = np.exp(-k.mu * t / k.eta)
-            return float(out) if out.ndim == 0 else out
-        if isinstance(k, KelvinParams):
+        elif isinstance(k, KelvinParams):
             # single Kelvin body: G = (1 + S exp(-t/q)) / (1 + S)
             # with q = tau_eps, S = tau_sigma/tau_eps - 1
             big_s = k.tau_sigma / k.tau_eps - 1.0
             out = (1.0 + big_s * np.exp(-t / k.tau_eps)) / (1.0 + big_s)
-            return float(out) if out.ndim == 0 else out
-        if isinstance(k, VoigtParams):
+        elif isinstance(k, VoigtParams):
             # regular part only; the impulsive term is excluded
             out = np.ones_like(t)
-            return float(out) if out.ndim == 0 else out
-        raise DomainError(f"unsupported kernel type {type(k).__name__}")
+        else:
+            raise DomainError(f"unsupported kernel type {type(k).__name__}")
+        return float(out) if out.ndim == 0 else out
 
     def __call__(self, t):
         return self.value(t)

@@ -21,8 +21,8 @@ import numpy as np
 from .constitutive import ExponentialTensileLaw
 from .errors import DomainError, NumericalError, StabilityError
 # kernel_force_history is re-exported for callers of the network API
-from .kernels import (PronySpectrum, grid_steps, kernel_force_history,
-                      prony_step)
+from .kernels import (SIZE_BUDGET, PronySpectrum, grid_steps,
+                      kernel_force_history, prony_step)
 
 
 @dataclass(frozen=True)
@@ -349,6 +349,20 @@ class SimulationResult:
     final_state: SystemState
 
 
+def steps_and_records(n: int, duration: float, dt: float,
+                      stride: int) -> tuple[int, int]:
+    """Steps and record-table rows of a :func:`simulate` run of ``n``
+    masses: a record of the first state, of every ``stride``-th step and of
+    the last.  The steps and the rows times the 2n + 5 columns are checked
+    against SIZE_BUDGET."""
+    n_steps = max(1, grid_steps(duration, dt)) if duration > 0 else 0
+    rows = 1 + n_steps // stride + (n_steps % stride > 0)
+    if rows * (2 * n + 5) > SIZE_BUDGET:
+        raise DomainError(f"records x columns must be <= {SIZE_BUDGET}, "
+                          f"got {rows} x {2 * n + 5}")
+    return n_steps, rows
+
+
 def simulate(system: SpringMassSystem, state: SystemState,
              duration: float, dt: float,
              record_stride: int = 1) -> SimulationResult:
@@ -360,7 +374,8 @@ def simulate(system: SpringMassSystem, state: SystemState,
     External and aero work, and the dissipation of damping, memory kernels
     and relaxing springs, accumulate with trapezoidal force averaging.
     Records are taken every ``record_stride`` steps, always including the
-    initial and final states.
+    initial and final states, into one preallocated table of
+    :func:`steps_and_records` rows; the result's arrays are views of its columns.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and > 0, got {dt}")
@@ -368,7 +383,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
         raise DomainError(f"duration must be finite and >= 0, got {duration}")
     if record_stride < 1:
         raise DomainError(f"record_stride must be >= 1, got {record_stride}")
-    n_steps = max(1, grid_steps(duration, dt)) if duration > 0 else 0
+    n_steps, rows = steps_and_records(system.n, duration, dt, record_stride)
     if n_steps > 0:
         bound = system.stability_bound()
         if dt >= bound:
@@ -411,11 +426,13 @@ def simulate(system: SpringMassSystem, state: SystemState,
     f_ext, aero, memory, f = forces(t, z, h)
     damp = 0.0 if beta is None else beta @ v
     work = diss = 0.0
-    rows = []
+    table = np.empty((rows, 2 * n + 5))   # one row per record, CSV order
+    free = iter(table)                      # its rows, filled in turn
 
     def record():
-        rows.append((t, q, v, 0.5 * float(np.dot(m, v * v)),
-                     0.5 * float(q @ K @ q), work, diss))
+        energies = [0.5 * float(np.dot(m, v * v)), 0.5 * float(q @ K @ q),
+                    work, diss]
+        next(free)[:] = np.concatenate(([t], q, v, energies))
 
     record()
     for i in range(n_steps):
@@ -438,13 +455,8 @@ def simulate(system: SpringMassSystem, state: SystemState,
         if (i + 1) % record_stride == 0 or i == n_steps - 1:
             record()
 
-    times, qs, vs, kinetic, elastic, external_work, dissipation = zip(*rows)
-    return SimulationResult(times=np.asarray(times),
-                            q=np.asarray(qs), v=np.asarray(vs),
-                            kinetic=np.asarray(kinetic),
-                            elastic=np.asarray(elastic),
-                            external_work=np.asarray(external_work),
-                            dissipation=np.asarray(dissipation),
+    return SimulationResult(table[:, 0], table[:, 1:n + 1],
+                            table[:, n + 1:2 * n + 1], *table[:, 2 * n + 1:].T,
                             final_state=SystemState(time=t, q=q, v=v, h=h))
 
 

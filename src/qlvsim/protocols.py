@@ -143,11 +143,12 @@ def _offset_yield(strain: np.ndarray, stress: np.ndarray,
     gap = stress - modulus * (strain - offset)
     # at the origin the line is below the curve (gap > 0); yield is the
     # first downward crossing
-    for i in range(1, strain.size):
-        if gap[i] <= 0 < gap[i - 1]:
-            w = gap[i - 1] / (gap[i - 1] - gap[i])
-            return float(stress[i - 1] + w * (stress[i] - stress[i - 1]))
-    return None
+    crossings = np.flatnonzero((gap[1:] <= 0) & (gap[:-1] > 0))
+    if not crossings.size:
+        return None
+    i = crossings[0] + 1
+    w = gap[i - 1] / (gap[i - 1] - gap[i])
+    return float(stress[i - 1] + w * (stress[i] - stress[i - 1]))
 
 
 def run_tensile(spec: ProtocolSpec, model: QlvModel) -> tuple[Series, TestReport]:
@@ -253,12 +254,9 @@ def _element_relaxation(element, t: np.ndarray) -> np.ndarray:
     if isinstance(element, MaxwellParams):
         # dF/dt = -mu F / eta after the elastic jump F(0) = mu, stepped as
         # F *= (1 - dt a/2)/(1 + dt a/2), which rounds unlike _trapezoid
-        f = np.empty_like(t)
-        f[0] = element.mu
         a, dt = element.mu / element.eta, t[1] - t[0]
-        for i in range(1, t.size):
-            f[i] = (1 - 0.5 * dt * a) / (1 + 0.5 * dt * a) * f[i - 1]
-        return f
+        ratio = (1 - 0.5 * dt * a) / (1 + 0.5 * dt * a)
+        return np.cumprod(np.r_[element.mu, np.full(t.size - 1, ratio)])
     if isinstance(element, VoigtParams):
         # regular part only; the impulsive term lives at t = 0
         return np.full_like(t, element.mu)
@@ -468,8 +466,7 @@ def fit_relaxation_spectrum(times, values, n_terms: int,
     freqs = np.sort(freqs)
 
     from scipy.optimize import nnls     # lazy: importing it costs ~0.6 s
-    A = np.column_stack([np.ones_like(t)] +
-                        [np.exp(-f * t) for f in freqs])
+    A = np.column_stack([np.ones_like(t), np.exp(-np.outer(t, freqs))])
     coeffs, _ = nnls(A, g)
     fitted = A @ coeffs
     max_err = float(np.max(np.abs(fitted - g)))

@@ -108,24 +108,25 @@ class QlvModel:
             return np.asarray(self.elastic.stress_green(history.green()),
                               dtype=float)
         except DomainError:
-            # re-raise with the offending time index for diagnostics
+            # re-raise with the first offending time index for diagnostics:
+            # a prefix fails exactly when it holds a failing sample, so
+            # bisect on prefixes, green[:lo] passing and green[:hi] failing
             green = history.green()
-            for i, e in enumerate(green):
+            lo, hi = 0, green.size
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
                 try:
-                    self.elastic.stress_green(e)
-                except DomainError as exc:
-                    raise DomainError(
-                        f"strain outside elastic domain at time index {i} "
-                        f"(t = {history.times[i]}): {exc}") from exc
+                    self.elastic.stress_green(green[:mid])
+                    lo = mid
+                except DomainError:
+                    hi = mid
+            try:
+                self.elastic.stress_green(green[hi - 1])
+            except DomainError as exc:
+                raise DomainError(
+                    f"strain outside elastic domain at time index {hi - 1} "
+                    f"(t = {history.times[hi - 1]}): {exc}") from exc
             raise
-
-
-def _relaxation_callable(model: QlvModel, kernel: str):
-    if kernel == "relaxation":
-        return model.relaxation.value
-    if kernel == "prony":
-        return lambda t: prony_relaxation(model.prony, t)
-    raise DomainError(f"kernel must be 'relaxation' or 'prony', got {kernel!r}")
 
 
 def qlv_stress_direct(model: QlvModel, history: StrainHistory,
@@ -136,7 +137,11 @@ def qlv_stress_direct(model: QlvModel, history: StrainHistory,
     G(t_i - midpoint) * (elastic stress increment over the interval).
     The kernel is re-evaluated for every (time, interval) pair.
     """
-    g = _relaxation_callable(model, kernel)
+    g = {"relaxation": model.relaxation.value,
+         "prony": lambda t: prony_relaxation(model.prony, t)}.get(kernel)
+    if g is None:
+        raise DomainError(
+            f"kernel must be 'relaxation' or 'prony', got {kernel!r}")
     t = history.times
     te = model.elastic_stress(history)
     n = t.size

@@ -249,10 +249,20 @@ class TestValidateAgreesWithTheRun:
         ("simulate", CHAIN_CFG.read_text().replace("dt: 0.01",
                                                    "dt: 1.0e-300"),
          "network.duration: duration/dt must be <= 10000000"),
+        ("cyclic", CYCLIC_CFG.read_text().replace(
+            "samples_per_cycle: 256", "samples_per_cycle: 200000"),
+         "protocol.samples_per_cycle: samples x Prony terms must be <= "
+         "10000000, got 200000 x 64"),
+        ("simulate", CHAIN_CFG.read_text().replace(
+            "duration: 50.0", "duration: 10000.0").replace("stride: 10",
+                                                           "stride: 1"),
+         "output.stride: records x columns must be <= 10000000, got "
+         "1000001 x 11"),
     ]
     IDS = ["hold_strain", "stretch_rate", "no-stretch_rate", "prony_terms",
            "one-prony_term", "sweep_count", "cycles", "dt", "empty-grid",
-           "negative-duration", "network-duration", "network-dt"]
+           "negative-duration", "network-duration", "network-dt",
+           "filter-states", "record-table"]
 
     @pytest.mark.parametrize("command, text, error", CASES, ids=IDS)
     @pytest.mark.parametrize("validate", [True, False],
@@ -306,6 +316,20 @@ class TestValidateAgreesWithTheRun:
             assert cli_main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == \
             "error: --dt/--duration: duration/dt must be <= 10000000\n"
+        assert not out.exists()
+
+
+    def test_record_table_override_over_the_budget(self, tmp_path, capsys,
+                                                   alarm):
+        cfg = write_cfg(tmp_path, CHAIN_CFG.read_text().replace(
+            "stride: 10", "stride: 1"))
+        out = tmp_path / "out.csv"
+        with alarm(5):      # checked before the run, which would take ~50 s
+            assert cli_main(["simulate", "--config", str(cfg), "--out",
+                             str(out), "--duration", "10000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --dt/--duration: records x columns must be <= 10000000, "
+            "got 1000001 x 11\n")
         assert not out.exists()
 
 

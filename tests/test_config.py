@@ -237,6 +237,25 @@ class TestSizeBudget:
         errs = errors_of(f"model:\n  kernel: {MAXWELL}\nprotocol: {drive}\n")
         assert errs == [f"protocol: {error}"]
 
+    def test_cyclic_filter_states(self):
+        # one period of 200 000 samples through 64 terms: 1.28e7 states
+        errs = errors_of("model:\n  elastic: {kind: linear, k: 1.0}\n"
+                         f"  kernel: {FUNG}, prony_terms: 64}}\n"
+                         "protocol: {kind: cyclic, amplitude: 0.1, "
+                         "angular_frequency: 1.0, cycles: 1, "
+                         "samples_per_cycle: 200000}\n")
+        assert errs == ["protocol.samples_per_cycle: samples x Prony terms "
+                        f"must be <= {SIZE_BUDGET}, got 200000 x 64"]
+
+    def test_network_record_table(self):
+        # 1.5e6 steps of one mass, 7 values per record: over the budget at
+        # stride 1, within it at stride 2
+        text = NET + "  duration: 15000.0\n  dt: 0.01\noutput: {stride: 1}\n"
+        assert errors_of(text) == ["output.stride: records x columns must "
+                                   f"be <= {SIZE_BUDGET}, got 1500001 x 7"]
+        cfg = parse_config(text.replace("stride: 1", "stride: 2"))
+        assert cfg.output_stride == 2
+
     def test_sample_count_at_the_budget_is_accepted(self):
         spec = ProtocolSpec(kind="creep", duration=float(SIZE_BUDGET), dt=1.0)
         assert spec.duration / spec.dt == SIZE_BUDGET

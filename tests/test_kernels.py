@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.signal import lfilter
 from scipy.special import exp1
 
 from qlvsim.errors import DomainError
+from qlvsim import kernels
 from qlvsim.kernels import (_BLOCK_ROWS, SIZE_BUDGET, FungSpectrum,
                             KelvinParams, MaxwellParams, PronySpectrum,
                             VoigtParams, exp_integral_e1, fung_long_time_limit,
@@ -440,6 +442,48 @@ class TestNonUniformGridAgainstTheStepLoop:
         # decay/gain pairs only, never a step of the internal variables
         assert set(calls) == {(1.0, 0.0), (0.0, 1.0)}
         assert len(calls) <= 2 * 3
+
+
+class TestFilterBudget:
+    """A filter's states are bounded by SIZE_BUDGET values: the periodic
+    pass is rejected before it is allocated, and kernel_force_history
+    takes fewer rows per block when a block of _BLOCK_ROWS would exceed it."""
+
+    @staticmethod
+    def spectrum(terms):
+        return PronySpectrum(K=0.5,
+                             amplitudes=tuple(np.full(terms, 0.5 / terms)),
+                             frequencies=tuple(np.logspace(-2, 2, terms)))
+
+    def test_periodic_pass_over_the_budget(self):
+        xs = np.sin(np.linspace(0.0, 2 * np.pi, 200_000, endpoint=False))
+        with pytest.raises(DomainError, match="samples x Prony terms must be "
+                                              "<= 10000000, got 200000 x 64"):
+            periodic_force_history(self.spectrum(64), 1e-4, xs)
+
+    def test_block_states_within_the_budget(self):
+        # 1024 steps of 20 000 terms: blocks of 500 rows (80 MB of states)
+        # instead of one of 1024 rows (164 MB)
+        spectrum = self.spectrum(20_000)
+        times = np.linspace(0.0, 1.0, _BLOCK_ROWS + 1)
+        tracemalloc.start()
+        try:
+            kernel_force_history(spectrum, times, np.sin(times))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * SIZE_BUDGET
+
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "non-uniform"])
+    def test_smaller_blocks_give_the_same_bits(self, monkeypatch, uniform):
+        n = 2 * _BLOCK_ROWS + 3
+        times = (0.01 * np.arange(n) if uniform
+                 else non_uniform_times(2, 0.01, n))
+        spectrum, xs = self.spectrum(64), signal(2, n)
+        want = kernel_force_history(spectrum, times, xs)
+        monkeypatch.setattr(kernels, "SIZE_BUDGET", 64 * 100)   # 100 rows
+        assert np.array_equal(kernel_force_history(spectrum, times, xs), want)
 
 
 class TestGridSteps:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,8 @@ from qlvsim.kernels import (MaxwellParams, PronySpectrum, maxwell_relaxation,
 from qlvsim.network import (KernelEntry, NonlinearSpring, SpringMassSystem,
                             SystemState, elastic_energy,
                             flexibility_from_stiffness, kernel_force_history,
-                            simulate, stability_check, step)
+                            simulate, stability_check, step,
+                            steps_and_records)
 
 
 def random_spd(rng, n):
@@ -331,6 +333,80 @@ class TestSimulate:
         with alarm(20), pytest.raises(
                 DomainError, match="duration/dt must be <= 10000000"):
             simulate(system, state, duration=1e300, dt=0.01)
+
+    def test_record_table_over_the_budget(self, alarm):
+        # 1e6 steps at stride 1 is 1000001 records of 11 values; checked
+        # before the first step, and the alarm fails a run that steps
+        system = self.chain()
+        state = SystemState.initial(system, q=[0.1, 0.0, 0.0])
+        with alarm(2), pytest.raises(
+                DomainError, match="records x columns must be <= 10000000, "
+                                   "got 1000001 x 11"):
+            simulate(system, state, duration=1e4, dt=0.01)
+
+    @pytest.mark.parametrize("n, n_steps, stride, rows", [
+        (3, 0, 1, 1), (3, 1, 1, 2), (3, 100, 7, 16), (3, 105, 7, 16),
+        (3, 10**6, 2, 500001), (1, 10, 2**63, 2), (3, 909089, 1, 909090)])
+    def test_steps_and_records(self, n, n_steps, stride, rows):
+        assert steps_and_records(n, float(n_steps), 1.0, stride) == \
+            (n_steps, rows)
+
+    def test_records_one_over_the_budget(self):
+        with pytest.raises(DomainError, match="got 909091 x 11"):
+            steps_and_records(3, 909090.0, 1.0, 1)
+
+    def kernel_chain(self):
+        """Damping, a memory kernel, a relaxing spring, an aero entry and a
+        driving force: every column of the record moves."""
+        K = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+        amp = np.array([0.0, 0.0, 0.1])
+        return SpringMassSystem(
+            masses=[1.0, 2.0, 0.5], stiffness=K, damping=0.05 * np.eye(3),
+            kernels_replace_damping=False,
+            memory_kernels=(KernelEntry(2, 2, PronySpectrum(
+                K=1.0, amplitudes=(0.5,), frequencies=(2.0,))),),
+            aero_kernels=(KernelEntry(1, 0, PronySpectrum(
+                K=0.1, amplitudes=(0.2,), frequencies=(3.0,))),),
+            nonlinear_springs=(NonlinearSpring(
+                0, 1, ExponentialTensileLaw(B=1.0, C=1.0),
+                kernel=PronySpectrum(K=0.5, amplitudes=(0.5,),
+                                     frequencies=(2.0,))),),
+            external_force=lambda t: amp * math.sin(0.7 * t))
+
+    @pytest.mark.parametrize("n_steps", [100, 105], ids=["tail", "no-tail"])
+    @pytest.mark.parametrize("stride", [3, 7])
+    def test_strided_records_are_rows_of_the_stride_one_run(self, stride,
+                                                            n_steps):
+        system = self.kernel_chain()
+        state = SystemState.initial(system, q=[0.1, -0.05, 0.02])
+        full = simulate(system, state, duration=n_steps * 0.01, dt=0.01)
+        strided = simulate(system, state, duration=n_steps * 0.01, dt=0.01,
+                           record_stride=stride)
+        rows = sorted({*range(0, n_steps + 1, stride), n_steps})
+        assert full.times.size == n_steps + 1
+        assert strided.times.size == len(rows)
+        for name in ("times", "q", "v", "kinetic", "elastic",
+                     "external_work", "dissipation"):
+            assert np.array_equal(getattr(strided, name),
+                                  getattr(full, name)[rows]), name
+        for name in ("time", "q", "v", "h"):
+            assert np.array_equal(getattr(strided.final_state, name),
+                                  getattr(full.final_state, name)), name
+
+    def test_records_at_stride_one_take_no_memory_per_record(self):
+        # 5001 records of 11 floats are 0.44 MB in one table; a tuple of
+        # arrays and floats per record peaked at 3.2 MB.  The run is short
+        # because tracing every allocation makes each step about 10x slower.
+        system = self.chain()
+        state = SystemState.initial(system, q=[0.1, 0.0, 0.0])
+        tracemalloc.start()
+        try:
+            result = simulate(system, state, duration=50.0, dt=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.times.size == 5001
+        assert peak <= 1e6
 
     def test_conservative_energy_drift(self):
         system = self.chain()

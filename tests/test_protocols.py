@@ -13,7 +13,8 @@ from qlvsim.kernels import (FungSpectrum, KelvinParams, MaxwellParams,
                             kernel_force_history, maxwell_relaxation,
                             periodic_force_history, prony_relaxation,
                             prony_step, voigt_creep)
-from qlvsim.protocols import (ProtocolSpec, _loop_hysteresis,
+from qlvsim.protocols import (ProtocolSpec, _element_relaxation,
+                              _loop_hysteresis, _offset_yield,
                               fit_exponential_law, fit_relaxation_spectrum,
                               frequency_sweep, run_creep, run_cyclic,
                               run_relaxation, run_tensile)
@@ -72,6 +73,82 @@ class TestTensile:
                                 stretch_rate=0.2)
             _, report = run_tensile(spec, model)
             assert report.youngs_modulus == pytest.approx(2.0, rel=1e-3)
+
+
+def offset_yield_loop(strain, stress, modulus, offset=0.002):
+    """The per-sample search that _offset_yield replaced, kept as its
+    reference."""
+    if modulus is None or modulus <= 0:
+        return None
+    gap = stress - modulus * (strain - offset)
+    for i in range(1, strain.size):
+        if gap[i] <= 0 < gap[i - 1]:
+            w = gap[i - 1] / (gap[i - 1] - gap[i])
+            return float(stress[i - 1] + w * (stress[i] - stress[i - 1]))
+    return None
+
+
+class TestOffsetYieldAgainstTheLoop:
+    """The first downward crossing found by one array expression is the
+    loop's, with the same interpolation, bit for bit."""
+
+    # at zero strain, modulus 1 and offset 0.002 the gap is stress + 0.002
+    # exactly, so these stresses fix the sign pattern of the gap
+    @pytest.mark.parametrize("stress, crossing", [
+        ([0.5, 0.4, 0.3, 0.2], None),
+        ([0.5], None),
+        ([-0.5, -0.4, 0.3, 0.2], None),
+        ([0.5, -0.4, 0.3, -0.2], 1),
+        ([0.5, -0.002, 0.3], 1),
+        ([0.5, 0.4, 0.3, -0.2], 3),
+        ([-0.5, 0.4, 0.3, 0.2, -0.1], 4),
+    ], ids=["none", "one-sample", "only-upward", "first", "zero-gap", "last",
+            "last-after-upward"])
+    def test_crossing_cases(self, stress, crossing):
+        stress = np.array(stress)
+        strain = np.zeros_like(stress)
+        got = _offset_yield(strain, stress, 1.0)
+        assert got == offset_yield_loop(strain, stress, 1.0)
+        if crossing is None:
+            assert got is None
+        else:
+            gap = stress + 0.002
+            w = gap[crossing - 1] / (gap[crossing - 1] - gap[crossing])
+            assert got == stress[crossing - 1] + w * (stress[crossing]
+                                                      - stress[crossing - 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                     st.floats(-1.0, 1.0)),
+                           min_size=1, max_size=40),
+           modulus=st.one_of(st.none(), st.floats(-1.0, 10.0)))
+    def test_property(self, values, modulus):
+        strain, stress = np.array(values).T
+        strain = np.cumsum(strain)
+        assert _offset_yield(strain, stress, modulus) == \
+            offset_yield_loop(strain, stress, modulus)
+
+
+def maxwell_relaxation_loop(element, t):
+    """The per-sample Maxwell step that np.cumprod replaced, kept as its
+    reference."""
+    f = np.empty_like(t)
+    f[0] = element.mu
+    a, dt = element.mu / element.eta, t[1] - t[0]
+    for i in range(1, t.size):
+        f[i] = (1 - 0.5 * dt * a) / (1 + 0.5 * dt * a) * f[i - 1]
+    return f
+
+
+class TestMaxwellRelaxationAgainstTheLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(mu=st.floats(1e-3, 1e3), eta=st.floats(1e-3, 1e3),
+           dt=st.floats(1e-4, 10.0), n=st.integers(1, 3000))
+    def test_property(self, mu, eta, dt, n):
+        element = MaxwellParams(mu=mu, eta=eta)
+        t = np.linspace(0.0, n * dt, n + 1)
+        assert np.array_equal(_element_relaxation(element, t),
+                              maxwell_relaxation_loop(element, t))
 
 
 class TestCreep:
@@ -439,6 +516,23 @@ class TestFitSpectrum:
         g = fung_reduced_relaxation(s, t)
         fitted, diag = fit_relaxation_spectrum(t, g, 64)
         assert diag["max_error"] <= 1e-3
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 400), terms=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_design_matrix_is_the_column_by_column_one(self, n, terms, seed):
+        # the reference builds one exp(-f*t) column per frequency
+        from scipy.optimize import nnls
+        rng = np.random.default_rng(seed)
+        t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))])
+        g = np.exp(-t / t[-1] * rng.uniform(0.1, 5.0))
+        fitted, diag = fit_relaxation_spectrum(t, g, terms)
+        freqs = np.array(fitted.frequencies)
+        A = np.column_stack([np.ones_like(t)] +
+                            [np.exp(-f * t) for f in freqs])
+        coeffs, _ = nnls(A, g)
+        assert np.array_equal([fitted.K, *fitted.amplitudes], coeffs)
+        assert diag["max_error"] == float(np.max(np.abs(A @ coeffs - g)))
 
     def test_unnormalized_rejected(self):
         t = np.linspace(0.0, 5.0, 20)

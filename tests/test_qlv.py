@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlvsim.constitutive import ExponentialTensileLaw, LinearElasticLaw
+from qlvsim.constitutive import (ExponentialTensileLaw, FungBiaxialParams,
+                                 FungUniaxialLaw, LinearElasticLaw)
 from qlvsim.errors import DomainError
 from qlvsim.kernels import (FungSpectrum, KelvinParams, MaxwellParams,
                             PronySpectrum, is_uniform_grid,
@@ -53,6 +54,13 @@ class TestElasticLimit:
         for evaluator in (qlv_stress_direct, qlv_stress_fast):
             out = evaluator(model, hist)
             assert np.allclose(out.values, te, rtol=1e-12, atol=1e-14)
+
+
+def test_direct_evaluator_names_its_kernels():
+    hist = StrainHistory(times=[0.0, 1.0], values=[0.0, 0.1])
+    with pytest.raises(DomainError, match="kernel must be 'relaxation' or "
+                                          "'prony', got 'fung'"):
+        qlv_stress_direct(elastic_model(), hist, kernel="fung")
 
 
 class TestStepResponse:
@@ -174,6 +182,58 @@ class TestModelConstruction:
         model = QlvModel.from_kernel(LinearElasticLaw(k=1.0),
                                      MaxwellParams(mu=2.0, eta=4.0))
         assert model.prony.frequencies == (0.5,)
+
+
+def domain_error_loop(model, history):
+    """The per-sample search for the first failing sample that the
+    bisection replaced, kept as its reference: the message it raises."""
+    for i, e in enumerate(history.green()):
+        try:
+            model.elastic.stress_green(e)
+        except DomainError as exc:
+            return (f"strain outside elastic domain at time index {i} "
+                    f"(t = {history.times[i]}): {exc}")
+    return None
+
+
+class TestElasticDomainError:
+    """A history outside the elastic domain names its first failing sample,
+    found by bisecting on prefixes with the vectorized law."""
+
+    LAWS = [ExponentialTensileLaw(B=10.0, C=2.0),
+            FungUniaxialLaw(FungBiaxialParams(c=0.2, a1=4.0, gamma1=1.0))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(law=st.sampled_from(LAWS),
+           values=st.lists(st.sampled_from([0.1, 0.0, 0.3, -0.6, 1e4]),
+                           min_size=1, max_size=70))
+    def test_message_is_the_loops(self, law, values):
+        model = QlvModel.from_kernel(law, PronySpectrum(K=1.0))
+        history = StrainHistory(times=0.5 * np.arange(len(values)),
+                                values=values)
+        want = domain_error_loop(model, history)
+        if want is None:
+            model.elastic_stress(history)
+            return
+        with pytest.raises(DomainError) as info:
+            model.elastic_stress(history)
+        assert str(info.value) == want
+
+    def test_a_long_history_failing_near_its_end(self, alarm):
+        # a per-sample search takes some 20 s at this size (2-vCPU VM)
+        n, first = 10**6, 10**6 - 10
+        green = np.full(n, 0.1)
+        green[first:] = 1e4
+        model = QlvModel.from_kernel(ExponentialTensileLaw(B=10.0, C=2.0),
+                                     PronySpectrum(K=1.0))
+        history = StrainHistory(times=0.01 * np.arange(n), values=green)
+        with pytest.raises(DomainError) as scalar:
+            model.elastic.stress_green(green[first])
+        with alarm(2), pytest.raises(DomainError) as info:
+            model.elastic_stress(history)
+        assert str(info.value) == (
+            f"strain outside elastic domain at time index {first} "
+            f"(t = {history.times[first]}): {scalar.value}")
 
 
 class TestHysteresisRatio:
