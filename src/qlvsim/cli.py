@@ -7,6 +7,7 @@ errors, a float overflow or invalid operation among them."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields, replace
@@ -18,7 +19,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, QlvError
 from .kernels import KERNEL_TYPES, grid_steps, reduced_relaxation
 from .network import SystemState, simulate, steps_and_records
-from .protocols import (Series, fit_exponential_law,
+from .protocols import (Series, check_fit_terms, fit_exponential_law,
                         fit_relaxation_spectrum, frequency_sweep)
 from .seriesio import (read_series, serialize_series, write_series,
                        write_table)
@@ -41,6 +42,7 @@ def _finite(text: str) -> float:
 _finite.__name__ = "float"      # a non-number reads "invalid float value"
 
 
+@functools.cache    # built once per process: nothing it reads changes
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlvsim",
@@ -215,6 +217,10 @@ def _cmd_fit(args, cfg):
         if g is None:
             raise ConfigError([f"{args.series}: missing column "
                                "'normalized_stress' (or 'G')"])
+        try:
+            check_fit_terms(g.size, args.terms)
+        except DomainError as exc:
+            raise ConfigError([f"--terms: {exc}"]) from exc
         spectrum, diag = fit_relaxation_spectrum(series.times, g,
                                                  n_terms=args.terms)
         lines = [f"K = {spectrum.K!r}"] + [

@@ -65,6 +65,67 @@ def _numbers(v) -> bool:
         isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
 
 
+# each check converts a non-null YAML value or raises its fault as ValueError
+def _number(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"must be a number, got {v!r}")
+    if not _finite(v):
+        raise ValueError(f"must be finite, got {v!r}")
+    return float(v)
+
+
+def _integer(v, low=None, high=None):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"must be an integer, got {v!r}")
+    if low is not None and v < low:
+        raise ValueError(f"must be >= {low}, got {v}")
+    if high is not None and v > high:
+        raise ValueError(f"must be <= {high}")
+    return v
+
+
+def _index(v, n):
+    if not 0 <= _integer(v) < n:
+        raise ValueError(f"index out of range [0, {n})")
+    return v
+
+
+def _string(v, choices=None):
+    if not isinstance(v, str):
+        raise ValueError(f"must be a string, got {v!r}")
+    if choices is not None and v not in choices:
+        raise ValueError(f"must be one of {sorted(choices)}, got {v!r}")
+    return v
+
+
+def _boolean(v):
+    if not isinstance(v, bool):
+        raise ValueError(f"must be true or false, got {v!r}")
+    return v
+
+
+def _vector(v, size=None):
+    if not _numbers(v):
+        raise ValueError("must be a non-empty list of numbers")
+    if not all(map(_finite, v)):
+        raise ValueError("entries must be finite")
+    if size is not None and len(v) != size:
+        raise ValueError(f"expected {size} entries, got {len(v)}")
+    return np.asarray(v, dtype=float)
+
+
+def _matrix(v):
+    if not (isinstance(v, list) and v and all(map(_numbers, v))
+            and len({len(row) for row in v}) == 1):
+        raise ValueError("must be a non-empty rectangular list of number "
+                         "lists")
+    # inf and nan pass here: the network reports them by entry
+    try:
+        return np.asarray(v, dtype=float)
+    except OverflowError:       # an integer too large for a float
+        raise ValueError("entries must be finite") from None
+
+
 class _Validator:
     """Collects dotted-key-path error messages across the whole document."""
 
@@ -86,101 +147,20 @@ class _Validator:
                           f"unknown key (allowed: {sorted(allowed)})")
         return data
 
-    def lookup(self, section: dict, path: str, key: str, required: bool):
-        """The value at ``key``; None (an error if required) when the key is
-        missing or null."""
+    def read(self, section: dict, path: str, key: str, check, default=None,
+             required: bool = False, **limits):
+        """The value at ``key`` converted by ``check``; ``default`` if it is
+        missing or null (an error if required) or fails the check."""
         v = section.get(key)
-        if v is None and required:
-            self.fail(f"{path}.{key}", "required key missing")
-        return v
-
-    def number(self, section: dict, path: str, key: str, default=None,
-               required: bool = False):
-        v = self.lookup(section, path, key, required)
         if v is None:
+            if required:
+                self.fail(f"{path}.{key}", "required key missing")
             return default
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.fail(f"{path}.{key}", f"must be a number, got {v!r}")
-        elif not _finite(v):
-            self.fail(f"{path}.{key}", f"must be finite, got {v!r}")
-        else:
-            return float(v)
-        return default
-
-    def integer(self, section: dict, path: str, key: str, default=None,
-                required: bool = False):
-        v = self.lookup(section, path, key, required)
-        if v is None:
-            return default
-        if isinstance(v, bool) or not isinstance(v, int):
-            self.fail(f"{path}.{key}", f"must be an integer, got {v!r}")
-            return default
-        return v
-
-    def index(self, section: dict, path: str, key: str, n: int,
-              required: bool = True):
-        """An integer in [0, n)."""
-        i = self.integer(section, path, key, required=required)
-        if i is not None and not 0 <= i < n:
-            self.fail(f"{path}.{key}", f"index out of range [0, {n})")
-            return None
-        return i
-
-    def string(self, section: dict, path: str, key: str, default=None,
-               required: bool = False, choices=None):
-        v = self.lookup(section, path, key, required)
-        if v is None:
-            return default
-        if not isinstance(v, str):
-            self.fail(f"{path}.{key}", f"must be a string, got {v!r}")
-            return default
-        if choices is not None and v not in choices:
-            self.fail(f"{path}.{key}",
-                      f"must be one of {sorted(choices)}, got {v!r}")
-            return default
-        return v
-
-    def boolean(self, section: dict, path: str, key: str, default=None,
-                required: bool = False):
-        v = self.lookup(section, path, key, required)
-        if v is None:
-            return default
-        if not isinstance(v, bool):
-            self.fail(f"{path}.{key}", f"must be true or false, got {v!r}")
-            return default
-        return v
-
-    def vector(self, section: dict, path: str, key: str, required=False,
-               size: int | None = None):
-        v = self.lookup(section, path, key, required)
-        if v is None:
-            return None
-        if not _numbers(v):
-            self.fail(f"{path}.{key}", "must be a non-empty list of numbers")
-        elif not all(map(_finite, v)):
-            self.fail(f"{path}.{key}", "entries must be finite")
-        elif size is not None and len(v) != size:
-            self.fail(f"{path}.{key}", f"expected {size} entries, "
-                      f"got {len(v)}")
-        else:
-            return np.asarray(v, dtype=float)
-        return None
-
-    def matrix(self, section: dict, path: str, key: str, required=False):
-        v = self.lookup(section, path, key, required)
-        if v is None:
-            return None
-        if not (isinstance(v, list) and v and all(map(_numbers, v))
-                and len({len(row) for row in v}) == 1):
-            self.fail(f"{path}.{key}",
-                      "must be a non-empty rectangular list of number lists")
-            return None
-        # inf and nan pass here: the network reports them by entry
         try:
-            return np.asarray(v, dtype=float)
-        except OverflowError:       # an integer too large for a float
-            self.fail(f"{path}.{key}", "entries must be finite")
-            return None
+            return check(v, **limits)
+        except ValueError as exc:
+            self.fail(f"{path}.{key}", str(exc))
+            return default
 
     def construct(self, path: str, factory, *args, **kwargs):
         """Run a module constructor, converting domain errors to config
@@ -194,16 +174,15 @@ class _Validator:
     def build(self, section: dict, path: str, cls, require_all=False,
               **given):
         """A ``cls`` from the keys of ``section`` named after its fields,
-        except the fields ``given``.  Each is read by the reader of its
+        except the fields ``given``.  Each is read by the check of its
         annotation and is required if it has no default (every one is, with
         ``require_all``).  None unless every field read cleanly and the
         constructor accepted them."""
         errors = len(self.errors)
         for f in fields(cls):
             if f.name not in given:
-                value = getattr(self, _READERS[f.type])(
-                    section, path, f.name,
-                    required=require_all or f.default is MISSING)
+                value = self.read(section, path, f.name, _READERS[f.type],
+                                  required=require_all or f.default is MISSING)
                 if value is not None:
                     given[f.name] = value
         if len(self.errors) > errors:
@@ -211,10 +190,9 @@ class _Validator:
         return self.construct(path, cls, **given)
 
 
-# the _Validator reader of each field annotation; a section's keys are the
-# fields of the types it may build
-_READERS = {"float": "number", "int": "integer", "bool": "boolean",
-            "tuple[float, ...]": "vector"}
+# the check of each field annotation; a section's keys are its types' fields
+_READERS = {"float": _number, "int": _integer, "bool": _boolean,
+            "tuple[float, ...]": _vector}
 _ELASTIC_KEYS = {"kind", *(f.name for cls in ELASTIC_TYPES.values()
                            for f in fields(cls))}
 _KERNEL_KEYS = {"kind", "prony_terms",
@@ -223,7 +201,8 @@ _KERNEL_KEYS = {"kind", "prony_terms",
 
 def _build_elastic(v: _Validator, section: dict, path: str):
     sec = v.section(section, path, _ELASTIC_KEYS)
-    kind = v.string(sec, path, "kind", required=True, choices=ELASTIC_TYPES)
+    kind = v.read(sec, path, "kind", _string, required=True,
+                  choices=ELASTIC_TYPES)
     law = None if kind is None else v.build(sec, path, ELASTIC_TYPES[kind])
     # a QLV specimen is uniaxial: the biaxial energy acts through E11 alone
     return FungUniaxialLaw(law) if isinstance(law, FungBiaxialParams) else law
@@ -232,13 +211,11 @@ def _build_elastic(v: _Validator, section: dict, path: str):
 def _build_kernel(v: _Validator, section: dict, path: str):
     """Returns (kernel object, prony_terms) or (None, n)."""
     sec = v.section(section, path, _KERNEL_KEYS)
-    kind = v.string(sec, path, "kind", required=True, choices=KERNEL_TYPES)
-    n_terms = v.integer(sec, path, "prony_terms", default=64)
-    low = 2 if kind == "fung" else 1    # only a Fung spectrum is discretized
-    if not low <= n_terms <= SIZE_BUDGET:
-        v.fail(f"{path}.prony_terms", f"must be >= {low}, got {n_terms}"
-               if n_terms < low else f"must be <= {SIZE_BUDGET}")
-        n_terms = 64
+    kind = v.read(sec, path, "kind", _string, required=True,
+                  choices=KERNEL_TYPES)
+    # only a Fung spectrum is discretized
+    n_terms = v.read(sec, path, "prony_terms", _integer, default=64,
+                     low=2 if kind == "fung" else 1, high=SIZE_BUDGET)
     kernel = None if kind is None else \
         v.build(sec, path, KERNEL_TYPES[kind], require_all=True)
     return kernel, n_terms
@@ -281,8 +258,8 @@ _NETWORK_KEYS = {"masses", "stiffness", "damping", "kernels", "aero_kernels",
 
 def _build_kernel_entry(v: _Validator, item, path: str, n: int):
     sec = v.section(item, path, _KERNEL_ENTRY_KEYS)
-    i = v.index(sec, path, "i", n)
-    j = v.index(sec, path, "j", n)
+    i = v.read(sec, path, "i", _index, required=True, n=n)
+    j = v.read(sec, path, "j", _index, required=True, n=n)
     spectrum = v.build(sec, path, PronySpectrum, require_all=True)
     if None in (i, j, spectrum):
         return None
@@ -292,10 +269,10 @@ def _build_kernel_entry(v: _Validator, item, path: str, n: int):
 def _build_spring(v: _Validator, item, path: str, n: int):
     sec = v.section(item, path, _SPRING_KEYS)
     errors = len(v.errors)
-    i = v.index(sec, path, "i", n)
-    j = v.index(sec, path, "j", n, required=False)
+    i = v.read(sec, path, "i", _index, required=True, n=n)
+    j = v.read(sec, path, "j", _index, n=n)
     law = v.build(sec, path, ExponentialTensileLaw)
-    rest = v.number(sec, path, "rest_length", default=1.0)
+    rest = v.read(sec, path, "rest_length", _number, default=1.0)
     kernel = None
     if sec.get("kernel") is not None:
         ksec = v.section(sec["kernel"], f"{path}.kernel", _PRONY_KEYS)
@@ -311,14 +288,16 @@ def _build_force(v: _Validator, section: dict, n: int):
     path = "network.force"
     sec = v.section(section, path,
                     {"kind", "values", "amplitudes", "angular_frequency"})
-    kind = v.string(sec, path, "kind", required=True,
-                    choices={"constant", "sinusoid"})
+    kind = v.read(sec, path, "kind", _string, required=True,
+                  choices={"constant", "sinusoid"})
     if kind == "constant":
-        values = v.vector(sec, path, "values", required=True, size=n)
+        values = v.read(sec, path, "values", _vector, required=True,
+                        size=n)
         return None if values is None else lambda t: values
     if kind == "sinusoid":
-        amps = v.vector(sec, path, "amplitudes", required=True, size=n)
-        w = v.number(sec, path, "angular_frequency", required=True)
+        amps = v.read(sec, path, "amplitudes", _vector, required=True,
+                      size=n)
+        w = v.read(sec, path, "angular_frequency", _number, required=True)
         if amps is None or w is None:
             return None
         if w <= 0:
@@ -331,10 +310,10 @@ def _build_force(v: _Validator, section: dict, n: int):
 def _build_network(v: _Validator, section: dict) -> dict:
     """The RunConfig fields of a network specimen."""
     sec = v.section(section, "network", _NETWORK_KEYS)
-    masses = v.vector(sec, "network", "masses", required=True)
-    stiffness = v.matrix(sec, "network", "stiffness", required=True)
-    duration = v.number(sec, "network", "duration")
-    dt = v.number(sec, "network", "dt")
+    masses = v.read(sec, "network", "masses", _vector, required=True)
+    stiffness = v.read(sec, "network", "stiffness", _matrix, required=True)
+    duration = v.read(sec, "network", "duration", _number)
+    dt = v.read(sec, "network", "dt", _number)
     for name, val in (("duration", duration), ("dt", dt)):
         if val is not None and val <= 0:
             v.fail(f"network.{name}", f"must be > 0, got {val}")
@@ -343,7 +322,7 @@ def _build_network(v: _Validator, section: dict) -> dict:
     if masses is None or stiffness is None:
         return {}
     n = masses.size
-    damping = v.matrix(sec, "network", "damping")
+    damping = v.read(sec, "network", "damping", _matrix)
 
     def build_list(key, build):
         items = sec.get(key)
@@ -357,15 +336,15 @@ def _build_network(v: _Validator, section: dict) -> dict:
     kernels = build_list("kernels", _build_kernel_entry)
     aero = build_list("aero_kernels", _build_kernel_entry)
     springs = build_list("springs", _build_spring)
-    replace = v.boolean(sec, "network", "kernels_replace_damping",
-                        default=True)
+    replace = v.read(sec, "network", "kernels_replace_damping", _boolean,
+                     default=True)
     force = None
     if sec.get("force") is not None:
         force = _build_force(v, sec["force"], n)
 
     init = v.section(sec.get("initial"), "network.initial", {"q", "v"})
-    q0 = v.vector(init, "network.initial", "q", size=n)
-    v0 = v.vector(init, "network.initial", "v", size=n)
+    q0 = v.read(init, "network.initial", "q", _vector, size=n)
+    v0 = v.read(init, "network.initial", "v", _vector, size=n)
 
     if v.errors:
         return {}
@@ -385,22 +364,22 @@ _PROTOCOL_KEYS = {"max_cycles", "settle_time",
 
 def _build_protocol(v: _Validator, section: dict):
     sec = v.section(section, "protocol", _PROTOCOL_KEYS)
-    kind = v.string(sec, "protocol", "kind", required=True,
-                    choices={"tensile", "creep", "relaxation", "cyclic"})
+    kind = v.read(sec, "protocol", "kind", _string, required=True,
+                  choices={"tensile", "creep", "relaxation", "cyclic"})
     if kind is None:
         return None
     spec = v.build(sec, "protocol", ProtocolSpec, kind=kind)
     # no-ops since cyclic runs solve the steady state; still type-checked
-    v.number(sec, "protocol", "settle_time")
-    v.integer(sec, "protocol", "max_cycles")
+    v.read(sec, "protocol", "settle_time", _number)
+    v.read(sec, "protocol", "max_cycles", _integer)
     return spec
 
 
 def _build_sweep(v: _Validator, section: dict):
     sec = v.section(section, "sweep", {"start", "stop", "count"})
-    start = v.number(sec, "sweep", "start", required=True)
-    stop = v.number(sec, "sweep", "stop", required=True)
-    count = v.integer(sec, "sweep", "count", required=True)
+    start = v.read(sec, "sweep", "start", _number, required=True)
+    stop = v.read(sec, "sweep", "stop", _number, required=True)
+    count = v.read(sec, "sweep", "count", _integer, required=True)
     if None in (start, stop) or count is None:
         return None
     if start <= 0 or stop <= start:
@@ -505,9 +484,9 @@ def parse_config(text: str) -> RunConfig:
 
     out = v.section(data.get("output"), "output",
                     {"path", "stride", "precision"})
-    out_path = v.string(out, "output", "path")
-    stride = v.integer(out, "output", "stride", default=1)
-    precision = v.integer(out, "output", "precision", default=17)
+    out_path = v.read(out, "output", "path", _string)
+    stride = v.read(out, "output", "stride", _integer, default=1)
+    precision = v.read(out, "output", "precision", _integer, default=17)
     if stride is not None and stride < 1:
         v.fail("output.stride", f"must be >= 1, got {stride}")
     elif (stride is not None and specimen.get("network") is not None

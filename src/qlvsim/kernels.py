@@ -269,7 +269,9 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     nonzero first sample acts as an initial step.  One filter runs the terms
     ``_BLOCK_ROWS`` samples at a time, fewer when that many rows of states
     would exceed SIZE_BUDGET values, with each block's decay and gain from
-    its steps, or from the first step on a uniform grid.
+    its steps, or from the first step on a uniform grid.  A non-uniform
+    block also holds rows of decay, gain and their temporaries, so it takes
+    a quarter of the rows.
     """
     times = np.asarray(times, dtype=float)
     xs = np.asarray(displacement, dtype=float)
@@ -286,7 +288,8 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     h_sum = np.zeros(times.size)
     h_sum[0] = h.sum()
     uniform = is_uniform_grid(times)
-    block = max(1, min(_BLOCK_ROWS, SIZE_BUDGET // h.size))
+    block = max(1, min(_BLOCK_ROWS,
+                       SIZE_BUDGET // (h.size if uniform else 4 * h.size)))
     for start in range(0, dxs.size, block):
         stop = start + block
         dt = dts[0] if uniform else dts[start:stop, None]

@@ -435,6 +435,16 @@ def fit_exponential_law(stretch, stress) -> tuple[ExponentialTensileLaw, dict]:
     return law, diagnostics
 
 
+def check_fit_terms(rows: int, n_terms: int) -> None:
+    """Check a spectrum fit's term count, and its rows x (n_terms + 1)
+    design matrix against SIZE_BUDGET, before anything is allocated."""
+    if n_terms < 1:
+        raise DomainError(f"term count must be >= 1, got {n_terms}")
+    if rows * (n_terms + 1) > SIZE_BUDGET:
+        raise DomainError(f"rows x (terms + 1) must be <= {SIZE_BUDGET}, "
+                          f"got {rows} x {n_terms + 1}")
+
+
 def fit_relaxation_spectrum(times, values, n_terms: int,
                             frequencies=None) -> tuple[PronySpectrum, dict]:
     """Non-negative least squares fit of a Prony series to normalized
@@ -449,6 +459,7 @@ def fit_relaxation_spectrum(times, values, n_terms: int,
     g = np.asarray(values, dtype=float)
     if t.size < 2 or g.shape != t.shape:
         raise DomainError("need matching time and value arrays with >= 2 samples")
+    check_fit_terms(t.size, n_terms)
     if t[0] != 0.0 or abs(g[0] - 1.0) > 1e-9:
         raise DomainError("relaxation series must start at (0, 1); "
                           "normalize before fitting")

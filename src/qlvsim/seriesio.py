@@ -37,18 +37,20 @@ def format_value(x: float, precision: int = _DEFAULT_PRECISION) -> str:
 def _csv_blocks(names, columns, precision: int):
     """Header line, then blocks of rows, of equal-length columns as CSV
     text.  Checks the data before returning, so a caller can open its
-    output afterwards."""
-    data = np.column_stack(columns).astype(float, copy=False)
-    if np.isnan(data).any():
+    output afterwards; only one block of rows is copied at a time."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if any(np.isnan(c).any() for c in columns):
         raise DomainError("cannot serialize NaN")
-    data += 0.0     # -0 becomes 0; '%g' then equals format_value per value
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(names)
-    row = ",".join([f"%.{precision}g"] * data.shape[1]) + "\n"
-    blocks = (data[i:i + _BLOCK_ROWS]
-              for i in range(0, len(data), _BLOCK_ROWS))
-    return chain([header.getvalue()],
-                 ((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks))
+    row = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
+
+    def blocks():
+        for i in range(0, len(columns[0]), _BLOCK_ROWS):
+            data = np.column_stack([c[i:i + _BLOCK_ROWS] for c in columns])
+            data += 0.0     # -0 becomes 0; '%g' then equals format_value
+            yield (row * len(data)) % tuple(data.ravel().tolist())
+    return chain([header.getvalue()], blocks())
 
 
 def _table(series: Series):

@@ -10,9 +10,9 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import qlvsim
-from qlvsim.cli import cli_main
+from qlvsim.cli import _build_parser, cli_main
 from qlvsim.config import parse_config
-from qlvsim.seriesio import read_series, write_series
+from qlvsim.seriesio import read_series, serialize_series, write_series
 from qlvsim.protocols import Series
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -187,6 +187,9 @@ class TestStartup:
             assert cli_main(["relax", "--config", str(RELAX_CFG),
                              "--out", relaxation]) == 0
         assert "scipy.signal" not in scipy_at_exit(argv)
+
+    def test_parser_is_built_once_per_process(self):
+        assert _build_parser() is _build_parser()
 
 
 class TestValidate:
@@ -592,6 +595,27 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
 
+    @pytest.mark.parametrize("terms", ["-1", "0"])
+    def test_fit_spectrum_needs_a_term(self, tmp_path, capsys, terms):
+        path = tmp_path / "relax.csv"
+        path.write_text("time,G\n0,1\n1,0.8\n2,0.7\n")
+        assert cli_main(["fit", "spectrum", str(path), "--terms", terms]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --terms: term count must be >= 1, got {terms}\n"
+
+    def test_fit_spectrum_design_matrix_over_the_budget(self, tmp_path,
+                                                        capsys, alarm):
+        t = np.linspace(0.0, 10.0, 1001)
+        path = tmp_path / "relax.csv"
+        write_series(path, Series(times=t,
+                                  columns={"G": 0.5 + 0.5 * np.exp(-t)}))
+        with alarm(5):      # rejected before a 1001 x 10001 matrix is built
+            assert cli_main(["fit", "spectrum", str(path),
+                             "--terms", "10000"]) == 2
+        assert capsys.readouterr().err == ("error: --terms: rows x (terms + "
+                                           "1) must be <= 10000000, got "
+                                           "1001 x 10001\n")
+
     def test_fit_missing_column(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         write_series(path, Series(times=np.array([0.0, 1.0]),
@@ -679,12 +703,39 @@ KERNEL_CASES = [(kind, name) for kind, flags in KERNEL_FLAGS.items()
                 for name in (*flags, "duration", "dt")]
 FLAG_VALUES = ["-1", "0", "1e300", "-1e300", "1e-300", str(2**63), "x", "",
                "nan", "inf", "2,1", "1,x"]
+TERMS = ["-1", "0", "1", "2", "8", "64", str(2**63), str(-2**63), "x", "",
+         "1.5"]
+
+
+def fit_csv() -> bytes:
+    """A small series that both fits accept: time, stretch, stress and a
+    normalized relaxation."""
+    t = np.linspace(0.0, 1.0, 16)
+    stretch = 1.0 + 0.3 * t
+    return serialize_series(Series(times=t, columns={
+        "stretch": stretch, "stress": 0.2 * np.expm1(10.0 * (stretch - 1.0)),
+        "normalized_stress": 0.5 + 0.5 * np.exp(-3.0 * t)})).encode()
+
+
+def mutated(data: bytes, edits) -> bytes:
+    """``data`` with each (op, position, byte) edit applied in turn: flip a
+    bit of, insert before or delete the byte at the position."""
+    out = bytearray(data)
+    for op, pos, byte in edits:
+        if op == "insert":
+            out.insert(pos % (len(out) + 1), byte)
+        elif out and op == "flip":
+            out[pos % len(out)] ^= 1 << byte % 8
+        elif out:
+            del out[pos % len(out)]
+    return bytes(out)
 
 
 class TestExitCodeContract:
-    """Whatever one leaf of a shipped config or one kernels flag holds,
-    cli_main exits 0, 1 or 2, raises nothing, and a non-zero exit says why
-    on an error line.  Each call runs under an alarm, so a hang fails."""
+    """Whatever one leaf of a shipped config, one kernels flag, or a fit's
+    CSV bytes and --terms hold, cli_main exits 0, 1 or 2, raises nothing,
+    and a non-zero exit says why on an error line.  Each call runs under an
+    alarm, so a hang fails."""
 
     @staticmethod
     def check(argv, capsys, alarm):
@@ -710,6 +761,20 @@ class TestExitCodeContract:
         for run in (command, "validate"):
             self.check([run, "--config", str(cfg),
                         "--out", str(tmp_path / "out.csv")], capsys, alarm)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["exponential", "spectrum"]),
+           terms=st.sampled_from(TERMS),
+           edits=st.lists(st.tuples(
+               st.sampled_from(["flip", "insert", "delete"]),
+               st.integers(0, 2**16), st.integers(0, 255)), max_size=4))
+    @example(kind="spectrum", terms="-1", edits=[])
+    @example(kind="spectrum", terms="0", edits=[])
+    def test_fit(self, tmp_path, capsys, alarm, kind, terms, edits):
+        path = tmp_path / "in.csv"
+        path.write_bytes(mutated(fit_csv(), edits))
+        self.check(["fit", kind, str(path), "--terms", terms], capsys, alarm)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture])

@@ -474,6 +474,23 @@ class TestFilterBudget:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * SIZE_BUDGET
 
+    def test_non_uniform_blocks_within_twice_the_budget(self, monkeypatch):
+        # a non-uniform block also holds rows of decay, gain and their
+        # temporaries: blocks sized by the states alone peaked at 6.2x
+        spectrum = self.spectrum(20_000)
+        times = non_uniform_times(1, 0.01, 256)
+        xs = signal(1, 256)
+        want = kernel_force_history(spectrum, times, xs)
+        monkeypatch.setattr(kernels, "SIZE_BUDGET", 1_000_000)
+        tracemalloc.start()
+        try:
+            got = kernel_force_history(spectrum, times, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * 1_000_000
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("uniform", [True, False],
                              ids=["uniform", "non-uniform"])
     def test_smaller_blocks_give_the_same_bits(self, monkeypatch, uniform):

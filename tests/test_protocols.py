@@ -13,6 +13,7 @@ from qlvsim.kernels import (FungSpectrum, KelvinParams, MaxwellParams,
                             kernel_force_history, maxwell_relaxation,
                             periodic_force_history, prony_relaxation,
                             prony_step, voigt_creep)
+from qlvsim import protocols
 from qlvsim.protocols import (ProtocolSpec, _element_relaxation,
                               _loop_hysteresis, _offset_yield,
                               fit_exponential_law, fit_relaxation_spectrum,
@@ -533,6 +534,21 @@ class TestFitSpectrum:
         coeffs, _ = nnls(A, g)
         assert np.array_equal([fitted.K, *fitted.amplitudes], coeffs)
         assert diag["max_error"] == float(np.max(np.abs(A @ coeffs - g)))
+
+    @pytest.mark.parametrize("terms", [-1, 0])
+    def test_needs_a_term(self, terms):
+        t = np.linspace(0.0, 5.0, 20)
+        with pytest.raises(DomainError,
+                           match=f"term count must be >= 1, got {terms}"):
+            fit_relaxation_spectrum(t, np.exp(-t), terms)
+
+    def test_design_matrix_over_the_budget(self, monkeypatch):
+        monkeypatch.setattr(protocols, "SIZE_BUDGET", 100)
+        t = np.linspace(0.0, 5.0, 20)
+        fit_relaxation_spectrum(t, np.exp(-t), 4)      # 20 x 5 values
+        with pytest.raises(DomainError, match="rows x \\(terms \\+ 1\\) "
+                           "must be <= 100, got 20 x 6"):
+            fit_relaxation_spectrum(t, np.exp(-t), 5)
 
     def test_unnormalized_rejected(self):
         t = np.linspace(0.0, 5.0, 20)

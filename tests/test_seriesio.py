@@ -1,5 +1,6 @@
 import csv
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -93,6 +94,20 @@ class TestWrite:
         with mock.patch.object(seriesio, "_BLOCK_ROWS", block):
             text = serialize_series(series, precision)
         assert text == per_value_csv(names, columns, precision)
+
+    def test_writer_copies_one_block_not_the_table(self, tmp_path):
+        # 5e4 rows x 2 columns: a stacked copy of the table and its NaN mask
+        # would take 0.9 MB, a block of 1024 rows (and its text) much less
+        t = np.arange(50_000) * 0.01
+        series = Series(times=t, columns={"x": np.sin(t)})
+        tracemalloc.start()
+        try:
+            with mock.patch.object(seriesio, "_BLOCK_ROWS", 1024):
+                write_series(tmp_path / "s.csv", series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (t.nbytes + series.columns["x"].nbytes)
 
     def test_blocks_equal_per_value_formatting_at_full_size(self):
         rng = np.random.default_rng(3)
