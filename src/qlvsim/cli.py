@@ -70,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="exponential tensile law or relaxation spectrum")
     fit.add_argument("series", help="input CSV: time plus stretch,stress "
                      "(exponential) or normalized_stress (spectrum)")
-    fit.add_argument("--terms", type=int, default=8,
-                     help="Prony term count for spectrum fits")
+    fit.add_argument("--terms", type=int,
+                     help="Prony term count of a spectrum fit (default 8)")
     fit.add_argument("--out", help="write the fit summary here instead of "
                      "stdout")
 
@@ -204,6 +204,8 @@ def _cmd_simulate(args, cfg: RunConfig):
 
 
 def _cmd_fit(args, cfg):
+    if args.kind == "exponential" and args.terms is not None:
+        raise ConfigError(["--terms: only fit spectrum takes --terms"])
     series = read_series(args.series)
     cols = series.columns
     if args.kind == "exponential":
@@ -217,12 +219,13 @@ def _cmd_fit(args, cfg):
         if g is None:
             raise ConfigError([f"{args.series}: missing column "
                                "'normalized_stress' (or 'G')"])
+        terms = 8 if args.terms is None else args.terms
         try:
-            check_fit_terms(g.size, args.terms)
+            check_fit_terms(g.size, terms)
         except DomainError as exc:
             raise ConfigError([f"--terms: {exc}"]) from exc
         spectrum, diag = fit_relaxation_spectrum(series.times, g,
-                                                 n_terms=args.terms)
+                                                 n_terms=terms)
         lines = [f"K = {spectrum.K!r}"] + [
             f"term frequency={f!r} amplitude={a!r}"
             for a, f in zip(spectrum.amplitudes, spectrum.frequencies)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import ExponentialTensileLaw
+from .constitutive import _EXP_ARG_MAX, ExponentialTensileLaw
 from .errors import DomainError, NumericalError, StabilityError
 # kernel_force_history is re-exported for callers of the network API
 from .kernels import (SIZE_BUDGET, PronySpectrum, grid_steps,
@@ -149,15 +149,15 @@ def _scatter(ends: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Stack:
-    """Every Prony term of a system in one flat spectrum, plus the maps
-    from terms and springs to force rows.
+    """Every Prony term of a system in one flat spectrum, the maps from
+    terms and springs to force rows, and the springs' laws.
 
     The owners of the terms are the memory entries, the relaxing springs
     and the aero entries, in that order.  Term k belongs to owner
     ``owner[k]`` and is driven by the increment of z[source[k]], where z
-    is q followed by the springs' elastic forces.  An owner's force is the
-    sum of its terms' internal variables (plus K q[j] for aero entries),
-    applied at its ``ends`` row pair.
+    is q followed by the springs' elastic forces (:meth:`drives`).  An
+    owner's force is the sum of its terms' internal variables (plus K q[j]
+    for aero entries), applied at its ``ends`` row pair.
     """
 
     amplitudes: np.ndarray
@@ -168,7 +168,9 @@ class _Stack:
     n_internal: int              # owners before the aero entries
     aero_K: np.ndarray
     aero_j: np.ndarray
+    springs: tuple
     spring_ends: np.ndarray      # (springs, 2)
+    spring_law: np.ndarray       # rows: rest length, B, C/B
     spring_scale: np.ndarray     # equilibrium fraction of each spring's force
 
     @classmethod
@@ -213,9 +215,27 @@ class _Stack:
             n_internal=len(mem) + len(relaxing),
             aero_K=np.array([e.spectrum.K for e in aero]),
             aero_j=ij[len(mem):, 1],
+            springs=springs,
             spring_ends=spring_ends,
+            spring_law=np.array([(s.rest_length, s.law.B, s.law.C / s.law.B)
+                                 for s in springs]).reshape(-1, 3).T,
             spring_scale=np.array([1.0 if s.kernel is None else s.kernel.K
                                    for s in springs]))
+
+    def drives(self, q: np.ndarray) -> np.ndarray:
+        """q followed by every spring's elastic force, in one expression."""
+        if not self.springs:
+            return q
+        ends = np.append(q, 0.0)         # row n is the ground
+        (i, j), (length, B, c) = self.spring_ends.T, self.spring_law
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = 1.0 + (ends[i] - ends[j]) / length
+            arg = B * (lam - 1.0)
+            force = c * np.expm1(arg)
+        if not (lam.min() > 0 and arg.max() <= _EXP_ARG_MAX
+                and np.isfinite(force).all()):   # the first fault raises
+            force = [s.elastic_force(q) for s in self.springs]
+        return np.concatenate((q, force))
 
 
 @dataclass(frozen=True)
@@ -401,13 +421,9 @@ def simulate(system: SpringMassSystem, state: SystemState,
     beta = system.damping if system.damping_active else None
     if beta is not None:
         # lazy: only damped runs need scipy.linalg
-        from scipy.linalg import lu_factor, lu_solve
-        lu = lu_factor(np.diag(m) + 0.5 * dt * beta)
-
-    def inputs(q):
-        """q followed by the springs' elastic forces: the terms' drives."""
-        return np.concatenate(
-            (q, [s.elastic_force(q) for s in system.nonlinear_springs]))
+        from scipy.linalg import get_lapack_funcs, lu_factor
+        lu, piv = lu_factor(np.diag(m) + 0.5 * dt * beta)
+        getrs, = get_lapack_funcs(("getrs",), (lu,))
 
     def forces(t, z, h):
         """External, aero and memory forces, and the net force without
@@ -422,7 +438,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
         return f_ext, aero, memory, (f_ext + aero) - (K @ q + memory + springs)
 
     t, q, v, h = state.time, state.q, state.v, state.h
-    z = inputs(q)
+    z = st.drives(q)
     f_ext, aero, memory, f = forces(t, z, h)
     damp = 0.0 if beta is None else beta @ v
     work = diss = 0.0
@@ -438,14 +454,17 @@ def simulate(system: SpringMassSystem, state: SystemState,
     for i in range(n_steps):
         v_half = v + 0.5 * dt * ((f - damp) / m)
         q_new = q + dt * v_half
-        z_new = inputs(q_new)
+        z_new = st.drives(q_new)
         h = decay * h + gain * (z_new - z)[st.source]
         f_ext1, aero1, memory1, f1 = forces(t + dt, z_new, h)
         if beta is None:
             v_new = v_half + 0.5 * dt * f1 / m
             damp1 = 0.0
         else:
-            v_new = lu_solve(lu, m * v_half + 0.5 * dt * f1)
+            v_new, info = getrs(lu, piv, np.asarray_chkfinite(
+                m * v_half + 0.5 * dt * f1))
+            if info:
+                raise ValueError(f"getrs: illegal value in argument {-info}")
             damp1 = beta @ v_new
         dq = q_new - q
         work += float(np.dot(0.5 * (f_ext + f_ext1) + 0.5 * (aero + aero1), dq))
@@ -462,5 +481,11 @@ def simulate(system: SpringMassSystem, state: SystemState,
 
 def step(system: SpringMassSystem, state: SystemState,
          dt: float) -> SystemState:
-    """Advance one velocity-Verlet step: :func:`simulate` over one ``dt``."""
+    """Advance one velocity-Verlet step: :func:`simulate` over one ``dt``.
+
+    Each call pays a whole run's setup: the decay and gain of ``prony_step``,
+    the LU factor of a damped system, a start-of-step force evaluation and
+    two records (the stability bound is cached on the system).  That is two
+    to five times a step inside :func:`simulate`, so loops belong there.
+    """
     return simulate(system, state, dt, dt).final_state

@@ -451,6 +451,34 @@ class TestSimulate:
             capsys.readouterr().err
         assert not out.exists()
 
+    PAIR = "{i: 0, j: 1, B: 2.0, C: 0.5}"
+    STIFF = "{i: 1, B: 400.0, C: 0.5}"
+
+    @pytest.mark.parametrize("springs, q, message", [
+        (f"{PAIR}, {STIFF}", "-1.5, 0.0", "stretch must be > 0, got min -0.5"),
+        (f"{PAIR}, {STIFF}", "2.0, 2.0",
+         "exponent B*(lambda-1) = 800.0 overflows; offending stretch 3.0"),
+        (f"{PAIR}, {STIFF}", "0.5, 2.0", "stretch must be > 0, got min -0.5"),
+        (f"{STIFF}, {PAIR}", "0.5, 2.0",
+         "exponent B*(lambda-1) = 800.0 overflows; offending stretch 3.0"),
+        ("{i: 1, B: 1.0, C: 1.0e+300}", "0.0, 600.0",
+         "overflow encountered in scalar multiply"),
+    ], ids=["compressed", "overflowing", "compressed-first",
+            "overflowing-first", "force-overflows"])
+    def test_spring_out_of_its_domain(self, tmp_path, capsys, springs, q,
+                                      message):
+        # the first faulty spring's own error, as one call per spring gives
+        path = write_cfg(tmp_path, "network:\n  masses: [1.0, 1.0]\n"
+                         "  stiffness: [[2.0, -1.0], [-1.0, 1.0]]\n"
+                         "  damping: [[0.1, 0.0], [0.0, 0.1]]\n"
+                         f"  springs: [{springs}]\n  initial: {{q: [{q}]}}\n"
+                         "  duration: 1.0\n  dt: 0.01\n")
+        out = tmp_path / "sim.csv"
+        assert cli_main(["simulate", "--config", str(path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestSweep:
     def test_sweep_writes_frequency_table(self, tmp_path, capsys):
@@ -616,6 +644,21 @@ class TestFit:
                                            "1) must be <= 10000000, got "
                                            "1001 x 10001\n")
 
+    @pytest.mark.parametrize("terms", ["-1", "8"])
+    def test_fit_exponential_takes_no_terms(self, tmp_path, capsys, terms):
+        path = tmp_path / "tensile.csv"
+        path.write_bytes(fit_csv())
+        assert cli_main(["fit", "exponential", str(path),
+                         "--terms", terms]) == 2
+        assert capsys.readouterr().err == \
+            "error: --terms: only fit spectrum takes --terms\n"
+
+    def test_fit_spectrum_defaults_to_eight_terms(self, tmp_path, capsys):
+        path = tmp_path / "relax.csv"
+        path.write_bytes(fit_csv())
+        assert cli_main(["fit", "spectrum", str(path)]) == 0
+        assert capsys.readouterr().out.count("term frequency=") == 8
+
     def test_fit_missing_column(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         write_series(path, Series(times=np.array([0.0, 1.0]),
@@ -771,6 +814,7 @@ class TestExitCodeContract:
                st.integers(0, 2**16), st.integers(0, 255)), max_size=4))
     @example(kind="spectrum", terms="-1", edits=[])
     @example(kind="spectrum", terms="0", edits=[])
+    @example(kind="exponential", terms="-1", edits=[])
     def test_fit(self, tmp_path, capsys, alarm, kind, terms, edits):
         path = tmp_path / "in.csv"
         path.write_bytes(mutated(fit_csv(), edits))

@@ -495,3 +495,232 @@ class TestNonlinearSpring:
         with pytest.raises(DomainError):
             NonlinearSpring(i=0, j=None, law=law,
                             kernel=PronySpectrum(K=2.0))
+
+
+def _scatter_copy(ends, values, n):
+    signed = np.multiply.outer(values, (1.0, -1.0))
+    return np.bincount(ends.ravel(), signed.ravel(), minlength=n + 1)[:n]
+
+
+def reference_simulate(system, state, duration, dt, record_stride=1):
+    """The step loop of :func:`simulate` with one ``elastic_force`` call per
+    spring and force evaluation, every force group scattered even when it
+    is empty, and ``scipy.linalg.lu_solve`` for the damped update.  Returns
+    the record table in CSV column order and the final (t, q, v, h)."""
+    from scipy.linalg import lu_factor, lu_solve
+    st_, springs = system._stack, system.nonlinear_springs
+    n, m, K, k = system.n, system.masses, system.stiffness, st_.n_internal
+    n_steps, _ = steps_and_records(n, duration, dt, record_stride)
+    decay = prony_step(st_, 1.0, dt, 0.0)
+    gain = prony_step(st_, 0.0, dt, 1.0)
+    beta = system.damping if system.damping_active else None
+    if beta is not None:
+        lu = lu_factor(np.diag(m) + 0.5 * dt * beta)
+
+    def inputs(q):
+        return np.concatenate((q, [s.elastic_force(q) for s in springs]))
+
+    def forces(t, z, h):
+        q = z[:n]
+        owned = np.bincount(st_.owner, h, minlength=len(st_.ends))
+        memory = _scatter_copy(st_.ends[:k], owned[:k], n)
+        aero = _scatter_copy(st_.ends[k:],
+                             st_.aero_K * q[st_.aero_j] + owned[k:], n)
+        pull = _scatter_copy(st_.spring_ends, st_.spring_scale * z[n:], n)
+        f_ext = system.external_force_at(t)
+        return f_ext, aero, memory, (f_ext + aero) - (K @ q + memory + pull)
+
+    t, q, v, h = state.time, state.q, state.v, state.h
+    z = inputs(q)
+    f_ext, aero, memory, f = forces(t, z, h)
+    damp = 0.0 if beta is None else beta @ v
+    work = diss = 0.0
+    rows = []
+
+    def record():
+        rows.append(np.concatenate(([t], q, v, [
+            0.5 * float(np.dot(m, v * v)), 0.5 * float(q @ K @ q),
+            work, diss])))
+
+    record()
+    for i in range(n_steps):
+        v_half = v + 0.5 * dt * ((f - damp) / m)
+        q_new = q + dt * v_half
+        z_new = inputs(q_new)
+        h = decay * h + gain * (z_new - z)[st_.source]
+        f_ext1, aero1, memory1, f1 = forces(t + dt, z_new, h)
+        if beta is None:
+            v_new = v_half + 0.5 * dt * f1 / m
+            damp1 = 0.0
+        else:
+            v_new = lu_solve(lu, m * v_half + 0.5 * dt * f1)
+            damp1 = beta @ v_new
+        dq = q_new - q
+        work += float(np.dot(0.5 * (f_ext + f_ext1) + 0.5 * (aero + aero1),
+                             dq))
+        diss += float(np.dot(0.5 * ((memory + damp) + (memory1 + damp1)),
+                             dq))
+        t, q, v, z = t + dt, q_new, v_new, z_new
+        f_ext, aero, memory, f, damp = f_ext1, aero1, memory1, f1, damp1
+        if (i + 1) % record_stride == 0 or i == n_steps - 1:
+            record()
+    return np.array(rows), (t, q, v, h)
+
+
+class TestReferenceLoop:
+    """simulate against the per-spring reference loop, bit for bit: every
+    record column (so every CSV byte) and the final state."""
+
+    GROUPS = ["damping", "memory", "aero", "springs", "force"]
+
+    def system(self, without=()):
+        K = np.array([[3.0, -1.0, 0.0, 0.0], [-1.0, 3.0, -1.0, 0.0],
+                      [0.0, -1.0, 3.0, -1.0], [0.0, 0.0, -1.0, 2.0]])
+        amp = np.array([0.0, 0.05, 0.0, 0.1])
+        groups = {
+            "damping": {"damping": 0.05 * np.eye(4)
+                        + 0.01 * np.eye(4, k=1)},
+            "memory": {"memory_kernels": (
+                KernelEntry(3, 3, PronySpectrum(
+                    K=2.0, amplitudes=(0.5, 0.2), frequencies=(2.0, 7.0))),
+                KernelEntry(1, 2, PronySpectrum(
+                    K=-1.0, amplitudes=(0.1,), frequencies=(1.0,))))},
+            "aero": {"aero_kernels": (KernelEntry(2, 0, PronySpectrum(
+                K=0.1, amplitudes=(0.2,), frequencies=(3.0,))),)},
+            "springs": {"nonlinear_springs": (
+                NonlinearSpring(0, 1, ExponentialTensileLaw(B=3.0, C=0.2),
+                                kernel=PronySpectrum(
+                                    K=0.5, amplitudes=(0.3, 0.2),
+                                    frequencies=(2.0, 6.0))),
+                NonlinearSpring(2, 3, ExponentialTensileLaw(B=2.0, C=0.5),
+                                rest_length=0.8),
+                NonlinearSpring(3, None, ExponentialTensileLaw(B=1.0,
+                                                               C=0.3)))},
+            "force": {"external_force":
+                      lambda t: amp * math.sin(0.7 * t)},
+        }
+        kwargs = {key: value for name, group in groups.items()
+                  if name not in without for key, value in group.items()}
+        return SpringMassSystem(masses=[1.0, 2.0, 0.5, 1.5], stiffness=K,
+                                kernels_replace_damping=False, **kwargs)
+
+    def check(self, system, duration=2.0, dt=0.01, stride=3):
+        state = SystemState.initial(system, q=[0.1, -0.05, 0.02, 0.08],
+                                    v=[0.0, 0.3, -0.2, 0.1])
+        got = simulate(system, state, duration, dt, record_stride=stride)
+        table, final = reference_simulate(system, state, duration, dt,
+                                          stride)
+        columns = [got.times, *got.q.T, *got.v.T, got.kinetic, got.elastic,
+                   got.external_work, got.dissipation]
+        assert len(columns) == table.shape[1]
+        for column, want in zip(columns, table.T):
+            assert np.array_equal(column, want)
+            assert column.tobytes() == np.ascontiguousarray(want).tobytes()
+        for name, want in zip(("time", "q", "v", "h"), final):
+            assert np.asarray(getattr(got.final_state, name)).tobytes() == \
+                np.asarray(want).tobytes(), name
+
+    def test_every_force_group(self):
+        self.check(self.system())
+
+    @pytest.mark.parametrize("group", GROUPS + ["all"])
+    def test_each_group_empty_in_turn(self, group):
+        self.check(self.system(self.GROUPS if group == "all" else (group,)))
+
+    def test_memory_replacing_damping(self):
+        system = self.system()
+        self.check(SpringMassSystem(
+            masses=system.masses, stiffness=system.stiffness,
+            damping=system.damping, memory_kernels=system.memory_kernels,
+            nonlinear_springs=system.nonlinear_springs))
+
+
+class TestStackedSprings:
+    """``_Stack.drives``, the springs' elastic forces evaluated all at
+    once, against one ``elastic_force`` call per spring, bit for bit."""
+
+    @staticmethod
+    def system(n, springs):
+        return SpringMassSystem(masses=np.ones(n), stiffness=np.zeros((n, n)),
+                                nonlinear_springs=tuple(springs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 5), data=st.data(),
+           springs=st.lists(st.tuples(
+               st.integers(0, 4), st.none() | st.integers(0, 4),
+               st.floats(0.1, 50.0), st.floats(1e-3, 10.0),
+               st.floats(0.5, 10.0)), min_size=1, max_size=40))
+    def test_forces_equal_one_call_per_spring(self, n, data, springs):
+        springs = [NonlinearSpring(i % n, None if j is None else j % n,
+                                   ExponentialTensileLaw(B=B, C=C),
+                                   rest_length=length)
+                   for i, j, B, C, length in springs]
+        q = np.array(data.draw(st.lists(st.floats(-0.2, 0.2), min_size=n,
+                                        max_size=n)))
+        z = self.system(n, springs)._stack.drives(q)
+        assert z[:n].tobytes() == q.tobytes()
+        want = np.array([s.elastic_force(q) for s in springs])
+        assert z[n:].tobytes() == want.tobytes()
+        # the vector expm1 of every length up to 40 is the 0-d one
+        args = np.array([s.law.B * (1.0 + s.elongation(q) / s.rest_length
+                                    - 1.0) for s in springs])
+        assert np.expm1(args).tobytes() == \
+            np.array([np.expm1(np.asarray(a)) for a in args]).tobytes()
+
+    COMPRESSED = NonlinearSpring(0, None, ExponentialTensileLaw(B=2.0, C=0.5))
+    OVERFLOWING = NonlinearSpring(1, None,
+                                  ExponentialTensileLaw(B=400.0, C=0.5))
+    HEALTHY = NonlinearSpring(1, None, ExponentialTensileLaw(B=1.0, C=0.3))
+    # exponent 704: over the law's cap, but the force is still finite
+    JUST_OVER = NonlinearSpring(1, None, ExponentialTensileLaw(B=352.0, C=0.5))
+
+    @pytest.mark.parametrize("faulty, message", [
+        ((COMPRESSED, OVERFLOWING), "stretch must be > 0, got min -0.5"),
+        ((OVERFLOWING, COMPRESSED),
+         "exponent B*(lambda-1) = 800.0 overflows; offending stretch 3.0"),
+        ((JUST_OVER,),
+         "exponent B*(lambda-1) = 704.0 overflows; offending stretch 3.0"),
+    ], ids=["compressed-first", "overflowing-first", "finite-over-the-cap"])
+    def test_first_faulty_spring_raises_its_own_error(self, faulty, message):
+        springs = (self.HEALTHY, *faulty, self.HEALTHY)
+        q = np.array([-1.5, 2.0])   # stretches 1 + q[0] and 1 + q[1]
+        with pytest.raises(DomainError) as scalar:
+            for s in springs:
+                s.elastic_force(q)
+        assert str(scalar.value) == message
+        system = self.system(2, springs)
+        with pytest.raises(DomainError) as stacked:
+            system._stack.drives(q)
+        assert str(stacked.value) == message
+        with pytest.raises(DomainError) as run:
+            simulate(system, SystemState.initial(system, q=q), 1.0, 0.5)
+        assert str(run.value) == message
+
+    def test_fault_in_a_run_matches_the_reference_loop(self):
+        # a spring compressed past a stretch of 0 a few steps into the run
+        system = SpringMassSystem(
+            masses=[1.0, 1.0], stiffness=[[2.0, -1.0], [-1.0, 1.0]],
+            damping=0.1 * np.eye(2), nonlinear_springs=(
+                NonlinearSpring(1, None, ExponentialTensileLaw(B=1.0, C=0.1)),
+                NonlinearSpring(0, 1, ExponentialTensileLaw(B=2.0, C=0.5),
+                                rest_length=0.5)))
+        state = SystemState.initial(system, v=[-20.0, 5.0])
+        with pytest.raises(DomainError) as want:
+            reference_simulate(system, state, 1.0, 0.01)
+        with pytest.raises(DomainError) as got:
+            simulate(system, state, 1.0, 0.01)
+        assert "stretch must be > 0" in str(want.value)
+        assert str(got.value) == str(want.value)
+
+
+class TestDampedSolve:
+    def test_non_finite_right_hand_side_raises(self):
+        # the external force turns infinite after the first step; the
+        # damped update rejects the right-hand side before solving
+        system = SpringMassSystem(
+            masses=[1.0, 1.0], stiffness=[[2.0, -1.0], [-1.0, 1.0]],
+            damping=0.1 * np.eye(2),
+            external_force=lambda t: [0.0, math.inf if t > 0 else 0.0])
+        with pytest.raises(ValueError,
+                           match="^array must not contain infs or NaNs$"):
+            simulate(system, SystemState.initial(system), 1.0, 0.01)
