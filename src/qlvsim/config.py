@@ -10,6 +10,7 @@ stopping at the first; unknown keys are rejected.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields
 
@@ -65,10 +66,18 @@ def _numbers(v) -> bool:
         isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
 
 
+# a number to float() that YAML 1.1 reads as text: its exponent has no sign
+_UNSIGNED_EXPONENT = re.compile(
+    r"([-+]?)(?=\.?[0-9])([0-9]*)\.?([0-9]*)[eE]([0-9]+)\Z").match
+
+
 # each check converts a non-null YAML value or raises its fault as ValueError
 def _number(v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"must be a number, got {v!r}")
+        m = isinstance(v, str) and _UNSIGNED_EXPONENT(v)
+        raise ValueError(f"must be a number, got {v!r}" + (
+            " (YAML reads an exponent without a sign as text; write "
+            f"{m[1]}{m[2] or 0}.{m[3] or 0}e+{m[4]})" if m else ""))
     if not _finite(v):
         raise ValueError(f"must be finite, got {v!r}")
     return float(v)
@@ -392,11 +401,30 @@ def _build_sweep(v: _Validator, section: dict):
     return np.logspace(math.log10(start), math.log10(stop), count)
 
 
-_TOP_KEYS = {"model", "network", "protocol", "sweep", "output"}
+class _Decimals:
+    """Loader mixin: ``float(value)`` builds each _DECIMAL (a YAML 1.1 float
+    with no '_', ':', inf or nan) in a sequence as the base would: a digit or
+    sign resolves float first; construct_yaml_float is sign*float(rest), the
+    same bits, never raising; !!float too; no float is ever anchored."""
+    def resolve(self, kind, value, implicit):   # a bool for collections
+        if kind is yaml.ScalarNode and implicit[0] and _DECIMAL(value):
+            return "tag:yaml.org,2002:float"
+        return super().resolve(kind, value, implicit)
 
-# libyaml's loader and emitter where the platform has them, the pure-Python
-# ones otherwise
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    def construct_sequence(self, node, deep=False):
+        if node.id != "sequence":
+            return super().construct_sequence(node, deep)   # raises
+        return [float(c.value) if c.tag == "tag:yaml.org,2002:float"
+                and c.id == "scalar" and _DECIMAL(c.value)
+                else self.construct_object(c, deep) for c in node.value]
+
+
+_TOP_KEYS = {"model", "network", "protocol", "sweep", "output"}
+_DECIMAL = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?\Z").match
+
+# libyaml's loader (with _Decimals) and emitter if PyYAML has them
+_LOADER = type("_Loader", (_Decimals, getattr(yaml, "CSafeLoader",
+                                              yaml.SafeLoader)), {})
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 # libyaml composes nested collections by C recursion, which overflows the
 # stack (a crash, not an exception) some 20k levels deep.  No valid config

@@ -137,12 +137,28 @@ def qlv_stress_direct(model: QlvModel, history: StrainHistory,
     G(t_i - midpoint) * (elastic stress increment over the interval).
     The kernel is re-evaluated for every (time, interval) pair.
     """
-    g = {"relaxation": model.relaxation.value,
-         "prony": lambda t: prony_relaxation(model.prony, t)}.get(kernel)
+    t = history.times
+    s = model.prony
+    amps, rates = np.asarray(s.amplitudes), -np.asarray(s.frequencies)
+    buffer = np.empty(max(32768, t.size))
+
+    def prony(lags):
+        # K + amps @ exp(-outer(freqs, lags)) over chunks of terms of at most
+        # 32768 exponentials (256 KB) in one buffer, which stays in cache
+        shape = np.shape(lags)
+        step = max(1, 32768 // np.size(lags))
+        out = np.full(shape, s.K)
+        for c in range(0, amps.size, step):
+            a = amps[c:c + step]
+            x = buffer[:a.size * np.size(lags)].reshape(a.shape + shape)
+            np.exp(np.multiply.outer(rates[c:c + step], lags, out=x), out=x)
+            out += a @ x
+        return out
+
+    g = {"relaxation": model.relaxation.value, "prony": prony}.get(kernel)
     if g is None:
         raise DomainError(
             f"kernel must be 'relaxation' or 'prony', got {kernel!r}")
-    t = history.times
     te = model.elastic_stress(history)
     n = t.size
     out = np.empty(n)

@@ -774,6 +774,23 @@ def mutated(data: bytes, edits) -> bytes:
     return bytes(out)
 
 
+NOT_A_MATRIX = ("error: network.stiffness: must be a non-empty rectangular "
+                "list of number lists")
+NOT_FINITE = "error: network: stiffness entries must be finite"
+# one stiffness entry of the chain config in an odd YAML 1.1 form: the
+# (exit code, error line prefix) of validate and of simulate
+ODD_STIFFNESS = {
+    "1e5": ((2, NOT_A_MATRIX), (2, NOT_A_MATRIX)),        # text
+    "1.0e+999": ((2, NOT_FINITE), (2, NOT_FINITE)),       # inf
+    "1_0.5": ((0, None), (0, None)),                      # 10.5
+    "190:20:30.15": ((0, None), (1, "error: dt = 0.01 violates the explicit "
+                                    "stability bound 2/omega_max = 0.00241")),
+    ".nan": ((2, NOT_FINITE), (2, NOT_FINITE)),
+    "-0.0": ((0, None), (0, None)),
+    "0x1F": ((0, None), (0, None)),                       # 31
+}
+
+
 class TestExitCodeContract:
     """Whatever one leaf of a shipped config, one kernels flag, or a fit's
     CSV bytes and --terms hold, cli_main exits 0, 1 or 2, raises nothing,
@@ -804,6 +821,20 @@ class TestExitCodeContract:
         for run in (command, "validate"):
             self.check([run, "--config", str(cfg),
                         "--out", str(tmp_path / "out.csv")], capsys, alarm)
+
+    @pytest.mark.parametrize("value", list(ODD_STIFFNESS))
+    def test_odd_stiffness_entry(self, tmp_path, capsys, alarm, value):
+        cfg = write_cfg(tmp_path, CHAIN_CFG.read_text().replace(
+            "- [ 2.0, -1.0,  0.0]", f"- [ {value}, -1.0,  0.0]"))
+        for command, (code, error) in zip(["validate", "simulate"],
+                                          ODD_STIFFNESS[value]):
+            with alarm(20):
+                assert cli_main([command, "--config", str(cfg), "--out",
+                                 str(tmp_path / "out.csv")]) == code
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("error:")]
+            assert len(errors) == (error is not None), errors
+            assert error is None or errors[0].startswith(error)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture])

@@ -1,4 +1,5 @@
 import ast
+import functools
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -305,13 +306,64 @@ YAML_EDGE_CASES = """
 bools: [true, false, yes, no, on, off, True, FALSE]
 ints: [0, -7, 0o17, 017, 0x1F, 1_000, 1:30, +12]
 floats: [1.5, -0.0, .inf, -.inf, 1e3, 6.02e+23, 1_0.5, 190:20:30.15]
+decimals: [+1.5, 1.5E+3, 1., 00.5, 1.0e+999, -1.0e-999, -0.0, 1e5]
+unsigned_exponents: [1.0e300, 2.5E3, -1.5e-3]
+underscores: [1__0.5, 1_.5, 1._5, _1.5, 1_0.5e+3]
+tagged: [!!float 1e5, !!float 2.5, !!str 1.5, "1.5"]
 strings: [1e3x, "1.5", '0x1F', ~x]
 nulls: [~, null, ]
 times: [2001-12-14t21:59:43.10-05:00, 2002-12-14]
 anchored: &a {k: [1, 2]}
 alias: *a
 merged: {<<: *a, extra: 1}
+float_anchor: &f 2.5
+float_aliases: [*f, 1.5, [*f]]
 """
+
+
+def same_document(a, b):
+    """Equal as documents down to types and float bits: ``==`` takes 1 for
+    1.0 and -0.0 for 0.0.  Mappings compare in key order."""
+    assert type(a) is type(b), (a, b)
+    if isinstance(a, dict):
+        same_document(list(a), list(b))
+        for x, y in zip(a.values(), b.values()):
+            same_document(x, y)
+    elif isinstance(a, list):
+        assert len(a) == len(b), (a, b)
+        for x, y in zip(a, b):
+            same_document(x, y)
+    elif isinstance(a, float):
+        assert a.hex() == b.hex(), (a, b)
+    else:
+        assert a == b, (a, b)
+
+
+# each loader with the decimal fast path, and its base
+BASES = [pytest.param(yaml.SafeLoader, id="python"),
+         pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
+                      marks=pytest.mark.skipif(
+                          not hasattr(yaml, "CSafeLoader"),
+                          reason="PyYAML built without libyaml"))]
+
+
+@functools.cache
+def fast_loader(base):
+    return type("Fast" + base.__name__, (config._Decimals, base), {})
+
+
+def same_load(text, base):
+    """The fast loader builds what its base builds, or raises as it does."""
+    results = []
+    for loader in (fast_loader(base), base):
+        try:
+            results.append(yaml.load(text, Loader=loader))
+        except Exception as exc:    # compared by type
+            results.append(type(exc))
+    if isinstance(results[1], type):
+        assert results[0] is results[1]
+    else:
+        same_document(*results)
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
@@ -327,12 +379,16 @@ class TestLibyamlLoader:
         fast = parse_config(text)
         monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
         reference = parse_config(text)
-        assert fast.raw == reference.raw
-        assert fast.effective_text() == reference.effective_text()
+        same_document(fast.raw, reference.raw)
+        same_document(fast.effective_text(), reference.effective_text())
 
     def test_same_scalars_anchors_and_timestamps(self):
-        assert yaml.load(YAML_EDGE_CASES, Loader=yaml.CSafeLoader) == \
-            yaml.load(YAML_EDGE_CASES, Loader=yaml.SafeLoader)
+        same_document(yaml.load(YAML_EDGE_CASES, Loader=yaml.CSafeLoader),
+                      yaml.load(YAML_EDGE_CASES, Loader=yaml.SafeLoader))
+
+    def test_loader_builds_decimals_with_libyaml(self):
+        assert config._LOADER.__mro__[1:3] == (config._Decimals,
+                                               yaml.CSafeLoader)
 
     def test_wide_config_gets_the_exact_depth_check(self):
         # more collection-opening characters than the depth limit, so
@@ -342,6 +398,75 @@ class TestLibyamlLoader:
         assert config._deeper_than(text, 3)
         assert not config._deeper_than(text, 4)
         assert parse_config(text).network.n == 100
+
+
+# short scalars of number characters, YAML's non-finite floats and spaces,
+# some with an explicit tag
+SCALARS = st.builds(
+    "{}{}".format, st.sampled_from(["", "!!float ", "!!str "]),
+    st.one_of(st.text("0123456789.+-eE_: ", min_size=1, max_size=8),
+              st.sampled_from([".inf", "-.inf", ".nan", " 1.5 "])))
+
+
+def shapes(scalars):
+    """A flow sequence, a block sequence, and a mapping that anchors the first
+    scalar and aliases it inside sequences."""
+    return ["[" + ", ".join(scalars) + "]\n",
+            "".join(f"- {x}\n" for x in scalars),
+            f"first: &a {scalars[0]}\nitems: [{', '.join(scalars)}]\n"
+            "again: [*a, [*a]]\n"]
+
+
+@pytest.mark.parametrize("base", BASES)
+class TestDecimalFastPath:
+    """A loader with the decimal fast path builds the same document as its
+    base, down to types and float bits, or raises the same exception."""
+
+    @pytest.mark.parametrize("text", [
+        YAML_EDGE_CASES,
+        *[p.read_text() for p in sorted(CONFIGS.glob("*.yaml"))],
+        flow_network_text(),
+    ], ids=["edge-cases", *[p.stem for p in sorted(CONFIGS.glob("*.yaml"))],
+            "flow100"])
+    def test_same_document(self, base, text):
+        same_load(text, base)
+
+    @pytest.mark.parametrize("text", [
+        "[!!float [1.5]]", "[!!float {a: 1.5}]", "!!seq 1.5", "!!seq {a: 1}",
+        "[!!float x]", "[!!float ]", "[!!float 1_0.5, !!float 1:30.5]"])
+    def test_same_error_or_document_for_odd_tags(self, base, text):
+        same_load(text, base)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scalars=st.lists(SCALARS, min_size=1, max_size=4))
+    def test_same_document_for_generated_scalars(self, base, scalars):
+        for text in shapes(scalars):
+            same_load(text, base)
+
+
+class TestUnsignedExponent:
+    """YAML 1.1 reads a number whose exponent has no sign as text; the
+    message says how to write it."""
+
+    @pytest.mark.parametrize("value, fix", [
+        ("1.0e300", "1.0e+300"), ("1e5", "1.0e+5"), ("2.5E3", "2.5e+3"),
+        (".5e3", "0.5e+3"), ("+5.e3", "+5.0e+3")])
+    def test_message_names_the_number_to_write(self, value, fix):
+        assert errors_of(MINIMAL.replace("C: 1.0", f"C: {value}")) == [
+            f"model.elastic.C: must be a number, got '{value}' (YAML reads "
+            f"an exponent without a sign as text; write {fix})"]
+        cfg = parse_config(MINIMAL.replace("C: 1.0", f"C: {fix}"))
+        assert cfg.model.elastic.C == float(value)
+
+    def test_signed_exponent_is_a_number(self):
+        cfg = parse_config(MINIMAL.replace("C: 1.0", "C: 1.0e+300"))
+        assert cfg.model.elastic.C == 1e300
+
+    @pytest.mark.parametrize("value", ["1e5x", "e5", ".e5", "1e+5", "'1.5'"])
+    def test_other_text_keeps_its_message(self, value):
+        text = value.strip("'")
+        assert errors_of(MINIMAL.replace("C: 1.0", f"C: {value}")) == [
+            f"model.elastic.C: must be a number, got '{text}'"]
 
 
 CONFIG_KEYS = ["model", "network", "protocol", "output", "kind", "path",
