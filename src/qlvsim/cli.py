@@ -190,6 +190,7 @@ def _cmd_simulate(args, cfg: RunConfig):
                            "or --duration/--dt)"])
     try:
         steps_and_records(cfg.network.n, duration, dt, cfg.output_stride)
+        cfg.network.check_time_step(dt)
     except DomainError as exc:
         raise ConfigError([f"--dt/--duration: {exc}"]) from exc
     state = SystemState.initial(cfg.network, q=cfg.initial_q, v=cfg.initial_v)

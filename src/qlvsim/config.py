@@ -363,6 +363,8 @@ def _build_network(v: _Validator, section: dict) -> dict:
                          nonlinear_springs=springs,
                          external_force=force,
                          kernels_replace_damping=replace)
+    if system is not None and dt is not None:
+        v.construct("network.dt", system.check_time_step, dt)
     return dict(network=system, initial_q=q0, initial_v=v0,
                 sim_duration=duration, sim_dt=dt)
 
@@ -458,6 +460,11 @@ def _load_yaml(text: str):
             return yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError([f"invalid YAML: {exc}"]) from exc
+    except (ValueError, IndexError, KeyError, AttributeError) as exc:
+        # PyYAML's constructors raise these on a scalar they cannot build
+        # (!!float x, !!int with no value, !!bool x, !!timestamp x, 2001-13-45)
+        raise ConfigError([f"invalid YAML: cannot build a value "
+                           f"({type(exc).__name__}: {exc})"]) from exc
     except RecursionError:
         pass    # the pure-Python composer recurses once per level
     raise ConfigError(["invalid YAML: nesting too deep"])

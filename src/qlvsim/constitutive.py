@@ -46,9 +46,6 @@ class ExponentialTensileLaw:
     def stress(self, lam):
         return tensile_stress(self, lam)
 
-    def slope(self, lam):
-        return tensile_slope(self, lam)
-
     def stress_green(self, E):
         """Nominal stress as a function of uniaxial Green strain."""
         E = np.asarray(E, dtype=float)

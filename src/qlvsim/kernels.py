@@ -260,6 +260,12 @@ def _prony_filter(decay, gain, dx, carry) -> np.ndarray:
     return h
 
 
+def _term_sum(states) -> np.ndarray:
+    """Each row summed over its terms in term order from 0.0, never pairwise,
+    by running sums over ``states``; -0.0 terms or none sum to 0.0."""
+    return np.add.accumulate(states, axis=1, out=states)[:, -1:].sum(1) + 0.0
+
+
 def kernel_force_history(spectrum: PronySpectrum, times,
                          displacement) -> np.ndarray:
     """Response K*x(t) + sum of internal variables of a Prony kernel to a
@@ -268,10 +274,9 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     The input is treated as applied at t = 0 (quiescent before that), so a
     nonzero first sample acts as an initial step.  One filter runs the terms
     ``_BLOCK_ROWS`` samples at a time, fewer when that many rows of states
-    would exceed SIZE_BUDGET values, with each block's decay and gain from
-    its steps, or from the first step on a uniform grid.  A non-uniform
-    block also holds rows of decay, gain and their temporaries, so it takes
-    a quarter of the rows.
+    would exceed SIZE_BUDGET values; a non-uniform block, which also holds
+    its steps' decay, gain and their temporaries, takes a quarter of the
+    rows.  A uniform grid takes its decay and gain from the first step.
     """
     times = np.asarray(times, dtype=float)
     xs = np.asarray(displacement, dtype=float)
@@ -285,8 +290,7 @@ def kernel_force_history(spectrum: PronySpectrum, times,
         return spectrum.K * xs + 0.0
     dxs = np.diff(xs)
     h = np.asarray(spectrum.amplitudes) * xs[0]
-    h_sum = np.zeros(times.size)
-    h_sum[0] = h.sum()
+    h_sum = np.full(times.size, h.sum())
     uniform = is_uniform_grid(times)
     block = max(1, min(_BLOCK_ROWS,
                        SIZE_BUDGET // (h.size if uniform else 4 * h.size)))
@@ -296,11 +300,9 @@ def kernel_force_history(spectrum: PronySpectrum, times,
         states = _prony_filter(prony_step(spectrum, 1.0, dt, 0.0),
                                prony_step(spectrum, 0.0, dt, 1.0),
                                dxs[start:stop], h)
-        acc = h_sum[1 + start:1 + stop]
-        for column in states.T:     # term by term, not pairwise
-            acc += column
         h = states[-1].copy()
-        del states, column          # free the block before the next one
+        h_sum[1 + start:1 + stop] = _term_sum(states)
+        del states                  # free the block before the next one
     return spectrum.K * xs + h_sum
 
 
@@ -326,14 +328,15 @@ def periodic_force_history(spectrum: PronySpectrum, dt: float,
     gain = prony_step(spectrum, 0.0, dt, 1.0)
     # 1 - d^N without cancellation for terms with f*N*dt << 1
     closure = -np.expm1(-np.asarray(spectrum.frequencies) * (n * dt))
-    steps = np.arange(n)
-    h_sum = np.zeros(n)
     states = _prony_filter(decay, gain, dxs, np.zeros(decay.size))
-    for k, rest in enumerate(states.T):
-        h_star = rest[-1] / closure[k]
-        h_sum[0] += h_star
-        h_sum[1:] += rest[:-1] + decay[k] ** steps[1:] * h_star
-    return spectrum.K * xs + h_sum
+    h_star = np.divide(states[-1], closure, out=states[-1])     # sample 0
+    for start in range(1, n, _BLOCK_ROWS):      # row i-1 + d^i*h*: sample i
+        stop = min(start + _BLOCK_ROWS, n)
+        correction = decay ** np.arange(start, stop)[:, None]
+        correction *= h_star
+        states[start - 1:stop - 1] += correction
+        del correction              # free the block before the next one
+    return spectrum.K * xs + np.roll(_term_sum(states), 1)
 
 
 def exp_integral_e1(x):
@@ -432,9 +435,6 @@ class ReducedRelaxation:
         else:
             raise DomainError(f"unsupported kernel type {type(k).__name__}")
         return float(out) if out.ndim == 0 else out
-
-    def __call__(self, t):
-        return self.value(t)
 
     @property
     def long_time_limit(self) -> float:

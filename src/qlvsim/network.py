@@ -326,6 +326,13 @@ class SpringMassSystem:
         """Largest stable explicit time step, 2 / omega_max."""
         return self._dt_bound
 
+    def check_time_step(self, dt: float) -> None:
+        """DomainError unless ``dt`` is below the stability bound."""
+        if dt >= self._dt_bound:
+            raise DomainError(
+                f"dt = {dt} violates the explicit stability bound "
+                f"2/omega_max = {self._dt_bound}")
+
     def external_force_at(self, t: float) -> np.ndarray:
         if self.external_force is None:
             return np.zeros(self.n)
@@ -405,11 +412,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
         raise DomainError(f"record_stride must be >= 1, got {record_stride}")
     n_steps, rows = steps_and_records(system.n, duration, dt, record_stride)
     if n_steps > 0:
-        bound = system.stability_bound()
-        if dt >= bound:
-            raise DomainError(
-                f"dt = {dt} violates the explicit stability bound "
-                f"2/omega_max = {bound}")
+        system.check_time_step(dt)
     st = system._stack
     if state.h.shape != st.amplitudes.shape:
         raise DomainError("state internal variables do not match the system")

@@ -261,11 +261,14 @@ class TestValidateAgreesWithTheRun:
                                                            "stride: 1"),
          "output.stride: records x columns must be <= 10000000, got "
          "1000001 x 11"),
+        ("simulate", CHAIN_CFG.read_text().replace("dt: 0.01", "dt: 1.9"),
+         "network.dt: dt = 1.9 violates the explicit stability bound "
+         "2/omega_max = 1.0987851636338393"),
     ]
     IDS = ["hold_strain", "stretch_rate", "no-stretch_rate", "prony_terms",
            "one-prony_term", "sweep_count", "cycles", "dt", "empty-grid",
            "negative-duration", "network-duration", "network-dt",
-           "filter-states", "record-table"]
+           "filter-states", "record-table", "unstable-network-dt"]
 
     @pytest.mark.parametrize("command, text, error", CASES, ids=IDS)
     @pytest.mark.parametrize("validate", [True, False],
@@ -321,6 +324,16 @@ class TestValidateAgreesWithTheRun:
             "error: --dt/--duration: duration/dt must be <= 10000000\n"
         assert not out.exists()
 
+
+    def test_unstable_dt_override(self, tmp_path, capsys, alarm):
+        out = tmp_path / "out.csv"
+        with alarm(20):
+            assert cli_main(["simulate", "--config", str(CHAIN_CFG), "--out",
+                             str(out), "--dt", "1.9"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --dt/--duration: dt = 1.9 violates the explicit stability "
+            "bound 2/omega_max = 1.0987851636338393\n")
+        assert not out.exists()
 
     def test_record_table_override_over_the_budget(self, tmp_path, capsys,
                                                    alarm):
@@ -446,9 +459,10 @@ class TestSimulate:
                          "  duration: 1.0\n  dt: 0.01\n")
         out = tmp_path / "sim.csv"
         code = cli_main(["simulate", "--config", str(path), "--out", str(out)])
-        assert code == 1
-        assert "violates the explicit stability bound" in \
-            capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: network.dt: dt = 0.01 violates the explicit stability "
+            "bound")
         assert not out.exists()
 
     PAIR = "{i: 0, j: 1, B: 2.0, C: 0.5}"
@@ -777,18 +791,25 @@ def mutated(data: bytes, edits) -> bytes:
 NOT_A_MATRIX = ("error: network.stiffness: must be a non-empty rectangular "
                 "list of number lists")
 NOT_FINITE = "error: network: stiffness entries must be finite"
+UNSTABLE = ("error: network.dt: dt = 0.01 violates the explicit stability "
+            "bound 2/omega_max = 0.00241")
 # one stiffness entry of the chain config in an odd YAML 1.1 form: the
 # (exit code, error line prefix) of validate and of simulate
 ODD_STIFFNESS = {
     "1e5": ((2, NOT_A_MATRIX), (2, NOT_A_MATRIX)),        # text
     "1.0e+999": ((2, NOT_FINITE), (2, NOT_FINITE)),       # inf
     "1_0.5": ((0, None), (0, None)),                      # 10.5
-    "190:20:30.15": ((0, None), (1, "error: dt = 0.01 violates the explicit "
-                                    "stability bound 2/omega_max = 0.00241")),
+    "190:20:30.15": ((2, UNSTABLE), (2, UNSTABLE)),      # 685230.15
     ".nan": ((2, NOT_FINITE), (2, NOT_FINITE)),
     "-0.0": ((0, None), (0, None)),
     "0x1F": ((0, None), (0, None)),                       # 31
 }
+
+
+# scalars that PyYAML's constructors fail to build with an exception that
+# is not a yaml.YAMLError: ValueError, IndexError, KeyError, AttributeError
+UNBUILDABLE = ["!!float x", "!!int x", "!!timestamp 2001-13-45", "!!float",
+          "!!int", "!!bool x", "!!timestamp x", "2001-13-45"]
 
 
 class TestExitCodeContract:
@@ -835,6 +856,20 @@ class TestExitCodeContract:
                       if line.startswith("error:")]
             assert len(errors) == (error is not None), errors
             assert error is None or errors[0].startswith(error)
+
+    @pytest.mark.parametrize("value", UNBUILDABLE)
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_unbuildable_scalar(self, tmp_path, capsys, alarm, command,
+                                value):
+        # yaml.safe_dump never writes a tag, so test_config_leaf cannot
+        cfg = write_cfg(tmp_path, CHAIN_CFG.read_text().replace(
+            "K: 1.0  ", f"K: {value}  "))
+        with alarm(20):
+            assert cli_main([command, "--config", str(cfg), "--out",
+                             str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid YAML: cannot build a value (")
+        assert not (tmp_path / "out.csv").exists()
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture])

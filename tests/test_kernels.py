@@ -503,6 +503,168 @@ class TestFilterBudget:
         assert np.array_equal(kernel_force_history(spectrum, times, xs), want)
 
 
+def column_loop_force_history(spectrum, times, xs):
+    """kernel_force_history with one numpy add per term and block, in term
+    order from 0.0: the form it took before the in-place term-order sum."""
+    times = np.asarray(times, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    if not spectrum.amplitudes:
+        return spectrum.K * xs + 0.0
+    dts, dxs = np.diff(times), np.diff(xs)
+    h = np.asarray(spectrum.amplitudes) * xs[0]
+    h_sum = np.zeros(times.size)
+    h_sum[0] = h.sum()
+    uniform = is_uniform_grid(times)
+    block = max(1, min(_BLOCK_ROWS,
+                       SIZE_BUDGET // (h.size if uniform else 4 * h.size)))
+    for start in range(0, dxs.size, block):
+        stop = start + block
+        dt = dts[0] if uniform else dts[start:stop, None]
+        states = kernels._prony_filter(prony_step(spectrum, 1.0, dt, 0.0),
+                                       prony_step(spectrum, 0.0, dt, 1.0),
+                                       dxs[start:stop], h)
+        acc = h_sum[1 + start:1 + stop]
+        for column in states.T:
+            acc += column
+        h = states[-1].copy()
+        del states, column
+    return spectrum.K * xs + h_sum
+
+
+def column_loop_periodic_force_history(spectrum, dt, xs):
+    """periodic_force_history with one pass of numpy operations per term, in
+    term order from 0.0: the form it took before the in-place term-order
+    sum."""
+    n = xs.size
+    dxs = np.diff(xs, append=xs[0])
+    decay = prony_step(spectrum, 1.0, dt, 0.0)
+    gain = prony_step(spectrum, 0.0, dt, 1.0)
+    closure = -np.expm1(-np.asarray(spectrum.frequencies) * (n * dt))
+    steps = np.arange(n)
+    h_sum = np.zeros(n)
+    states = kernels._prony_filter(decay, gain, dxs, np.zeros(decay.size))
+    for k, rest in enumerate(states.T):
+        h_star = rest[-1] / closure[k]
+        h_sum[0] += h_star
+        h_sum[1:] += rest[:-1] + decay[k] ** steps[1:] * h_star
+    return spectrum.K * xs + h_sum
+
+
+@st.composite
+def scaled_spectra(draw):
+    """0-80 Prony terms with amplitudes near 1, 1e-300 or 1e300, none, some
+    or all of them 0 (whose states can be -0.0), and K 0 or in (0, 1]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    freqs = np.unique(10.0 ** rng.uniform(-4.0, 3.0, draw(st.integers(0, 80))))
+    amps = draw(st.sampled_from([1.0, 1e-300, 1e300])) * \
+        rng.uniform(0.0, 1.0, freqs.size)
+    amps[rng.uniform(size=freqs.size) < draw(st.sampled_from([0.0, 0.5,
+                                                              1.0]))] = 0.0
+    return PronySpectrum(K=draw(st.sampled_from([0.0, 0.5])),
+                         amplitudes=amps, frequencies=freqs)
+
+
+@st.composite
+def signed_zero_signals(draw, n):
+    """A random input of n samples, none, some or all of them -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.standard_normal(n)
+    share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    xs[rng.uniform(size=n) < share] = -0.0
+    return xs
+
+
+BLOCK_EDGES = st.one_of(st.integers(2, 40),
+                        st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                         _BLOCK_ROWS + 1, _BLOCK_ROWS + 2,
+                                         2 * _BLOCK_ROWS + 1]),
+                        st.integers(2, 2 * _BLOCK_ROWS + 3))
+
+
+class TestTermOrderSum:
+    """Both filter passes sum their terms in place, in term order from 0.0,
+    and give the per-term loops' floats bit for bit, -0.0 included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spectrum=scaled_spectra(), data=st.data(), seed=st.integers(0, 99),
+           dt=st.floats(1e-3, 1.0), uniform=st.booleans(), n=BLOCK_EDGES)
+    def test_kernel_force_history(self, spectrum, data, seed, dt, uniform, n):
+        times = (dt * np.arange(n) if uniform or n < 3
+                 else non_uniform_times(seed, dt, n))
+        xs = data.draw(signed_zero_signals(n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = kernel_force_history(spectrum, times, xs)
+            want = column_loop_force_history(spectrum, times, xs)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(spectrum=scaled_spectra(), data=st.data(), dt=st.floats(1e-3, 1.0),
+           n=BLOCK_EDGES)
+    def test_periodic_force_history(self, spectrum, data, dt, n):
+        xs = data.draw(signed_zero_signals(n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = periodic_force_history(spectrum, dt, xs)
+            want = column_loop_periodic_force_history(spectrum, dt, xs)
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_amplitudes_sum_to_zero(self):
+        # their states are -0.0 under a falling input, and K*x is -0.0
+        spectrum = PronySpectrum(K=0.0, amplitudes=(0.0, 0.0),
+                                 frequencies=(1.0, 2.0))
+        xs = -np.arange(1.0, 6.0)
+        got = kernel_force_history(spectrum, 0.1 * np.arange(5), xs)
+        assert got.tobytes() == column_loop_force_history(
+            spectrum, 0.1 * np.arange(5), xs).tobytes() == bytes(40)
+        got = periodic_force_history(spectrum, 0.1, xs)
+        assert got.tobytes() == column_loop_periodic_force_history(
+            spectrum, 0.1, xs).tobytes() == bytes(40)
+
+    def test_no_terms_sum_to_zero(self):
+        assert kernels._term_sum(np.zeros((3, 0))).tobytes() == \
+            np.zeros(3).tobytes()
+        assert kernels._term_sum(np.full((2, 4), -0.0)).tobytes() == \
+            np.zeros(2).tobytes()
+
+
+class TestTermOrderSumMemory:
+    """The in-place sum holds no copy of the states: kernel_force_history
+    holds what the per-term loop held, and a periodic pass at most one
+    block of rows x terms more (its correction d^i * h*)."""
+
+    SLACK = 16 * 1024               # far below one block of 200 terms
+
+    @staticmethod
+    def peak(fn, *args):
+        fn(*args)                   # once untraced, to warm any cache
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [256, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "non-uniform"])
+    def test_kernel_force_history(self, n, uniform):
+        spectrum = TestFilterBudget.spectrum(200)
+        times = (0.01 * np.arange(n) if uniform
+                 else non_uniform_times(3, 0.01, n))
+        xs = signal(3, n)
+        assert self.peak(kernel_force_history, spectrum, times, xs) <= \
+            self.peak(column_loop_force_history, spectrum, times, xs) + \
+            self.SLACK
+
+    @pytest.mark.parametrize("n", [256, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 7])
+    def test_periodic_force_history(self, n):
+        spectrum = TestFilterBudget.spectrum(200)
+        xs = signal(3, n)
+        block = 8 * min(n - 1, _BLOCK_ROWS) * 200
+        assert self.peak(periodic_force_history, spectrum, 0.01, xs) <= \
+            self.peak(column_loop_periodic_force_history, spectrum, 0.01,
+                      xs) + block + self.SLACK
+
+
 class TestGridSteps:
     def test_rounds_the_step_count(self):
         assert grid_steps(1.0, 0.3) == 3

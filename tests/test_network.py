@@ -160,6 +160,19 @@ class TestStep:
         with pytest.raises(DomainError):
             step(system, state, bound * 1.01)
 
+    def test_check_time_step_is_the_run_check(self):
+        system = harmonic_system(k=100.0)
+        bound = system.stability_bound()
+        system.check_time_step(0.99 * bound)
+        message = (f"dt = {bound} violates the explicit stability bound "
+                   f"2/omega_max = {bound}")
+        with pytest.raises(DomainError) as raised:
+            system.check_time_step(bound)
+        assert str(raised.value) == message
+        with pytest.raises(DomainError) as raised:
+            simulate(system, SystemState.initial(system), 1.0, bound)
+        assert str(raised.value) == message
+
     def test_tiny_mass_keeps_the_stability_check(self):
         # sqrt(m_i * m_j) underflows to 0 for m = 1e-300; the scaling
         # sqrt(m_i) * sqrt(m_j) does not, so the bound is finite and tiny
