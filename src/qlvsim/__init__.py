@@ -16,14 +16,14 @@ from .errors import (ConfigError, DomainError, FitError, NumericalError,
 from .kernels import (FungSpectrum, KelvinParams, MaxwellParams,
                       PronySpectrum, ReducedRelaxation, VoigtParams,
                       exp_integral_e1, fung_reduced_relaxation, fung_to_prony,
-                      kelvin_creep, kelvin_relaxation, kernel_to_prony,
-                      maxwell_creep, maxwell_relaxation, prony_relaxation,
-                      reduced_relaxation, unit_step, voigt_creep,
-                      voigt_relaxation)
+                      kelvin_creep, kelvin_relaxation, kernel_force_history,
+                      kernel_to_prony, maxwell_creep, maxwell_relaxation,
+                      prony_relaxation, reduced_relaxation, unit_step,
+                      voigt_creep, voigt_relaxation)
 from .network import (KernelEntry, NonlinearSpring, SimulationResult,
                       SpringMassSystem, StabilityResult, SystemState,
-                      elastic_energy, flexibility_from_stiffness,
-                      kernel_force_history, simulate, stability_check, step)
+                      elastic_energy, flexibility_from_stiffness, simulate,
+                      stability_check, step)
 from .protocols import (ProtocolSpec, Series, TestReport, fit_exponential_law,
                         fit_relaxation_spectrum, frequency_sweep, run_creep,
                         run_cyclic, run_relaxation, run_tensile)

@@ -60,24 +60,32 @@ def _finite(x) -> bool:
     return abs(x) <= sys.float_info.max
 
 
-def _numbers(v) -> bool:
-    """Whether a YAML value is a non-empty list of numbers."""
-    return isinstance(v, list) and bool(v) and not any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
+def _numbers(v, index="") -> bool:
+    """Whether a YAML value is a non-empty list of numbers; if not, its first
+    text entry raises _number's fault, named by its index after ``index``."""
+    if isinstance(v, list) and v and not any(
+            isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
+        return True
+    for i, x in enumerate(v if isinstance(v, list) else ()):
+        if isinstance(x, str):
+            _number(x, f"entry {index}[{i}] ")
+    return False
 
 
-# a number to float() that YAML 1.1 reads as text: its exponent has no sign
-_UNSIGNED_EXPONENT = re.compile(
-    r"([-+]?)(?=\.?[0-9])([0-9]*)\.?([0-9]*)[eE]([0-9]+)\Z").match
+# a number that YAML 1.1 reads as text: an exponent but no dot or no sign
+_TEXT_EXPONENT = re.compile(r"(?![-+]?[0-9]*\.[0-9]*[eE][-+])"
+                            r"([-+]?)(?=\.?[0-9])([0-9]*)\.?([0-9]*)"
+                            r"[eE]([-+]?)([0-9]+)\Z").match
 
 
 # each check converts a non-null YAML value or raises its fault as ValueError
-def _number(v):
+def _number(v, entry=""):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        m = isinstance(v, str) and _UNSIGNED_EXPONENT(v)
-        raise ValueError(f"must be a number, got {v!r}" + (
-            " (YAML reads an exponent without a sign as text; write "
-            f"{m[1]}{m[2] or 0}.{m[3] or 0}e+{m[4]})" if m else ""))
+        m = isinstance(v, str) and _TEXT_EXPONENT(v)
+        raise ValueError(f"{entry}must be a number, got {v!r}" + (
+            " (YAML reads an exponent with no dot or no sign as text; "
+            f"write {m[1]}{m[2] or 0}.{m[3] or 0}e{m[4] or '+'}{m[5]})"
+            if m else ""))
     if not _finite(v):
         raise ValueError(f"must be finite, got {v!r}")
     return float(v)
@@ -124,7 +132,8 @@ def _vector(v, size=None):
 
 
 def _matrix(v):
-    if not (isinstance(v, list) and v and all(map(_numbers, v))
+    if not (isinstance(v, list) and v
+            and all(_numbers(row, f"[{i}]") for i, row in enumerate(v))
             and len({len(row) for row in v}) == 1):
         raise ValueError("must be a non-empty rectangular list of number "
                          "lists")
@@ -144,13 +153,13 @@ class _Validator:
     def fail(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
-    def section(self, data, path: str, allowed: set[str]) -> dict:
+    def section(self, data, path: str, allowed: set | None = None) -> dict:
         if data is None:
             return {}
         if not isinstance(data, dict):
             self.fail(path, f"must be a mapping, got {type(data).__name__}")
             return {}
-        for key in data:
+        for key in data if allowed is not None else ():
             if key not in allowed:
                 self.fail(f"{path}.{key}" if path else str(key),
                           f"unknown key (allowed: {sorted(allowed)})")
@@ -180,13 +189,15 @@ class _Validator:
             self.fail(path, str(exc))
             return None
 
-    def build(self, section: dict, path: str, cls, require_all=False,
+    def build(self, section, path: str, cls, *extra, require_all=False,
               **given):
         """A ``cls`` from the keys of ``section`` named after its fields,
-        except the fields ``given``.  Each is read by the check of its
-        annotation and is required if it has no default (every one is, with
-        ``require_all``).  None unless every field read cleanly and the
-        constructor accepted them."""
+        except the fields ``given``; a key that is no field and not ``extra``
+        is an error.  Each field is read by its annotation's check, required
+        if it has no default or with ``require_all``.  None if a field failed
+        to read, a ``given`` one is None or the constructor rejected them."""
+        section = self.section(section, path,
+                               {*extra, *(f.name for f in fields(cls))})
         errors = len(self.errors)
         for f in fields(cls):
             if f.name not in given:
@@ -194,39 +205,37 @@ class _Validator:
                                   required=require_all or f.default is MISSING)
                 if value is not None:
                     given[f.name] = value
-        if len(self.errors) > errors:
+        if len(self.errors) > errors or any(x is None for x in given.values()):
             return None
         return self.construct(path, cls, **given)
 
 
-# the check of each field annotation; a section's keys are its types' fields
+# the check of each field annotation; a section's keys are its type's fields
 _READERS = {"float": _number, "int": _integer, "bool": _boolean,
             "tuple[float, ...]": _vector}
-_ELASTIC_KEYS = {"kind", *(f.name for cls in ELASTIC_TYPES.values()
-                           for f in fields(cls))}
-_KERNEL_KEYS = {"kind", "prony_terms",
-                *(f.name for cls in KERNEL_TYPES.values() for f in fields(cls))}
 
 
 def _build_elastic(v: _Validator, section: dict, path: str):
-    sec = v.section(section, path, _ELASTIC_KEYS)
+    sec = v.section(section, path)
     kind = v.read(sec, path, "kind", _string, required=True,
                   choices=ELASTIC_TYPES)
-    law = None if kind is None else v.build(sec, path, ELASTIC_TYPES[kind])
+    law = None if kind is None else \
+        v.build(sec, path, ELASTIC_TYPES[kind], "kind")
     # a QLV specimen is uniaxial: the biaxial energy acts through E11 alone
     return FungUniaxialLaw(law) if isinstance(law, FungBiaxialParams) else law
 
 
 def _build_kernel(v: _Validator, section: dict, path: str):
     """Returns (kernel object, prony_terms) or (None, n)."""
-    sec = v.section(section, path, _KERNEL_KEYS)
+    sec = v.section(section, path)
     kind = v.read(sec, path, "kind", _string, required=True,
                   choices=KERNEL_TYPES)
-    # only a Fung spectrum is discretized
-    n_terms = v.read(sec, path, "prony_terms", _integer, default=64,
-                     low=2 if kind == "fung" else 1, high=SIZE_BUDGET)
+    # only a Fung spectrum is discretized, so only it takes prony_terms
+    fung = ("prony_terms",) if kind == "fung" else ()
+    n_terms = v.read(sec if fung else {}, path, "prony_terms", _integer,
+                     default=64, low=2, high=SIZE_BUDGET)
     kernel = None if kind is None else \
-        v.build(sec, path, KERNEL_TYPES[kind], require_all=True)
+        v.build(sec, path, KERNEL_TYPES[kind], "kind", *fung, require_all=True)
     return kernel, n_terms
 
 
@@ -256,36 +265,32 @@ def _build_model(v: _Validator, section: dict) -> dict:
                                  kernel, n_prony=n_terms)}
 
 
-_PRONY_KEYS = {f.name for f in fields(PronySpectrum)}
-_KERNEL_ENTRY_KEYS = {"i", "j", *_PRONY_KEYS}
-_SPRING_KEYS = {"i", "j", "rest_length", "kernel",
-                *(f.name for f in fields(ExponentialTensileLaw))}
 _NETWORK_KEYS = {"masses", "stiffness", "damping", "kernels", "aero_kernels",
                  "springs", "kernels_replace_damping", "initial", "force",
                  "duration", "dt"}
 
 
 def _build_kernel_entry(v: _Validator, item, path: str, n: int):
-    sec = v.section(item, path, _KERNEL_ENTRY_KEYS)
+    sec = v.section(item, path)
     i = v.read(sec, path, "i", _index, required=True, n=n)
     j = v.read(sec, path, "j", _index, required=True, n=n)
-    spectrum = v.build(sec, path, PronySpectrum, require_all=True)
+    spectrum = v.build(sec, path, PronySpectrum, "i", "j", require_all=True)
     if None in (i, j, spectrum):
         return None
     return KernelEntry(i=i, j=j, spectrum=spectrum)
 
 
 def _build_spring(v: _Validator, item, path: str, n: int):
-    sec = v.section(item, path, _SPRING_KEYS)
+    sec = v.section(item, path)
     errors = len(v.errors)
     i = v.read(sec, path, "i", _index, required=True, n=n)
     j = v.read(sec, path, "j", _index, n=n)
-    law = v.build(sec, path, ExponentialTensileLaw)
+    law = v.build(sec, path, ExponentialTensileLaw, "i", "j", "rest_length",
+                  "kernel")
     rest = v.read(sec, path, "rest_length", _number, default=1.0)
     kernel = None
     if sec.get("kernel") is not None:
-        ksec = v.section(sec["kernel"], f"{path}.kernel", _PRONY_KEYS)
-        kernel = v.build(ksec, f"{path}.kernel", PronySpectrum,
+        kernel = v.build(sec["kernel"], f"{path}.kernel", PronySpectrum,
                          require_all=True)
     if len(v.errors) > errors:
         return None
@@ -295,15 +300,16 @@ def _build_spring(v: _Validator, item, path: str, n: int):
 
 def _build_force(v: _Validator, section: dict, n: int):
     path = "network.force"
-    sec = v.section(section, path,
-                    {"kind", "values", "amplitudes", "angular_frequency"})
+    sec = v.section(section, path)
     kind = v.read(sec, path, "kind", _string, required=True,
                   choices={"constant", "sinusoid"})
     if kind == "constant":
+        v.section(sec, path, {"kind", "values"})
         values = v.read(sec, path, "values", _vector, required=True,
                         size=n)
         return None if values is None else lambda t: values
     if kind == "sinusoid":
+        v.section(sec, path, {"kind", "amplitudes", "angular_frequency"})
         amps = v.read(sec, path, "amplitudes", _vector, required=True,
                       size=n)
         w = v.read(sec, path, "angular_frequency", _number, required=True)
@@ -369,17 +375,13 @@ def _build_network(v: _Validator, section: dict) -> dict:
                 sim_duration=duration, sim_dt=dt)
 
 
-_PROTOCOL_KEYS = {"max_cycles", "settle_time",
-                  *(f.name for f in fields(ProtocolSpec))}
-
-
 def _build_protocol(v: _Validator, section: dict):
-    sec = v.section(section, "protocol", _PROTOCOL_KEYS)
+    sec = v.section(section, "protocol")
     kind = v.read(sec, "protocol", "kind", _string, required=True,
                   choices={"tensile", "creep", "relaxation", "cyclic"})
-    if kind is None:
-        return None
-    spec = v.build(sec, "protocol", ProtocolSpec, kind=kind)
+    # one type serves every kind, so its keys are checked whatever the kind
+    spec = v.build(sec, "protocol", ProtocolSpec, "max_cycles", "settle_time",
+                   kind=kind)
     # no-ops since cyclic runs solve the steady state; still type-checked
     v.read(sec, "protocol", "settle_time", _number)
     v.read(sec, "protocol", "max_cycles", _integer)

@@ -20,9 +20,7 @@ import numpy as np
 
 from .constitutive import _EXP_ARG_MAX, ExponentialTensileLaw
 from .errors import DomainError, NumericalError, StabilityError
-# kernel_force_history is re-exported for callers of the network API
-from .kernels import (SIZE_BUDGET, PronySpectrum, grid_steps,
-                      kernel_force_history, prony_step)
+from .kernels import SIZE_BUDGET, PronySpectrum, grid_steps, prony_step
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import (PronySpectrum, ReducedRelaxation, is_uniform_grid,
-                      kernel_force_history, kernel_to_prony, prony_relaxation,
-                      reduced_relaxation)
+from .kernels import (PronySpectrum, ReducedRelaxation, kernel_force_history,
+                      kernel_to_prony, prony_relaxation, reduced_relaxation)
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,6 @@ class StrainHistory:
         if self.measure == "green":
             return self.values
         return 0.5 * (self.values ** 2 - 1.0)
-
-    @property
-    def is_uniform(self) -> bool:
-        return is_uniform_grid(self.times)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import qlvsim
 from qlvsim.cli import _build_parser, cli_main
 from qlvsim.config import parse_config
+from qlvsim.constitutive import ELASTIC_TYPES
+from qlvsim.kernels import KERNEL_TYPES
 from qlvsim.seriesio import read_series, serialize_series, write_series
 from qlvsim.protocols import Series
 
@@ -104,6 +107,15 @@ class TestExitCodes:
         assert cli_main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err == \
             "error: invalid YAML: nesting too deep\n"
+
+    def test_module_runs_as_a_script(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlvsim.cli", "validate", "--config",
+             str(CHAIN_CFG)], env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == \
+            parse_config(CHAIN_CFG.read_text()).effective_text()
 
     def test_nesting_beyond_the_c_stack(self, tmp_path):
         # deep enough to overflow the stack of libyaml's recursive
@@ -346,6 +358,117 @@ class TestValidateAgreesWithTheRun:
         assert capsys.readouterr().err == (
             "error: --dt/--duration: records x columns must be <= 10000000, "
             "got 1000001 x 11\n")
+        assert not out.exists()
+
+
+# a valid section of each elastic and kernel kind
+ELASTIC_SECTIONS = {"exponential": {"B": 2.0, "C": 1.0}, "linear": {"k": 1.0},
+                    "fung": {"c": 1.0, "a1": 1.0}}
+KERNEL_SECTIONS = {"maxwell": {"mu": 1.0, "eta": 1.0},
+                   "voigt": {"mu": 1.0, "eta": 1.0},
+                   "kelvin": {"E_R": 1.0, "tau_eps": 0.5, "tau_sigma": 1.5},
+                   "prony": {"K": 0.5, "amplitudes": [0.5],
+                             "frequencies": [1.0]},
+                   "fung": {"c": 0.5, "q1": 0.01, "q2": 100.0}}
+
+
+def relax_doc(elastic="linear", kernel="maxwell"):
+    """A valid relax config of one elastic and one kernel kind; a Voigt
+    kernel is a bare element."""
+    model = {"kernel": {"kind": kernel, **KERNEL_SECTIONS[kernel]}}
+    if kernel != "voigt":
+        model["elastic"] = {"kind": elastic, **ELASTIC_SECTIONS[elastic]}
+    return {"model": model, "protocol": {"kind": "relaxation",
+                                         "hold_strain": 0.1, "duration": 1.0,
+                                         "dt": 0.1}}
+
+
+def own_keys(section, kind):
+    """The keys a section of this kind takes: its type's fields and kind;
+    a Fung kernel alone takes prony_terms, the only one discretized."""
+    types = ELASTIC_TYPES if section == "elastic" else KERNEL_TYPES
+    extra = {"prony_terms"} if (section, kind) == ("kernel", "fung") else set()
+    return {"kind", *extra, *(f.name for f in fields(types[kind]))}
+
+
+FOREIGN = [(section, kind, key) for section, kinds in (
+               ("elastic", ELASTIC_TYPES), ("kernel", KERNEL_TYPES))
+           for kind in kinds
+           for key in sorted(set().union(*(own_keys(section, other)
+                                           for other in kinds))
+                             - own_keys(section, kind))]
+
+
+def set_in(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+class TestForeignKeys:
+    """A typed section takes only its own kind's keys: a key of another
+    kind exits 2 at that key, listing the kind's own keys, under validate
+    and the run command alike."""
+
+    @pytest.mark.parametrize("elastic, kernel", [
+        *((kind, "maxwell") for kind in ELASTIC_SECTIONS),
+        *(("linear", kind) for kind in KERNEL_SECTIONS)])
+    def test_own_keys_run(self, tmp_path, elastic, kernel):
+        cfg = write_cfg(tmp_path, yaml.safe_dump(relax_doc(elastic, kernel)))
+        assert cli_main(["relax", "--config", str(cfg), "--out",
+                         str(tmp_path / "out.csv")]) == 0
+
+    @pytest.mark.parametrize("section, kind, key", FOREIGN)
+    @pytest.mark.parametrize("command", ["validate", "relax"])
+    def test_key_of_another_kind(self, tmp_path, capsys, section, kind, key,
+                                 command):
+        doc = relax_doc(kind if section == "elastic" else "linear",
+                        kind if section == "kernel" else "maxwell")
+        doc["model"][section][key] = 1.0
+        cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
+        out = tmp_path / "out.csv"
+        assert cli_main([command, "--config", str(cfg), "--out",
+                         str(out)]) == 2
+        # a bare Voigt element with a faulty kernel also misses its law
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"error: model.{section}.{key}: unknown key (allowed: "
+            f"{sorted(own_keys(section, kind))})")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("keys, value, error", [
+        (["force"], {"kind": "constant", "values": [0.0, 0.0, 0.1],
+                     "angular_frequency": 0.8},
+         "network.force.angular_frequency: unknown key (allowed: "
+         "['kind', 'values'])"),
+        (["force", "values"], [0.0, 0.0, 0.1],
+         "network.force.values: unknown key (allowed: "
+         "['amplitudes', 'angular_frequency', 'kind'])"),
+        (["kernels", 0, "rest_length"], 1.0,
+         "network.kernels[0].rest_length: unknown key (allowed: "
+         "['K', 'amplitudes', 'frequencies', 'i', 'j'])"),
+        (["aero_kernels"], [{"i": 0, "j": 0, "K": 0.0, "amplitudes": [0.1],
+                             "frequencies": [1.0], "kind": "prony"}],
+         "network.aero_kernels[0].kind: unknown key (allowed: "
+         "['K', 'amplitudes', 'frequencies', 'i', 'j'])"),
+        (["springs"], [{"i": 0, "B": 1.0, "C": 1.0, "amplitudes": [0.5]}],
+         "network.springs[0].amplitudes: unknown key (allowed: "
+         "['B', 'C', 'i', 'j', 'kernel', 'rest_length'])"),
+        (["springs"], [{"i": 0, "B": 1.0, "C": 1.0, "kernel": {
+            "K": 1.0, "amplitudes": [0.5], "frequencies": [1.0], "i": 0}}],
+         "network.springs[0].kernel.i: unknown key (allowed: "
+         "['K', 'amplitudes', 'frequencies'])"),
+    ], ids=["constant-force", "sinusoid-force", "kernel-entry",
+            "aero-entry", "spring", "spring-kernel"])
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_network_key_of_another_kind(self, tmp_path, capsys, keys, value,
+                                         error, command):
+        doc = yaml.safe_load(CHAIN_CFG.read_text())
+        set_in(doc["network"], keys, value)
+        cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
+        out = tmp_path / "out.csv"
+        assert cli_main([command, "--config", str(cfg), "--out",
+                         str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
 
@@ -788,15 +911,16 @@ def mutated(data: bytes, edits) -> bytes:
     return bytes(out)
 
 
-NOT_A_MATRIX = ("error: network.stiffness: must be a non-empty rectangular "
-                "list of number lists")
+TEXT_ENTRY = ("error: network.stiffness: entry [0][0] must be a number, got "
+              "'1e5' (YAML reads an exponent with no dot or no sign as text; "
+              "write 1.0e+5)")
 NOT_FINITE = "error: network: stiffness entries must be finite"
 UNSTABLE = ("error: network.dt: dt = 0.01 violates the explicit stability "
             "bound 2/omega_max = 0.00241")
 # one stiffness entry of the chain config in an odd YAML 1.1 form: the
 # (exit code, error line prefix) of validate and of simulate
 ODD_STIFFNESS = {
-    "1e5": ((2, NOT_A_MATRIX), (2, NOT_A_MATRIX)),        # text
+    "1e5": ((2, TEXT_ENTRY), (2, TEXT_ENTRY)),            # text
     "1.0e+999": ((2, NOT_FINITE), (2, NOT_FINITE)),       # inf
     "1_0.5": ((0, None), (0, None)),                      # 10.5
     "190:20:30.15": ((2, UNSTABLE), (2, UNSTABLE)),      # 685230.15

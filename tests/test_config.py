@@ -209,11 +209,13 @@ class TestSizeBudget:
                      f"  kernel: {FUNG}, prony_terms: {SIZE_BUDGET}}}\n")
         assert seen == [SIZE_BUDGET]
 
-    def test_one_term_is_still_accepted_where_unused(self):
-        cfg = parse_config("model:\n  elastic: {kind: linear, k: 1.0}\n"
-                           f"  kernel: {{kind: maxwell, mu: 1.0, eta: 1.0,"
-                           " prony_terms: 1}\n")
-        assert cfg.model is not None
+    def test_prony_terms_is_rejected_where_unused(self):
+        # only a Fung spectrum is discretized, so only it takes the key
+        errs = errors_of("model:\n  elastic: {kind: linear, k: 1.0}\n"
+                         "  kernel: {kind: maxwell, mu: 1.0, eta: 1.0,"
+                         " prony_terms: 1}\n")
+        assert errs == ["model.kernel.prony_terms: unknown key (allowed: "
+                        "['eta', 'kind', 'mu'])"]
 
     @pytest.mark.parametrize("count", [HUGE, str(SIZE_BUDGET + 1)],
                              ids=["401-digits", "budget+1"])
@@ -444,25 +446,50 @@ class TestDecimalFastPath:
             same_load(text, base)
 
 
-class TestUnsignedExponent:
-    """YAML 1.1 reads a number whose exponent has no sign as text; the
-    message says how to write it."""
+class TestExponentAsText:
+    """YAML 1.1 reads a number with an exponent but no dot or no exponent
+    sign as text; the message says how to write it."""
 
     @pytest.mark.parametrize("value, fix", [
         ("1.0e300", "1.0e+300"), ("1e5", "1.0e+5"), ("2.5E3", "2.5e+3"),
-        (".5e3", "0.5e+3"), ("+5.e3", "+5.0e+3")])
+        (".5e3", "0.5e+3"), ("+5.e3", "+5.0e+3"), ("1e+5", "1.0e+5"),
+        ("1e-3", "1.0e-3"), ("+2E+7", "+2.0e+7")])
     def test_message_names_the_number_to_write(self, value, fix):
         assert errors_of(MINIMAL.replace("C: 1.0", f"C: {value}")) == [
             f"model.elastic.C: must be a number, got '{value}' (YAML reads "
-            f"an exponent without a sign as text; write {fix})"]
+            f"an exponent with no dot or no sign as text; write {fix})"]
         cfg = parse_config(MINIMAL.replace("C: 1.0", f"C: {fix}"))
         assert cfg.model.elastic.C == float(value)
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("masses", "[1.0, 1e-3]", "entry [1] must be a number, got '1e-3' "
+         "(YAML reads an exponent with no dot or no sign as text; write "
+         "1.0e-3)"),
+        ("stiffness", "[[2.0, 1e+5], [-1.0, 2.0]]", "entry [0][1] must be a "
+         "number, got '1e+5' (YAML reads an exponent with no dot or no sign "
+         "as text; write 1.0e+5)"),
+        ("stiffness", "[[2.0, -1.0], [x, 2.0]]",
+         "entry [1][0] must be a number, got 'x'"),
+        ("masses", "[1.0, true]", "must be a non-empty list of numbers"),
+        ("stiffness", "[[2.0, -1.0], [2.0]]",
+         "must be a non-empty rectangular list of number lists"),
+        ("stiffness", "[[2.0, -1.0], 1e5]",
+         "must be a non-empty rectangular list of number lists"),
+    ], ids=["vector", "matrix", "matrix-other-text", "vector-bool",
+            "ragged", "text-row"])
+    def test_list_entry_is_named_by_index(self, key, value, error):
+        text = ("network:\n  masses: [1.0, 1.0]\n"
+                "  stiffness: [[2.0, -1.0], [-1.0, 2.0]]\n")
+        old = "[1.0, 1.0]" if key == "masses" else "[[2.0, -1.0], [-1.0, 2.0]]"
+        assert errors_of(text.replace(old, value)) == \
+            [f"network.{key}: {error}"]
 
     def test_signed_exponent_is_a_number(self):
         cfg = parse_config(MINIMAL.replace("C: 1.0", "C: 1.0e+300"))
         assert cfg.model.elastic.C == 1e300
 
-    @pytest.mark.parametrize("value", ["1e5x", "e5", ".e5", "1e+5", "'1.5'"])
+    @pytest.mark.parametrize("value", ["1e5x", "e5", ".e5", "'1.5'",
+                                       "'1.0e+5'", "1e5.0"])
     def test_other_text_keeps_its_message(self, value):
         text = value.strip("'")
         assert errors_of(MINIMAL.replace("C: 1.0", f"C: {value}")) == [
@@ -571,10 +598,13 @@ class TestSchemaRule:
 
     @pytest.mark.parametrize("path, text, expected", [
         ("model.elastic", "model:\n  elastic: {kind: linear, k: 1.0, bogus: 1}"
-         f"\n  kernel: {MAXWELL}\n", {"kind", *names(*ELASTIC_TYPES.values())}),
+         f"\n  kernel: {MAXWELL}\n",
+         {"kind", *names(ELASTIC_TYPES["linear"])}),
         ("model.kernel", "model:\n  kernel: {kind: maxwell, mu: 1.0, eta: 1.0,"
-         " bogus: 1}\n",
-         {"kind", "prony_terms", *names(*KERNEL_TYPES.values())}),
+         " bogus: 1}\n", {"kind", *names(KERNEL_TYPES["maxwell"])}),
+        ("model.kernel", "model:\n  elastic: {kind: linear, k: 1.0}\n"
+         f"  kernel: {FUNG}, bogus: 1}}\n",
+         {"kind", "prony_terms", *names(KERNEL_TYPES["fung"])}),
         ("network.kernels[0]", NET + f"  kernels: [{{i: 0, j: 0, {PRONY},"
          " bogus: 1}]\n", {"i", "j", *names(PronySpectrum)}),
         ("network.aero_kernels[0]", NET + f"  aero_kernels: [{{i: 0, j: 0, "
@@ -587,12 +617,21 @@ class TestSchemaRule:
         ("protocol", f"model:\n  kernel: {MAXWELL}\nprotocol: {{kind: creep,"
          " duration: 1.0, dt: 0.1, bogus: 1}\n",
          {"max_cycles", "settle_time", *names(ProtocolSpec)}),
-    ], ids=["elastic", "kernel", "kernels", "aero_kernels", "springs",
-            "spring_kernel", "protocol"])
+    ], ids=["elastic", "kernel", "fung_kernel", "kernels", "aero_kernels",
+            "springs", "spring_kernel", "protocol"])
     def test_allowed_keys_are_the_fields(self, path, text, expected):
         [err] = [e for e in errors_of(text) if e.startswith(f"{path}.bogus:")]
         assert set(ast.literal_eval(err.split("(allowed: ")[1][:-1])) == \
             expected
+
+    def test_protocol_keys_are_checked_whatever_the_kind(self):
+        # one type serves every protocol kind, so no kind decides its keys
+        errs = errors_of(f"model:\n  kernel: {MAXWELL}\n"
+                         "protocol: {kind: bogus, bogus: 1}\n")
+        assert errs[0] == ("protocol.kind: must be one of ['creep', "
+                           "'cyclic', 'relaxation', 'tensile'], got 'bogus'")
+        assert errs[1].startswith("protocol.bogus: unknown key (allowed: ")
+        assert len(errs) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(sorted(ELASTIC_TYPES)), data=st.data())

@@ -261,6 +261,13 @@ class TestReducedRelaxation:
         assert reduced_relaxation(
             KelvinParams(E_R=1.0, tau_eps=0.5, tau_sigma=2.0)
         ).long_time_limit == pytest.approx(0.25)
+        # a spectrum is normalized to g(0) = 1, so K/(K + sum of amplitudes)
+        assert reduced_relaxation(
+            PronySpectrum(K=1.0, amplitudes=(2.0, 1.0), frequencies=(1.0, 5.0))
+        ).long_time_limit == pytest.approx(0.25)
+        # the Voigt element's regular part is the unit step
+        assert reduced_relaxation(
+            VoigtParams(mu=2.0, eta=3.0)).long_time_limit == 1.0
 
     def test_kernel_to_prony_equivalence(self):
         m = MaxwellParams(mu=2.0, eta=3.0)

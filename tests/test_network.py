@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from qlvsim.constitutive import ExponentialTensileLaw
 from qlvsim.errors import DomainError, StabilityError
-from qlvsim.kernels import (MaxwellParams, PronySpectrum, maxwell_relaxation,
-                            prony_step)
+from qlvsim.kernels import (MaxwellParams, PronySpectrum, kernel_force_history,
+                            maxwell_relaxation, prony_step)
 from qlvsim.network import (KernelEntry, NonlinearSpring, SpringMassSystem,
                             SystemState, elastic_energy,
-                            flexibility_from_stiffness, kernel_force_history,
-                            simulate, stability_check, step,
-                            steps_and_records)
+                            flexibility_from_stiffness, simulate,
+                            stability_check, step, steps_and_records)
 
 
 def random_spd(rng, n):

@@ -9,7 +9,8 @@ from qlvsim.constitutive import (ExponentialTensileLaw, FungBiaxialParams,
 from qlvsim.errors import DomainError, FitError
 from qlvsim.kernels import (FungSpectrum, KelvinParams, MaxwellParams,
                             PronySpectrum, VoigtParams,
-                            fung_reduced_relaxation, kelvin_relaxation,
+                            fung_reduced_relaxation, kelvin_creep,
+                            kelvin_relaxation,
                             kernel_force_history, maxwell_relaxation,
                             periodic_force_history, prony_relaxation,
                             prony_step, voigt_creep)
@@ -162,6 +163,15 @@ class TestCreep:
         err = np.max(np.abs(series.columns["deformation"] - ref)) / ref[-1]
         assert err <= 1e-4
 
+    def test_kelvin_tracks_closed_form(self):
+        p = KelvinParams(E_R=2.0, tau_eps=0.5, tau_sigma=1.5)
+        spec = ProtocolSpec(kind="creep", duration=5.0, dt=1e-3,
+                            hold_stress=1.0)
+        series, _ = run_creep(spec, p)
+        ref = kelvin_creep(p, np.maximum(series.times, 1e-300))
+        err = np.max(np.abs(series.columns["deformation"] - ref)) / ref[-1]
+        assert err <= 1e-7
+
     def test_maxwell_late_rate(self):
         p = MaxwellParams(mu=2.0, eta=4.0)
         spec = ProtocolSpec(kind="creep", duration=5.0, dt=1e-3,
@@ -261,6 +271,16 @@ class TestCreep:
                                 hold_stress=1.0)
             series, _ = run_creep(spec, p)
             ref = voigt_creep(p, np.maximum(series.times, 1e-300))
+            return np.max(np.abs(series.columns["deformation"] - ref))
+        assert err(0.01) / err(0.005) > 3.0
+
+    def test_kelvin_second_order_dt_convergence(self):
+        p = KelvinParams(E_R=2.0, tau_eps=0.5, tau_sigma=1.5)
+        def err(dt):
+            spec = ProtocolSpec(kind="creep", duration=3.0, dt=dt,
+                                hold_stress=1.0)
+            series, _ = run_creep(spec, p)
+            ref = kelvin_creep(p, np.maximum(series.times, 1e-300))
             return np.max(np.abs(series.columns["deformation"] - ref))
         assert err(0.01) / err(0.005) > 3.0
 
