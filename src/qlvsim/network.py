@@ -13,6 +13,7 @@ linear in time over each step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,9 +29,6 @@ class StabilityResult:
     passed: bool
     first_failing_minor: int | None = None
     minor_value: float | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def stability_check(K: np.ndarray, tol: float = 1e-12) -> StabilityResult:
@@ -64,12 +62,12 @@ def flexibility_from_stiffness(K: np.ndarray) -> np.ndarray:
     if not np.allclose(K, K.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(K).max())):
         raise DomainError("stiffness matrix must be symmetric")
     check = stability_check(K)
-    if not check:
+    if not check.passed:
         raise StabilityError(
             f"stiffness matrix is not positive definite: leading minor "
             f"{check.first_failing_minor} is {check.minor_value}",
             minor_index=check.first_failing_minor)
-    from scipy.linalg import cho_factor, cho_solve    # lazy, as in simulate
+    from scipy.linalg import cho_factor, cho_solve  # lazy: 0.2-0.3 s to import
     c, low = cho_factor(K)
     C = cho_solve((c, low), np.eye(K.shape[0]))
     return 0.5 * (C + C.T)
@@ -388,6 +386,33 @@ def steps_and_records(n: int, duration: float, dt: float,
     return n_steps, rows
 
 
+def _damped_solve(A: np.ndarray):
+    """b -> A^-1 b with the bits of LAPACK getrs on getrf's factors of A.
+
+    getrs on a diagonal A divides b by the diagonal, but it may turn a -0.0
+    in b (only an underflowing run makes one) into +0.0.  So only another
+    A, or such a b, imports scipy.linalg (0.2-0.3 s) and factors A, once.
+    """
+    @functools.cache
+    def lu():
+        from scipy.linalg import get_lapack_funcs
+        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (A,))
+        factors, piv, _ = getrf(A)
+        return np.diag(factors), lambda b: getrs(factors, piv, b)[0]
+
+    A = np.asarray_chkfinite(A)
+    d = np.diag(A)
+    diagonal = np.count_nonzero(A) == np.count_nonzero(d)
+    pivots = d if diagonal else lu()[0]
+    if not pivots.all():
+        raise DomainError(f"M + dt/2 beta is singular: zero pivot in row "
+                          f"{np.argmin(pivots != 0)}")
+    if not diagonal:
+        return lu()[1]
+    return lambda b: (b / d if b.all() or not np.signbit(b[b == 0]).any()
+                      else lu()[1](b))
+
+
 def simulate(system: SpringMassSystem, state: SystemState,
              duration: float, dt: float,
              record_stride: int = 1) -> SimulationResult:
@@ -395,7 +420,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
 
     Each step evaluates the configuration-dependent force once; the next
     step starts from it.  Damping is implicit in the velocity update,
-    (M + dt/2 beta) v_new = M v_half + dt/2 f, factored once per call.
+    (M + dt/2 beta) v_new = M v_half + dt/2 f (see :func:`_damped_solve`).
     External and aero work, and the dissipation of damping, memory kernels
     and relaxing springs, accumulate with trapezoidal force averaging.
     Records are taken every ``record_stride`` steps, always including the
@@ -420,11 +445,8 @@ def simulate(system: SpringMassSystem, state: SystemState,
     decay = prony_step(st, 1.0, dt, 0.0)
     gain = prony_step(st, 0.0, dt, 1.0)
     beta = system.damping if system.damping_active else None
-    if beta is not None:
-        # lazy: only damped runs need scipy.linalg
-        from scipy.linalg import get_lapack_funcs, lu_factor
-        lu, piv = lu_factor(np.diag(m) + 0.5 * dt * beta)
-        getrs, = get_lapack_funcs(("getrs",), (lu,))
+    if beta is not None and n_steps:
+        solve = _damped_solve(np.diag(m) + 0.5 * dt * beta)
 
     def forces(t, z, h):
         """External, aero and memory forces, and the net force without
@@ -462,10 +484,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
             v_new = v_half + 0.5 * dt * f1 / m
             damp1 = 0.0
         else:
-            v_new, info = getrs(lu, piv, np.asarray_chkfinite(
-                m * v_half + 0.5 * dt * f1))
-            if info:
-                raise ValueError(f"getrs: illegal value in argument {-info}")
+            v_new = solve(np.asarray_chkfinite(m * v_half + 0.5 * dt * f1))
             damp1 = beta @ v_new
         dq = q_new - q
         work += float(np.dot(0.5 * (f_ext + f_ext1) + 0.5 * (aero + aero1), dq))
@@ -484,9 +503,7 @@ def step(system: SpringMassSystem, state: SystemState,
          dt: float) -> SystemState:
     """Advance one velocity-Verlet step: :func:`simulate` over one ``dt``.
 
-    Each call pays a whole run's setup: the decay and gain of ``prony_step``,
-    the LU factor of a damped system, a start-of-step force evaluation and
-    two records (the stability bound is cached on the system).  That is two
-    to five times a step inside :func:`simulate`, so loops belong there.
+    Each call pays a whole run's setup, two to five times a step inside
+    :func:`simulate`, so loops belong there.
     """
     return simulate(system, state, dt, dt).final_state

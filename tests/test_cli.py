@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -55,6 +56,24 @@ def write_cfg(tmp_path, text, name="cfg.yaml"):
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("masses, stiffness, damping, row", [
+        ("[1.0]", "[[1.0]]", "[[-200.0]]", 0),
+        ("[1.0, 1.0]", "[[1.0, 0.0], [0.0, 1.0]]",
+         "[[-200.0, 0.0], [100.0, 0.0]]", 1)], ids=["diagonal", "dense"])
+    def test_singular_damped_update(self, tmp_path, capsys, masses,
+                                    stiffness, damping, row):
+        path = write_cfg(tmp_path, f"network:\n  masses: {masses}\n"
+                         f"  stiffness: {stiffness}\n  damping: {damping}\n"
+                         "  duration: 1.0\n  dt: 0.01\n")
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["simulate", "--config", str(path),
+                             "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: M + dt/2 beta is singular: zero pivot in row {row}\n")
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli_main(["validate", "--config", str(tmp_path / "nope.yaml")])
         assert code == 2
@@ -178,9 +197,20 @@ class TestStartup:
         assert scipy_at_exit(argv) == set()
 
     def test_simulate_loads_neither_special_nor_signal(self, tmp_path):
-        loaded = scipy_at_exit(["simulate", "--config", str(CHAIN_CFG),
+        # nor anything of scipy: chain_simulate.yaml has no damping
+        assert scipy_at_exit(["simulate", "--config", str(CHAIN_CFG),
+                              "--out", str(tmp_path / "sim.csv")]) == set()
+
+    @pytest.mark.parametrize("damping, dense", [
+        ("[[0.1, 0.0], [0.0, 0.2]]", False),
+        ("[[0.1, 0.02], [0.02, 0.2]]", True)], ids=["diagonal", "dense"])
+    def test_damped_simulate_loads_scipy_linalg_only_when_dense(
+            self, tmp_path, damping, dense):
+        config = write_cfg(tmp_path, TestNonFinite.CHAIN
+                           + f"  damping: {damping}\n")
+        loaded = scipy_at_exit(["simulate", "--config", str(config),
                                 "--out", str(tmp_path / "sim.csv")])
-        assert not loaded & {"scipy.special", "scipy.signal"}
+        assert "scipy.linalg" in loaded if dense else loaded == set()
 
     @pytest.mark.parametrize("command", ["tensile", "relax", "kernels",
                                          "fit"])

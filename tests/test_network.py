@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlvsim.constitutive import ExponentialTensileLaw
 from qlvsim.errors import DomainError, StabilityError
+from qlvsim import network
 from qlvsim.kernels import (MaxwellParams, PronySpectrum, kernel_force_history,
                             maxwell_relaxation, prony_step)
 from qlvsim.network import (KernelEntry, NonlinearSpring, SpringMassSystem,
@@ -616,9 +618,9 @@ class TestReferenceLoop:
         return SpringMassSystem(masses=[1.0, 2.0, 0.5, 1.5], stiffness=K,
                                 kernels_replace_damping=False, **kwargs)
 
-    def check(self, system, duration=2.0, dt=0.01, stride=3):
-        state = SystemState.initial(system, q=[0.1, -0.05, 0.02, 0.08],
-                                    v=[0.0, 0.3, -0.2, 0.1])
+    def check(self, system, duration=2.0, dt=0.01, stride=3, state=None):
+        state = state or SystemState.initial(
+            system, q=[0.1, -0.05, 0.02, 0.08], v=[0.0, 0.3, -0.2, 0.1])
         got = simulate(system, state, duration, dt, record_stride=stride)
         table, final = reference_simulate(system, state, duration, dt,
                                           stride)
@@ -645,6 +647,88 @@ class TestReferenceLoop:
             masses=system.masses, stiffness=system.stiffness,
             damping=system.damping, memory_kernels=system.memory_kernels,
             nonlinear_springs=system.nonlinear_springs))
+
+    # the "damping" group is bidiagonal, so it takes the LU path; a
+    # diagonal matrix takes the division path
+    @pytest.mark.parametrize("damping", [
+        np.diag([0.05, 0.2, 0.0, 0.1]),
+        0.05 * np.eye(4) + 0.01 * np.eye(4, k=1) + 0.02 * np.eye(4, k=-2)],
+        ids=["diagonal", "dense"])
+    @pytest.mark.parametrize("others", ["none", "every"])
+    def test_damping_form(self, damping, others):
+        without = self.GROUPS[1:] if others == "none" else ()
+        self.check(dataclasses.replace(self.system(without),
+                                       damping=damping))
+
+    def test_diagonal_damping_through_underflow(self, monkeypatch):
+        """Velocities that underflow put -0.0 into the right-hand side of
+        the damped update, where getrs may return the opposite zero from a
+        division by the diagonal; the run still matches getrs."""
+        negative_zeros = []
+
+        def spy(A, solve=network._damped_solve):
+            inner = solve(A)
+
+            def recorded(b):
+                negative_zeros.append(((b == 0) & np.signbit(b)).any())
+                return inner(b)
+            return recorded
+
+        monkeypatch.setattr(network, "_damped_solve", spy)
+        system = SpringMassSystem(
+            masses=[1.3, 1.45], stiffness=[[2.5, -1.0], [-1.0, 1.0]],
+            damping=np.diag([17.0, 2.75]))
+        state = SystemState.initial(system, q=[0.0, 6e-306],
+                                    v=[0.0, -3e-307])
+        self.check(system, duration=600.0, dt=0.6, stride=1, state=state)
+        assert any(negative_zeros)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 130), steps=st.integers(1, 30),
+           groups=st.sets(st.sampled_from(GROUPS[1:])))
+    def test_random_diagonal_damping(self, data, n, steps, groups):
+        """Diagonal damping of every size across getrs' 64-row blocks,
+        masses and damping over twelve decades, zero damping entries and
+        signed zeros in the initial state, with any mix of the other force
+        groups."""
+        def draw(elements, size=n):
+            return np.array(data.draw(st.lists(elements, min_size=size,
+                                               max_size=size)))
+
+        decades = st.floats(-6.0, 6.0)
+        small = st.floats(-0.01, 0.01) | st.sampled_from([0.0, -0.0])
+        masses = 10.0 ** draw(decades)
+        links = masses * 10.0 ** draw(st.floats(-1.0, 1.0))
+        K = np.diag(links + np.append(links[1:], 0.0)) \
+            - np.diag(links[1:], 1) - np.diag(links[1:], -1)
+        damping = np.diag(masses * 10.0 ** draw(decades)
+                          * draw(st.sampled_from([0.0, 1.0])))
+        i, j, k = draw(st.integers(0, n - 1), 3)
+        # the aero entry and the spring are at most a tenth as stiff as
+        # the softer row they join, so the run stays stable
+        scale = min(K[j, j], K[k, k])
+        kwargs = {
+            "memory": {"memory_kernels": (KernelEntry(i, i, PronySpectrum(
+                K=K[i, i], amplitudes=(0.3 * K[i, i],),
+                frequencies=(2.0,))),)},
+            "aero": {"aero_kernels": (KernelEntry(j, k, PronySpectrum(
+                K=0.01 * scale, amplitudes=(0.02 * scale,),
+                frequencies=(3.0,))),)},
+            "springs": {"nonlinear_springs": (NonlinearSpring(
+                j, None if j == k else k,
+                ExponentialTensileLaw(B=2.0, C=0.05 * scale)),)},
+            "force": {"external_force":
+                      lambda t: np.full(n, 0.01) * links * math.sin(t)},
+        }
+        system = SpringMassSystem(
+            masses=masses, stiffness=K, damping=damping,
+            kernels_replace_damping=False,
+            **{key: value for group in groups
+               for key, value in kwargs[group].items()})
+        dt = 0.5 * system.stability_bound()
+        state = SystemState.initial(system, q=draw(small), v=draw(small))
+        self.check(system, duration=steps * dt, dt=dt,
+                   stride=data.draw(st.integers(1, 4)), state=state)
 
 
 class TestStackedSprings:
@@ -736,3 +820,51 @@ class TestDampedSolve:
         with pytest.raises(ValueError,
                            match="^array must not contain infs or NaNs$"):
             simulate(system, SystemState.initial(system), 1.0, 0.01)
+
+    def test_non_finite_right_hand_side_raises_dense(self):
+        system = SpringMassSystem(
+            masses=[1.0, 1.0], stiffness=[[2.0, -1.0], [-1.0, 1.0]],
+            damping=[[0.1, 0.02], [0.02, 0.1]],
+            external_force=lambda t: [0.0, math.inf if t > 0 else 0.0])
+        with pytest.raises(ValueError,
+                           match="^array must not contain infs or NaNs$"):
+            simulate(system, SystemState.initial(system), 1.0, 0.01)
+
+    @pytest.mark.parametrize("masses, damping, row", [
+        ([1.0], [[-200.0]], 0),
+        ([1.0, 2.0, 1.0], np.diag([0.5, -400.0, 0.5]), 1),
+        # getrf swaps the rows; U's second pivot is 0
+        ([1.0, 1.0], [[-200.0, 0.0], [100.0, 0.0]], 1)],
+        ids=["one-mass", "diagonal", "dense"])
+    def test_zero_pivot_names_its_row(self, masses, damping, row):
+        n = len(masses)
+        system = SpringMassSystem(masses=masses, stiffness=np.eye(n),
+                                  damping=damping)
+        state = SystemState.initial(system, q=np.full(n, 0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=(
+                    rf"^M \+ dt/2 beta is singular: zero pivot in row "
+                    rf"{row}$")):
+                simulate(system, state, 1.0, 0.01)
+        # a run of no steps solves nothing
+        assert simulate(system, state, 0.0, 0.01).times.tolist() == [0.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 130))
+    def test_diagonal_solve_has_the_bits_of_getrs(self, data, n):
+        """Over both signs and twenty-six decades of the diagonal, and
+        right-hand sides with many signed zeros."""
+        from scipy.linalg import lu_factor, lu_solve
+
+        def draw(elements):
+            return np.array(data.draw(st.lists(elements, min_size=n,
+                                               max_size=n)))
+
+        d = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+            st.floats(-13.0, 13.0))
+        b = draw(st.sampled_from([0.0, -0.0])
+                 | st.floats(-1e6, 1e6, allow_subnormal=False))
+        want = lu_solve(lu_factor(np.diag(d)), b)
+        assert network._damped_solve(np.diag(d))(b).tobytes() == \
+            want.tobytes()
