@@ -1,6 +1,8 @@
 """Command line: each command returns its output (a series, a ``(names,
 columns)`` table or text) and its stderr lines; one writer sends the output
 to ``--out``, else ``output.path``, else stdout, and the lines follow.
+A run's ``--dt``/``--duration`` set its config's ``protocol`` (or, for
+simulate, ``network``) keys before validation, which checks them there.
 Exit codes: 0 success, 2 validation/usage errors, 1 runtime or numerical
 errors, a float overflow or invalid operation among them."""
 
@@ -10,7 +12,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from . import protocols
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, QlvError
 from .kernels import KERNEL_TYPES, grid_steps, reduced_relaxation
-from .network import SystemState, simulate, steps_and_records
+from .network import SystemState, simulate
 from .protocols import (Series, check_fit_terms, fit_exponential_law,
                         fit_relaxation_spectrum, frequency_sweep)
 from .seriesio import (read_series, serialize_series, write_series,
@@ -28,6 +30,9 @@ from .seriesio import (read_series, serialize_series, write_series,
 # when the command runs, so a wrapper set on the module later is called.
 _PROTOCOLS = {"tensile": "tensile", "creep": "creep", "relax": "relaxation",
               "cyclic": "cyclic"}
+# command -> the config section its --dt/--duration set
+_GRID_SECTION = {"tensile": "protocol", "creep": "protocol",
+                 "relax": "protocol", "simulate": "network"}
 _METRICS = ("youngs_modulus", "yield_stress", "uts", "fracture_energy",
             "relaxation_asymptote", "hysteresis_H")
 
@@ -59,11 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True,
                        help="path to the YAML run configuration")
-        p.add_argument("--out", help="output CSV path "
-                       "(overrides output.path from the config)")
-        p.add_argument("--dt", type=_finite, help="override protocol dt")
-        p.add_argument("--duration", type=_finite,
-                       help="override protocol duration")
+        if name != "validate":      # which always prints
+            p.add_argument("--out", help="output CSV path "
+                           "(overrides output.path from the config)")
+        for key in ("dt", "duration") if name in _GRID_SECTION else ():
+            p.add_argument(f"--{key}", type=_finite, help=f"set "
+                           f"{_GRID_SECTION[name]}.{key} in the config")
 
     fit = sub.add_parser("fit", help="fit model parameters to a CSV series")
     fit.add_argument("kind", choices=["exponential", "spectrum"],
@@ -114,10 +120,9 @@ def _relaxation_from_args(args):
         raise ConfigError([f"--{name}: {exc}"]) from exc
 
 
-def _protocol_and_specimen(cfg: RunConfig, args, expected_kind: str,
+def _protocol_and_specimen(cfg: RunConfig, expected_kind: str,
                            command: str):
-    """The config's protocol spec with the --dt/--duration overrides, and
-    its model (or bare element) specimen."""
+    """The protocol spec and the model (or bare element) specimen."""
     if cfg.network is not None:
         raise ConfigError([f"network: the {command} command needs a model "
                            "specimen, not a network"])
@@ -130,22 +135,12 @@ def _protocol_and_specimen(cfg: RunConfig, args, expected_kind: str,
     if cfg.protocol.kind != expected_kind:
         raise ConfigError([f"protocol.kind: expected {expected_kind!r}, "
                            f"got {cfg.protocol.kind!r}"])
-    overrides = {name: getattr(args, name) for name in ("dt", "duration")
-                 if getattr(args, name) is not None}
-    if expected_kind == "cyclic":
-        if overrides:
-            raise ConfigError(["--dt/--duration: cyclic runs are sampled by "
-                               "protocol.samples_per_cycle and "
-                               "protocol.cycles"])
-        if {"max_cycles", "settle_time"} & set(cfg.raw["protocol"]):
-            print("warning: protocol.max_cycles/settle_time are ignored; "
-                  "cyclic runs use the exact periodic steady state",
-                  file=sys.stderr)
-    specimen = cfg.model if cfg.model is not None else cfg.element
-    try:
-        return replace(cfg.protocol, **overrides), specimen
-    except DomainError as exc:
-        raise ConfigError([f"--dt/--duration: {exc}"]) from exc
+    if expected_kind == "cyclic" and \
+            {"max_cycles", "settle_time"} & set(cfg.raw["protocol"]):
+        print("warning: protocol.max_cycles/settle_time are ignored; "
+              "cyclic runs use the exact periodic steady state",
+              file=sys.stderr)
+    return cfg.protocol, cfg.model if cfg.model is not None else cfg.element
 
 
 def _strided(series: Series, stride: int) -> Series:
@@ -163,7 +158,7 @@ def _strided(series: Series, stride: int) -> Series:
 
 def _cmd_protocol(args, cfg: RunConfig):
     kind = _PROTOCOLS[args.command]
-    spec, specimen = _protocol_and_specimen(cfg, args, kind, kind)
+    spec, specimen = _protocol_and_specimen(cfg, kind, kind)
     series, report = getattr(protocols, f"run_{kind}")(spec, specimen)
     lines = [f"{name} = {getattr(report, name)}" for name in _METRICS
              if getattr(report, name) is not None]
@@ -173,7 +168,7 @@ def _cmd_protocol(args, cfg: RunConfig):
 def _cmd_sweep(args, cfg: RunConfig):
     if cfg.sweep_frequencies is None:
         raise ConfigError(["sweep: section required for the sweep command"])
-    spec, specimen = _protocol_and_specimen(cfg, args, "cyclic", "sweep")
+    spec, specimen = _protocol_and_specimen(cfg, "cyclic", "sweep")
     freqs, hs = frequency_sweep(spec, specimen, cfg.sweep_frequencies)
     return (["frequency", "H"], [freqs, hs]), []
 
@@ -182,20 +177,13 @@ def _cmd_simulate(args, cfg: RunConfig):
     if cfg.network is None:
         raise ConfigError(["network: section required for the simulate "
                            "command"])
-    duration = args.duration if args.duration is not None else cfg.sim_duration
-    dt = args.dt if args.dt is not None else cfg.sim_dt
-    if not duration or not dt or duration <= 0 or dt <= 0:
+    if None in (cfg.sim_duration, cfg.sim_dt):  # given ones were checked
         raise ConfigError(["network.duration: simulate needs positive "
                            "duration and dt (network.duration/network.dt "
                            "or --duration/--dt)"])
-    try:
-        steps_and_records(cfg.network.n, duration, dt, cfg.output_stride)
-        cfg.network.check_time_step(dt)
-    except DomainError as exc:
-        raise ConfigError([f"--dt/--duration: {exc}"]) from exc
     state = SystemState.initial(cfg.network, q=cfg.initial_q, v=cfg.initial_v)
-    result = simulate(cfg.network, state, duration=duration, dt=dt,
-                      record_stride=cfg.output_stride)
+    result = simulate(cfg.network, state, duration=cfg.sim_duration,
+                      dt=cfg.sim_dt, record_stride=cfg.output_stride)
     columns = {**{f"q{i}": q for i, q in enumerate(result.q.T)},
                **{f"v{i}": v for i, v in enumerate(result.v.T)},
                "kinetic": result.kinetic, "elastic": result.elastic,
@@ -256,7 +244,7 @@ _COMMANDS = {**dict.fromkeys(_PROTOCOLS, _cmd_protocol), "fit": _cmd_fit,
 def _write(output, args, cfg: RunConfig | None) -> None:
     """Deliver a command's output to --out, else output.path, else stdout;
     validate always prints, and the other config commands need a file."""
-    path = args.out or (cfg.output_path if cfg else None)
+    path = getattr(args, "out", None) or (cfg.output_path if cfg else None)
     if args.command == "validate" or not (path or cfg):
         sys.stdout.write(output if isinstance(output, str)
                          else serialize_series(output))
@@ -282,7 +270,12 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            cfg = load_config(args.config) if "config" in args else None
+            section = _GRID_SECTION.get(args.command)
+            grid = {key: getattr(args, key) for key in ("dt", "duration")
+                    if section and getattr(args, key) is not None}
+            # no flag, no second argument: bench/run.py wraps load_config(path)
+            sets = [{section: grid}] if grid else []
+            cfg = load_config(args.config, *sets) if "config" in args else None
             output, lines = _COMMANDS[args.command](args, cfg)
         _write(output, args, cfg)
         sys.stderr.writelines(f"{line}\n" for line in lines)

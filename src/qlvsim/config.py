@@ -24,7 +24,7 @@ from .kernels import (KERNEL_TYPES, SIZE_BUDGET, KelvinParams, MaxwellParams,
                       PronySpectrum, VoigtParams, check_filter_size,
                       grid_steps)
 from .network import (KernelEntry, NonlinearSpring, SpringMassSystem,
-                      steps_and_records)
+                      _damped_solve, steps_and_records)
 from .protocols import ProtocolSpec
 from .qlv import QlvModel
 
@@ -371,6 +371,9 @@ def _build_network(v: _Validator, section: dict) -> dict:
                          kernels_replace_damping=replace)
     if system is not None and dt is not None:
         v.construct("network.dt", system.check_time_step, dt)
+        if system.damping_active:   # the run's own pivot check
+            v.construct("network.damping", _damped_solve,
+                        np.diag(system.masses) + 0.5 * dt * system.damping)
     return dict(network=system, initial_q=q0, initial_v=v0,
                 sim_duration=duration, sim_dt=dt)
 
@@ -472,10 +475,10 @@ def _load_yaml(text: str):
     raise ConfigError(["invalid YAML: nesting too deep"])
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate YAML config text into a RunConfig.
-
-    Raises ConfigError carrying the full list of validation messages.
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate YAML config text into a RunConfig, first setting
+    in each section named in ``overrides``, where it is a mapping, the keys
+    it maps to.  Raises ConfigError carrying the full list of messages.
     """
     data = _load_yaml(text)
     if data is None:
@@ -483,6 +486,9 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError([f"top level must be a mapping, "
                            f"got {type(data).__name__}"])
+    for section, values in (overrides or {}).items():
+        if isinstance(data.get(section), dict):
+            data[section].update(values)
 
     v = _Validator()
     v.section(data, "", _TOP_KEYS)
@@ -553,10 +559,10 @@ def _effective_dict(data: dict, stride: int, precision: int) -> dict:
     return effective
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides: dict | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
-    return parse_config(text)
+    return parse_config(text, overrides)

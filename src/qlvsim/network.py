@@ -400,7 +400,8 @@ def _damped_solve(A: np.ndarray):
         factors, piv, _ = getrf(A)
         return np.diag(factors), lambda b: getrs(factors, piv, b)[0]
 
-    A = np.asarray_chkfinite(A)
+    if not np.isfinite(A).all():    # dt/2 beta overflowed
+        raise DomainError("M + dt/2 beta must be finite")
     d = np.diag(A)
     diagonal = np.count_nonzero(A) == np.count_nonzero(d)
     pivots = d if diagonal else lu()[0]

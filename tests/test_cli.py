@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -55,6 +56,13 @@ def write_cfg(tmp_path, text, name="cfg.yaml"):
     return path
 
 
+def config_argv(command, cfg, out):
+    """``command`` on ``cfg``, writing to ``out`` unless it is validate,
+    which takes no --out."""
+    argv = [command, "--config", str(cfg)]
+    return argv if command == "validate" else argv + ["--out", str(out)]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("masses, stiffness, damping, row", [
         ("[1.0]", "[[1.0]]", "[[-200.0]]", 0),
@@ -66,12 +74,13 @@ class TestExitCodes:
                          f"  stiffness: {stiffness}\n  damping: {damping}\n"
                          "  duration: 1.0\n  dt: 0.01\n")
         out = tmp_path / "out.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli_main(["simulate", "--config", str(path),
-                             "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: M + dt/2 beta is singular: zero pivot in row {row}\n")
+        for command in ("validate", "simulate"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli_main(config_argv(command, path, out)) == 2
+            assert capsys.readouterr().err == (
+                "error: network.damping: M + dt/2 beta is singular: zero "
+                f"pivot in row {row}\n")
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -191,10 +200,8 @@ class TestStartup:
     def test_command_loads_no_scipy(self, tmp_path, command):
         config = write_cfg(tmp_path, FUNG_CREEP_TEXT) \
             if command == "creep" else CYCLIC_CFG
-        argv = [command, "--config", str(config)]
-        if command != "validate":
-            argv += ["--out", str(tmp_path / "out.csv")]
-        assert scipy_at_exit(argv) == set()
+        assert scipy_at_exit(config_argv(command, config,
+                                         tmp_path / "out.csv")) == set()
 
     def test_simulate_loads_neither_special_nor_signal(self, tmp_path):
         # nor anything of scipy: chain_simulate.yaml has no damping
@@ -206,11 +213,13 @@ class TestStartup:
         ("[[0.1, 0.02], [0.02, 0.2]]", True)], ids=["diagonal", "dense"])
     def test_damped_simulate_loads_scipy_linalg_only_when_dense(
             self, tmp_path, damping, dense):
+        # validate checks the damped update as the run does
         config = write_cfg(tmp_path, TestNonFinite.CHAIN
                            + f"  damping: {damping}\n")
-        loaded = scipy_at_exit(["simulate", "--config", str(config),
-                                "--out", str(tmp_path / "sim.csv")])
-        assert "scipy.linalg" in loaded if dense else loaded == set()
+        for command in ("validate", "simulate"):
+            loaded = scipy_at_exit(config_argv(command, config,
+                                               tmp_path / "sim.csv"))
+            assert "scipy.linalg" in loaded if dense else loaded == set()
 
     @pytest.mark.parametrize("command", ["tensile", "relax", "kernels",
                                          "fit"])
@@ -232,6 +241,42 @@ class TestStartup:
 
     def test_parser_is_built_once_per_process(self):
         assert _build_parser() is _build_parser()
+
+
+RUN_OPTIONS = {"--config", "--out", "--seed"}
+GRID_OPTIONS = RUN_OPTIONS | {"--dt", "--duration"}
+# each subcommand's options, --help aside
+OPTIONS = {**dict.fromkeys(["tensile", "creep", "relax", "simulate"],
+                           GRID_OPTIONS),
+           "cyclic": RUN_OPTIONS, "sweep": RUN_OPTIONS,
+           "validate": {"--config", "--seed"},
+           "fit": {"--terms", "--out", "--seed"},
+           "kernels": {"--kind", "--dt", "--duration", "--out", "--seed",
+                       *("--" + f.name.replace("_", "-")
+                         for cls in KERNEL_TYPES.values()
+                         for f in fields(cls))}}
+
+
+class TestOptions:
+    """Each command takes only the flags it reads."""
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_option_set(self, command):
+        sub, = (action.choices[command] for action in _build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+        assert {option for action in sub._actions
+                for option in action.option_strings
+                } - {"-h", "--help"} == OPTIONS[command]
+
+    @pytest.mark.parametrize("flags", [["--out", "x.csv"], ["--dt", "1"],
+                                       ["--duration", "1"]])
+    def test_validate_takes_only_config(self, capsys, flags):
+        assert cli_main(["validate", "--config", str(RELAX_CFG),
+                         *flags]) == 2
+        captured = capsys.readouterr()
+        assert "error: unrecognized arguments: " + " ".join(flags) in \
+            captured.err
+        assert captured.out == ""
 
 
 class TestValidate:
@@ -319,9 +364,9 @@ class TestValidateAgreesWithTheRun:
                                  error, validate):
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out.csv"
-        argv = ["validate" if validate else command, "--config", str(cfg)]
         with alarm(20):     # a run that is not rejected fails, not hangs
-            assert cli_main(argv + ["--out", str(out)]) == 2
+            assert cli_main(config_argv("validate" if validate else command,
+                                        cfg, out)) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
@@ -334,61 +379,97 @@ class TestValidateAgreesWithTheRun:
         assert cli_main(["relax", "--config", str(cfg), "--out", str(out)]) == 0
         assert read_series(out).columns["stress"][0] == -1.0
 
-    @pytest.mark.parametrize("flags, error", [
-        (["--dt", "1e-300"], "duration/dt must be <= 10000000"),
-        (["--duration", "1e300"], "duration/dt must be <= 10000000"),
-        (["--dt", "-0.1"], "dt must be > 0, got -0.1"),
-        (["--duration", "0.004"], "duration and dt produce an empty series"),
-        (["--duration=-1e300", "--dt", "1e-10"],
-         "protocol needs duration > 0"),
-    ], ids=["dt", "duration", "negative-dt", "empty-grid", "negative-duration"])
-    def test_overrides_are_checked_as_usage(self, tmp_path, capsys, flags,
-                                            error):
-        cfg = write_cfg(tmp_path, CREEP_TEXT)
+    # a grid fault given by a flag of the run command, each as the same
+    # value written into the config at the flag's key
+    FLAG_CASES = [
+        ("creep", CREEP_TEXT, {"dt": "1e-300"},
+         "protocol: duration/dt must be <= 10000000"),
+        ("creep", CREEP_TEXT, {"duration": "1e300"},
+         "protocol: duration/dt must be <= 10000000"),
+        ("creep", CREEP_TEXT, {"dt": "-0.1"},
+         "protocol: dt must be > 0, got -0.1"),
+        ("creep", CREEP_TEXT, {"duration": "0.004"},
+         "protocol: duration and dt produce an empty series"),
+        ("creep", CREEP_TEXT, {"duration": "-1e300", "dt": "1e-10"},
+         "protocol: protocol needs duration > 0"),
+        ("simulate", CHAIN_CFG.read_text(), {"dt": "1e-300"},
+         "network.duration: duration/dt must be <= 10000000"),
+        ("simulate", CHAIN_CFG.read_text(), {"duration": "1e300"},
+         "network.duration: duration/dt must be <= 10000000"),
+        ("simulate", CHAIN_CFG.read_text().replace("stride: 10", "stride: 1"),
+         {"duration": "10000"}, "output.stride: records x columns must be "
+         "<= 10000000, got 1000001 x 11"),
+        ("simulate", CHAIN_CFG.read_text(), {"dt": "1.9"},
+         "network.dt: dt = 1.9 violates the explicit stability bound "
+         "2/omega_max = 1.0987851636338393"),
+    ]
+    FLAG_IDS = ["dt", "duration", "negative-dt", "empty-grid",
+                "negative-duration", "simulate-dt", "simulate-duration",
+                "record-table", "unstable-network-dt"]
+
+    @staticmethod
+    def written(tmp_path, command, text, flags):
+        """The config ``text`` with the flags' values written in at their
+        keys."""
+        doc = yaml.safe_load(text)
+        doc["network" if command == "simulate" else "protocol"].update(
+            {key: float(value) for key, value in flags.items()})
+        return write_cfg(tmp_path, yaml.safe_dump(doc), "written.yaml")
+
+    @pytest.mark.parametrize("command, text, flags, error", FLAG_CASES,
+                             ids=FLAG_IDS)
+    def test_overrides_are_checked_as_usage(self, tmp_path, capsys, alarm,
+                                            command, text, flags, error):
         out = tmp_path / "out.csv"
-        assert cli_main(["creep", "--config", str(cfg), "--out", str(out),
-                         *flags]) == 2
-        assert capsys.readouterr().err == f"error: --dt/--duration: {error}\n"
+        written = self.written(tmp_path, command, text, flags)
+        for argv in ([command, "--config", str(write_cfg(tmp_path, text)),
+                      "--out", str(out),
+                      *(f"--{key}={value}" for key, value in flags.items())],
+                     [command, "--config", str(written), "--out", str(out)],
+                     ["validate", "--config", str(written)]):
+            with alarm(20):     # checked before a grid is built or stepped
+                assert cli_main(argv) == 2
+            assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text, flags", [
+        ("creep", CREEP_TEXT, {"duration": "1.0", "dt": "0.5"}),
+        ("simulate", CHAIN_CFG.read_text(), {"duration": "7.5", "dt": "0.02"}),
+    ], ids=["creep", "simulate"])
+    def test_flags_run_as_their_values_in_the_config(self, tmp_path, capsys,
+                                                     command, text, flags):
+        out = tmp_path / "out.csv"
+        runs = []
+        for argv in ([f"--{key}={value}" for key, value in flags.items()
+                      ] + ["--config", str(write_cfg(tmp_path, text))],
+                     ["--config", str(self.written(tmp_path, command, text,
+                                                   flags))]):
+            assert cli_main([command, "--out", str(out), *argv]) == 0
+            runs.append((out.read_bytes(), capsys.readouterr()))
+        assert runs[0] == runs[1]
 
+    # kernels reads no config, so it checks its grid flags as flags
     @pytest.mark.parametrize("argv", [
         ["kernels", "--kind", "maxwell", "--mu", "1", "--eta", "1",
-         "--dt", "1e-300"],
-        ["simulate", "--config", str(CHAIN_CFG), "--dt", "1e-300"],
-        ["simulate", "--config", str(CHAIN_CFG), "--duration", "1e300"],
-    ], ids=["kernels", "simulate-dt", "simulate-duration"])
+         "--dt", "1e-300"]], ids=["kernels"])
     def test_grid_flags_over_the_budget(self, tmp_path, capsys, alarm, argv):
         out = tmp_path / "out.csv"
-        with alarm(20):     # a grid that is built or stepped fails, not hangs
+        with alarm(20):     # a grid that is built fails, not hangs
             assert cli_main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == \
             "error: --dt/--duration: duration/dt must be <= 10000000\n"
         assert not out.exists()
 
-
-    def test_unstable_dt_override(self, tmp_path, capsys, alarm):
-        out = tmp_path / "out.csv"
-        with alarm(20):
-            assert cli_main(["simulate", "--config", str(CHAIN_CFG), "--out",
-                             str(out), "--dt", "1.9"]) == 2
-        assert capsys.readouterr().err == (
-            "error: --dt/--duration: dt = 1.9 violates the explicit stability "
-            "bound 2/omega_max = 1.0987851636338393\n")
-        assert not out.exists()
-
-    def test_record_table_override_over_the_budget(self, tmp_path, capsys,
-                                                   alarm):
-        cfg = write_cfg(tmp_path, CHAIN_CFG.read_text().replace(
-            "stride: 10", "stride: 1"))
-        out = tmp_path / "out.csv"
-        with alarm(5):      # checked before the run, which would take ~50 s
-            assert cli_main(["simulate", "--config", str(cfg), "--out",
-                             str(out), "--duration", "10000"]) == 2
-        assert capsys.readouterr().err == (
-            "error: --dt/--duration: records x columns must be <= 10000000, "
-            "got 1000001 x 11\n")
-        assert not out.exists()
+    def test_unstable_dt_override(self, tmp_path, capsys):
+        # a stable --dt runs a config whose own dt is unstable
+        cfg = write_cfg(tmp_path, CHAIN_CFG.read_text().replace("dt: 0.01",
+                                                                "dt: 1.9"))
+        out, shipped = tmp_path / "out.csv", tmp_path / "shipped.csv"
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--dt", "0.01"]) == 0
+        assert cli_main(["simulate", "--config", str(CHAIN_CFG), "--out",
+                         str(shipped)]) == 0
+        assert out.read_bytes() == shipped.read_bytes()
 
 
 # a valid section of each elastic and kernel kind
@@ -457,8 +538,7 @@ class TestForeignKeys:
         doc["model"][section][key] = 1.0
         cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
         out = tmp_path / "out.csv"
-        assert cli_main([command, "--config", str(cfg), "--out",
-                         str(out)]) == 2
+        assert cli_main(config_argv(command, cfg, out)) == 2
         # a bare Voigt element with a faulty kernel also misses its law
         assert capsys.readouterr().err.splitlines()[0] == (
             f"error: model.{section}.{key}: unknown key (allowed: "
@@ -496,8 +576,7 @@ class TestForeignKeys:
         set_in(doc["network"], keys, value)
         cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
         out = tmp_path / "out.csv"
-        assert cli_main([command, "--config", str(cfg), "--out",
-                         str(out)]) == 2
+        assert cli_main(config_argv(command, cfg, out)) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
@@ -582,8 +661,7 @@ class TestSimulate:
                          f"  stiffness: {entries['stiffness']}\n"
                          f"  damping: {entries['damping']}\n"
                          "  duration: 1.0\n  dt: 0.01\n")
-        code = cli_main([command, "--config", str(path),
-                         "--out", str(tmp_path / "sim.csv")])
+        code = cli_main(config_argv(command, path, tmp_path / "sim.csv"))
         assert code == 2
         assert f"network: {matrix} entries must be finite" in \
             capsys.readouterr().err
@@ -600,8 +678,7 @@ class TestSimulate:
                          f"  damping: {entries['damping']}\n"
                          "  duration: 1.0\n  dt: 0.01\n")
         out = tmp_path / "sim.csv"
-        assert cli_main([command, "--config", str(path), "--out",
-                         str(out)]) == 2
+        assert cli_main(config_argv(command, path, out)) == 2
         assert capsys.readouterr().err == \
             f"error: network.{matrix}: entries must be finite\n"
         assert not out.exists()
@@ -704,11 +781,13 @@ class TestCyclic:
     @pytest.mark.parametrize("command", ["cyclic", "sweep"])
     @pytest.mark.parametrize("flags", [["--dt", "0.5"], ["--duration", "3"]])
     def test_rejects_dt_and_duration(self, tmp_path, capsys, command, flags):
+        # sampled by protocol.samples_per_cycle and cycles, they take neither
         cfg = write_cfg(tmp_path, KELVIN_CYCLIC_TEXT)
         out = tmp_path / "out.csv"
         assert cli_main([command, "--config", str(cfg), "--out", str(out)]
                         + flags) == 2
-        assert "error: --dt/--duration" in capsys.readouterr().err
+        assert "error: unrecognized arguments: " + " ".join(flags) in \
+            capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["cyclic", "sweep"])
@@ -913,6 +992,9 @@ KERNEL_CASES = [(kind, name) for kind, flags in KERNEL_FLAGS.items()
                 for name in (*flags, "duration", "dt")]
 FLAG_VALUES = ["-1", "0", "1e300", "-1e300", "1e-300", str(2**63), "x", "",
                "nan", "inf", "2,1", "1,x"]
+# finite --dt/--duration values: zero, negative, tiny, moderate and huge
+GRID_VALUES = [0.0, -0.0, -1.0, -1e300, -sys.float_info.max, 5e-324, 1e-300,
+               1e-10, 0.5, 2.0, 1e300, sys.float_info.max]
 TERMS = ["-1", "0", "1", "2", "8", "64", str(2**63), str(-2**63), "x", "",
          "1.5"]
 
@@ -979,6 +1061,8 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert code in (0, 1, 2)
         assert code == 0 or "error:" in err, err
+        assert "Traceback" not in err, err
+        return code
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture])
@@ -994,8 +1078,8 @@ class TestExitCodeContract:
         node[path[-1]] = value
         cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
         for run in (command, "validate"):
-            self.check([run, "--config", str(cfg),
-                        "--out", str(tmp_path / "out.csv")], capsys, alarm)
+            self.check(config_argv(run, cfg, tmp_path / "out.csv"), capsys,
+                       alarm)
 
     @pytest.mark.parametrize("value", list(ODD_STIFFNESS))
     def test_odd_stiffness_entry(self, tmp_path, capsys, alarm, value):
@@ -1004,8 +1088,8 @@ class TestExitCodeContract:
         for command, (code, error) in zip(["validate", "simulate"],
                                           ODD_STIFFNESS[value]):
             with alarm(20):
-                assert cli_main([command, "--config", str(cfg), "--out",
-                                 str(tmp_path / "out.csv")]) == code
+                assert cli_main(config_argv(command, cfg,
+                                            tmp_path / "out.csv")) == code
             errors = [line for line in capsys.readouterr().err.splitlines()
                       if line.startswith("error:")]
             assert len(errors) == (error is not None), errors
@@ -1019,8 +1103,8 @@ class TestExitCodeContract:
         cfg = write_cfg(tmp_path, CHAIN_CFG.read_text().replace(
             "K: 1.0  ", f"K: {value}  "))
         with alarm(20):
-            assert cli_main([command, "--config", str(cfg), "--out",
-                             str(tmp_path / "out.csv")]) == 2
+            assert cli_main(config_argv(command, cfg,
+                                        tmp_path / "out.csv")) == 2
         assert capsys.readouterr().err.startswith(
             "error: invalid YAML: cannot build a value (")
         assert not (tmp_path / "out.csv").exists()
@@ -1052,6 +1136,24 @@ class TestExitCodeContract:
         self.check(["kernels", "--kind", kind,
                     *(f"--{key}={v}" for key, v in flags.items())],
                    capsys, alarm)
+
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["creep", "simulate"]),
+           flags=st.dictionaries(st.sampled_from(["dt", "duration"]),
+                                 st.sampled_from(GRID_VALUES), min_size=1))
+    @example(command="simulate", flags={"dt": 5e-324, "duration": 5e-324})
+    @example(command="creep", flags={"dt": 1e300, "duration": 1e300})
+    def test_grid_flags(self, tmp_path, capsys, alarm, command, flags):
+        cfg = CHAIN_CFG if command == "simulate" else \
+            write_cfg(tmp_path, CREEP_TEXT)
+        out = tmp_path / "out.csv"
+        out.unlink(missing_ok=True)
+        code = self.check([command, "--config", str(cfg), "--out", str(out),
+                           *(f"--{key}={value!r}"
+                             for key, value in flags.items())], capsys, alarm)
+        assert code == 0 or not out.exists()
 
 
 class TestStride:

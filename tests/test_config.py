@@ -30,9 +30,9 @@ protocol:
 """
 
 
-def errors_of(text):
+def errors_of(text, overrides=None):
     with pytest.raises(ConfigError) as exc:
-        parse_config(text)
+        parse_config(text, overrides)
     return exc.value.errors
 
 
@@ -48,6 +48,14 @@ class TestParse:
         text = cfg.effective_text()
         again = parse_config(text)
         assert again.effective_text() == text
+
+    def test_overrides_set_keys_before_validation(self):
+        # only in a section that is a mapping: no network section is made
+        cfg = parse_config(MINIMAL, {"protocol": {"dt": 0.5},
+                                     "network": {"dt": 0.5}})
+        assert cfg.protocol.dt == 0.5 and cfg.network is None
+        assert errors_of(MINIMAL, {"protocol": {"dt": -1.0}}) == \
+            ["protocol: dt must be > 0, got -1.0"]
 
     def test_unknown_top_key(self):
         errs = errors_of(MINIMAL + "\nbogus: 1\n")
@@ -166,6 +174,30 @@ network:
         assert np.allclose(cfg.initial_q, [0.1, 0.0, 0.0])
         f = cfg.network.external_force_at(0.0)
         assert np.allclose(f, 0.0)
+
+    @pytest.mark.parametrize("masses, damping, row", [
+        ("[1.0]", "[[-200.0]]", 0),
+        ("[1.0, 1.0]", "[[0.0, 200.0], [200.0, 0.0]]", 1)],
+        ids=["diagonal", "dense"])
+    def test_singular_damped_update(self, masses, damping, row):
+        net = (f"network:\n  masses: {masses}\n  stiffness: "
+               f"{np.eye(len(yaml.safe_load(masses))).tolist()}\n"
+               f"  damping: {damping}\n  duration: 1.0\n")
+        assert errors_of(net + "  dt: 0.01\n") == [
+            f"network.damping: M + dt/2 beta is singular: zero pivot in row "
+            f"{row}"]
+        # checked at the run's dt; inactive once kernels replace damping
+        parse_config(net)
+        parse_config(net + "  dt: 0.02\n")
+        parse_config(net + "  dt: 0.01\n  kernels: [{i: 0, j: 0, K: 1.0, "
+                     "amplitudes: [0.5], frequencies: [1.0]}]\n")
+
+    def test_damped_update_that_overflows(self):
+        with np.errstate(over="ignore"):    # dt/2 beta is inf
+            assert errors_of("network:\n  masses: [1.0]\n  stiffness: "
+                             "[[0.0]]\n  damping: [[1.0e+308]]\n  duration: "
+                             "10.0\n  dt: 10.0\n") == [
+                "network.damping: M + dt/2 beta must be finite"]
 
     def test_classical_element_without_elastic(self):
         text = """
