@@ -248,11 +248,12 @@ def check_filter_size(samples: int, terms: int) -> None:
 def _prony_filter(decay, gain, dx, carry) -> np.ndarray:
     """Internal variables h[i] = decay[i]*h[i-1] + gain[i]*dx[i], one column
     per term, from h[-1] = carry; decay/gain broadcast to one row per sample.
+    A ``dx`` of shape (samples, F) runs F filters, row i holding (F, terms).
 
     Each step rounds as fl(fl(decay*h) + fl(gain*dx)), as the transposed
     direct form of the first-order filter gain / (1 - decay*z^-1) does.
     """
-    h = dx[:, None] * gain
+    h = dx[..., None] * gain
     prev = carry
     for row, d in zip(h, np.broadcast_to(decay, h.shape)):
         row += d * prev
@@ -261,9 +262,9 @@ def _prony_filter(decay, gain, dx, carry) -> np.ndarray:
 
 
 def _term_sum(states) -> np.ndarray:
-    """Each row summed over its terms in term order from 0.0, never pairwise,
-    by running sums over ``states``; -0.0 terms or none sum to 0.0."""
-    return np.add.accumulate(states, axis=1, out=states)[:, -1:].sum(1) + 0.0
+    """Each row summed over its terms (last axis) in term order from 0.0,
+    never pairwise, by running sums; -0.0 terms or none sum to 0.0."""
+    return np.add.accumulate(states, -1, out=states)[..., -1:].sum(-1) + 0.0
 
 
 def kernel_force_history(spectrum: PronySpectrum, times,
@@ -276,7 +277,7 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     ``_BLOCK_ROWS`` samples at a time, fewer when that many rows of states
     would exceed SIZE_BUDGET values; a non-uniform block, which also holds
     its steps' decay, gain and their temporaries, takes a quarter of the
-    rows.  A uniform grid takes its decay and gain from the first step.
+    rows.  A uniform grid takes its decay and gain once, from its first step.
     """
     times = np.asarray(times, dtype=float)
     xs = np.asarray(displacement, dtype=float)
@@ -294,11 +295,14 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     uniform = is_uniform_grid(times)
     block = max(1, min(_BLOCK_ROWS,
                        SIZE_BUDGET // (h.size if uniform else 4 * h.size)))
+
+    def decay_gain(dt):
+        return (prony_step(spectrum, 1.0, dt, 0.0),
+                prony_step(spectrum, 0.0, dt, 1.0))
+    once = decay_gain(dts[0]) if uniform and dts.size else None
     for start in range(0, dxs.size, block):
         stop = start + block
-        dt = dts[0] if uniform else dts[start:stop, None]
-        states = _prony_filter(prony_step(spectrum, 1.0, dt, 0.0),
-                               prony_step(spectrum, 0.0, dt, 1.0),
+        states = _prony_filter(*(once or decay_gain(dts[start:stop, None])),
                                dxs[start:stop], h)
         h = states[-1].copy()
         h_sum[1 + start:1 + stop] = _term_sum(states)
@@ -306,37 +310,43 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     return spectrum.K * xs + h_sum
 
 
-def periodic_force_history(spectrum: PronySpectrum, dt: float,
+def periodic_force_history(spectrum: PronySpectrum, dt,
                            x_period) -> np.ndarray:
     """Periodic steady-state response K*x + sum of internal variables of a
     Prony kernel to a periodic input, linear in time between samples.
 
     ``x_period`` is one period of N samples ``dt`` apart (the sample after
-    the last is the first).  With per-term decay d and gain g the internal
-    variable repeats after N steps only from
+    the last is the first), or F such rows with F values of ``dt``, each
+    row given as its own 1-D call gives it.  With per-term decay d and gain
+    g the internal variable repeats after N steps only from
     h* = (sum_i d^(N-1-i) * g * dx_i) / (1 - d^N); one filter pass from rest
-    gives the numerator, and the state at sample i is that pass + d^i * h*.
-    The pass holds samples x terms values, at most SIZE_BUDGET.
+    over all rows gives the numerator, and the state at sample i is that
+    pass + d^i * h*.  The pass holds F x N x terms values, at most
+    SIZE_BUDGET, and d^i * h* one _BLOCK_ROWS x terms block more.
     """
     xs = np.asarray(x_period, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or not dt > 0:
-        raise DomainError("a period needs dt > 0 and >= 2 samples in 1-D")
+    rows, dts = np.atleast_2d(xs), np.asarray(dt, dtype=float).reshape(-1, 1)
+    if rows.ndim > 2 or rows.shape[1] < 2 or len(rows) != len(dts) \
+            or not np.all(dts > 0):
+        raise DomainError("a period needs dt > 0 and >= 2 samples per row")
     check_filter_size(xs.size, len(spectrum.amplitudes))
-    n = xs.size
-    dxs = np.diff(xs, append=xs[0])
-    decay = prony_step(spectrum, 1.0, dt, 0.0)
-    gain = prony_step(spectrum, 0.0, dt, 1.0)
+    n = rows.shape[1]
+    dxs = np.diff(rows.T, axis=0, append=rows.T[:1])    # (N, F)
+    decay = prony_step(spectrum, 1.0, dts, 0.0)
+    gain = prony_step(spectrum, 0.0, dts, 1.0)
     # 1 - d^N without cancellation for terms with f*N*dt << 1
-    closure = -np.expm1(-np.asarray(spectrum.frequencies) * (n * dt))
-    states = _prony_filter(decay, gain, dxs, np.zeros(decay.size))
+    closure = -np.expm1(-np.asarray(spectrum.frequencies) * (n * dts))
+    states = _prony_filter(decay, gain, dxs, np.zeros(decay.shape))
     h_star = np.divide(states[-1], closure, out=states[-1])     # sample 0
-    for start in range(1, n, _BLOCK_ROWS):      # row i-1 + d^i*h*: sample i
-        stop = min(start + _BLOCK_ROWS, n)
-        correction = decay ** np.arange(start, stop)[:, None]
-        correction *= h_star
-        states[start - 1:stop - 1] += correction
-        del correction              # free the block before the next one
-    return spectrum.K * xs + np.roll(_term_sum(states), 1)
+    for f in range(len(dts)):
+        for start in range(1, n, _BLOCK_ROWS):  # row i-1 + d^i*h*: sample i
+            stop = min(start + _BLOCK_ROWS, n)
+            correction = decay[f] ** np.arange(start, stop)[:, None]
+            correction *= h_star[f]
+            states[start - 1:stop - 1, f] += correction
+            del correction          # free the block before the next one
+    h_sum = np.roll(_term_sum(states), 1, axis=0).T
+    return (spectrum.K * rows + h_sum).reshape(xs.shape)
 
 
 def exp_integral_e1(x):

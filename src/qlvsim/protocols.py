@@ -9,14 +9,14 @@ tensile law and of discrete relaxation spectra from sampled data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constitutive import ExponentialTensileLaw
 from .errors import DomainError, FitError
-from .kernels import (SIZE_BUDGET, KelvinParams, MaxwellParams, PronySpectrum,
-                      VoigtParams, grid_steps, kernel_to_prony,
+from .kernels import (_BLOCK_ROWS, SIZE_BUDGET, KelvinParams, MaxwellParams,
+                      PronySpectrum, VoigtParams, grid_steps, kernel_to_prony,
                       periodic_force_history, prony_step)
 from .qlv import QlvModel, StrainHistory, hysteresis_ratio, qlv_stress_fast
 
@@ -298,13 +298,20 @@ def run_relaxation(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
     return series, report
 
 
-def _cycle_stress(model, t: np.ndarray, strain: np.ndarray) -> np.ndarray:
-    """Periodic steady-state stress under a Green-strain drive sampled at
-    the uniform times ``t`` of one period, closing sample excluded."""
-    dt = t[1] - t[0]
+def _steady_cycles(spec: ProtocolSpec, model, freqs: np.ndarray):
+    """(strain, stress) of the cyclic drive's steady state, one row of
+    samples_per_cycle samples (closing sample excluded) per angular frequency
+    in ``freqs``, in one filter pass.  Row f's times are i*step, step =
+    cycles*period/(cycles*nps): run_cyclic's linspace grid, bit for bit."""
+    nps = spec.samples_per_cycle
+    t = np.arange(nps) * np.array([[spec.cycles * 2.0 * math.pi / w / (
+        spec.cycles * nps)] for w in freqs.tolist()])
+    dt = t[:, 1:2] - t[:, :1]
+    strain = spec.mean + 0.5 * spec.amplitude * (
+        1.0 - np.cos(freqs[:, None] * t))
     if isinstance(model, VoigtParams):
-        rate = (np.roll(strain, -1) - np.roll(strain, 1)) / (2.0 * dt)
-        return model.mu * strain + model.eta * rate
+        rate = (np.roll(strain, -1, 1) - np.roll(strain, 1, 1)) / (2.0 * dt)
+        return strain, model.mu * strain + model.eta * rate
     if isinstance(model, (MaxwellParams, KelvinParams)):
         prony = kernel_to_prony(model)
         scale = (model.mu if isinstance(model, MaxwellParams)
@@ -312,10 +319,13 @@ def _cycle_stress(model, t: np.ndarray, strain: np.ndarray) -> np.ndarray:
         raw = PronySpectrum(K=prony.K * scale,
                             amplitudes=tuple(a * scale for a in prony.amplitudes),
                             frequencies=prony.frequencies)
-        return periodic_force_history(raw, dt, strain)
-    history = StrainHistory(times=t, values=strain, measure="green")
-    return periodic_force_history(model.prony, dt,
-                                  model.elastic_stress(history))
+        return strain, periodic_force_history(raw, dt, strain)
+    try:
+        te = model.elastic.stress_green(strain)
+    except DomainError:     # the bisection names the first failing sample
+        model.elastic_stress(StrainHistory(times=t[0], values=strain[0]))
+        raise
+    return strain, periodic_force_history(model.prony, dt, te)
 
 
 def run_cyclic(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
@@ -331,14 +341,12 @@ def run_cyclic(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
     """
     if spec.kind != "cyclic":
         raise DomainError(f"expected a cyclic spec, got {spec.kind!r}")
-    w = spec.angular_frequency
-    nps = spec.samples_per_cycle
-    t = np.linspace(0.0, spec.cycles * 2.0 * math.pi / w,
-                    spec.cycles * nps + 1)
-    strain = spec.mean + 0.5 * spec.amplitude * (1.0 - np.cos(w * t[:nps]))
-    stress = _cycle_stress(model, t[:nps], strain)
-    strain = np.append(np.tile(strain, spec.cycles), strain[0])
-    stress = np.append(np.tile(stress, spec.cycles), stress[0])
+    w, nps, cycles = spec.angular_frequency, spec.samples_per_cycle, \
+        spec.cycles
+    (strain,), (stress,) = _steady_cycles(spec, model, np.array([w]))
+    t = np.linspace(0.0, cycles * 2.0 * math.pi / w, cycles * nps + 1)
+    strain, stress = (np.append(np.tile(a, cycles), a[0])
+                      for a in (strain, stress))
     report = TestReport(hysteresis_H=_loop_hysteresis(strain[:nps + 1],
                                                       stress[:nps + 1]))
     series = Series(times=t, columns={"green_strain": strain,
@@ -357,16 +365,30 @@ def _loop_hysteresis(strain: np.ndarray, stress: np.ndarray) -> float:
 
 def frequency_sweep(spec: ProtocolSpec, model,
                     angular_frequencies) -> tuple[np.ndarray, np.ndarray]:
-    """Run the cyclic protocol at each frequency; returns (frequencies, H)."""
+    """Run the cyclic protocol at each frequency; returns (frequencies, H).
+
+    Each pass builds one period for a block of frequencies, at most
+    4*_BLOCK_ROWS samples and SIZE_BUDGET filter states, whatever ``cycles``
+    and the count.  A failing pass runs again one frequency at a time, so
+    the first failing frequency raises its own error."""
     freqs = np.asarray(angular_frequencies, dtype=float)
     if np.any(freqs <= 0):
         raise DomainError("angular frequencies must be > 0")
-    hs = np.empty(freqs.size)
-    for i, w in enumerate(freqs):
-        _, report = run_cyclic(replace(spec, angular_frequency=float(w)),
-                               model)
-        hs[i] = report.hysteresis_H
-    return freqs, hs
+    terms = len(model.prony.amplitudes) if isinstance(model, QlvModel) else 1
+    block = max(1, min(4 * _BLOCK_ROWS, SIZE_BUDGET // max(terms, 1))
+                // spec.samples_per_cycle)
+
+    def pass_h(ws):
+        try:
+            rows = zip(*_steady_cycles(spec, model, ws))
+        except (DomainError, FloatingPointError):
+            rows = (row for i in range(ws.size) for row in
+                    zip(*_steady_cycles(spec, model, ws[i:i + 1])))
+        return [_loop_hysteresis(np.append(x, x[0]), np.append(y, y[0]))
+                for x, y in rows]
+
+    return freqs, np.array([h for start in range(0, freqs.size, block)
+                            for h in pass_h(freqs[start:start + block])])
 
 
 def fit_exponential_law(stretch, stress) -> tuple[ExponentialTensileLaw, dict]:

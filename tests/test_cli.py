@@ -753,6 +753,75 @@ sweep: {start: 0.5, stop: 2.0, count: 3}
         assert all(h > 0 for h in hs)
 
 
+SWEEP_FAULT_TEXT = """
+model:
+  elastic: {kind: exponential, B: 10.0, C: 2.0}
+  kernel: {kind: fung, c: 0.5, q1: 0.01, q2: 100.0, prony_terms: 16}
+protocol:
+  kind: cyclic
+  mean: 0.25
+  amplitude: 50.0
+  angular_frequency: 1.0
+  cycles: 5
+  samples_per_cycle: 64
+sweep: {start: 0.1, stop: 10.0, count: 9}
+"""
+
+# each line as a sweep of one run_cyclic per frequency printed it; the
+# domain faults name the time index and t of the first frequency (0.1)
+SWEEP_FAULTS = {
+    "exponential-domain": (
+        {"amplitude: 50.0": "amplitude: 5000.0"},
+        "error: strain outside elastic domain at time index 17 "
+        "(t = 16.689710972195773): exponent B*(lambda-1) = 731.0523396932097 "
+        "overflows; offending stretch 74.10523396932096"),
+    "fung-domain": (
+        {"amplitude: 50.0": "amplitude: 5000.0",
+         "{kind: exponential, B: 10.0, C: 2.0}":
+             "{kind: fung, a1: 1.0, c: 1.0}"},
+        "error: strain outside elastic domain at time index 2 "
+        "(t = 1.9634954084936205): energy exponent Q = 2331.6149568864653 "
+        "overflows"),
+    "loop-of-one-strain": (
+        {"amplitude: 50.0": "amplitude: 1.0e-300"},
+        "error: loading and unloading branches need >= 2 samples"),
+    "stress-overflow": (
+        {"C: 2.0": "C: 1.0e+307"}, "error: overflow encountered in multiply"),
+    "strain-overflow": (
+        {"mean: 0.25": "mean: 1.0e+308",
+         "amplitude: 50.0": "amplitude: 1.0e+308"},
+        "error: overflow encountered in add"),
+    "subnormal-frequency": (
+        {"start: 0.1": "start: 1.0e-310"},
+        "error: invalid value encountered in multiply"),
+}
+
+
+class TestSweepFaults:
+    """A sweep that fails prints the line and exit code that one run_cyclic
+    per frequency, in order, gave: the first failing frequency's."""
+
+    @pytest.mark.parametrize("fault", list(SWEEP_FAULTS))
+    def test_error_line(self, tmp_path, capsys, fault):
+        edits, line = SWEEP_FAULTS[fault]
+        text = SWEEP_FAULT_TEXT
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        out = tmp_path / "h.csv"
+        assert cli_main(["sweep", "--config", str(write_cfg(tmp_path, text)),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
+    def test_unfaulted_base_runs(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        assert cli_main(["sweep", "--config",
+                         str(write_cfg(tmp_path, SWEEP_FAULT_TEXT)),
+                         "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 10
+
+
 KELVIN_CYCLIC_TEXT = """
 model:
   elastic: {kind: linear, k: 1.0}

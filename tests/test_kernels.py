@@ -446,9 +446,9 @@ class TestNonUniformGridAgainstTheStepLoop:
         spectrum = PronySpectrum(K=0.2, amplitudes=(0.5, 0.3),
                                  frequencies=(1.0, 30.0))
         kernel_force_history(spectrum, times, signal(1, n))
-        # decay/gain pairs only, never a step of the internal variables
-        assert set(calls) == {(1.0, 0.0), (0.0, 1.0)}
-        assert len(calls) <= 2 * 3
+        # decay/gain pairs only, never a step of the internal variables:
+        # a uniform grid's once per run, a non-uniform grid's once per block
+        assert calls == [(1.0, 0.0), (0.0, 1.0)] * (1 if uniform else 3)
 
 
 class TestFilterBudget:
@@ -633,10 +633,60 @@ class TestTermOrderSum:
             np.zeros(2).tobytes()
 
 
+@st.composite
+def term_count_spectra(draw):
+    """0, 1, 64 or 200 Prony terms with frequencies in [1e-4, 1e3]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    freqs = np.unique(10.0 ** rng.uniform(
+        -4.0, 3.0, draw(st.sampled_from([0, 1, 64, 200]))))
+    return PronySpectrum(K=draw(st.floats(0.0, 1.0)),
+                         amplitudes=rng.uniform(0.0, 1.0, freqs.size),
+                         frequencies=freqs)
+
+
+class TestBatchedPeriodicFilter:
+    """F periods in one (F, N) call give the floats of F 1-D calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spectrum=term_count_spectra(), seed=st.integers(0, 2**32 - 1),
+           rows=st.integers(1, 20),
+           n=st.one_of(st.integers(2, 40),
+                       st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                        _BLOCK_ROWS + 1, _BLOCK_ROWS + 2])))
+    def test_each_row_is_its_1d_call(self, spectrum, seed, rows, n):
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((rows, n))
+        xs[rng.uniform(size=xs.shape) < 0.2] = -0.0
+        dts = 10.0 ** rng.uniform(-3.0, 0.0, rows)
+        got = periodic_force_history(spectrum, dts, xs)
+        assert got.shape == xs.shape
+        for row, x, dt in zip(got, xs, dts):
+            assert row.tobytes() == \
+                periodic_force_history(spectrum, float(dt), x).tobytes()
+
+    @pytest.mark.parametrize("dt, xs", [
+        ([0.1, 0.2], np.ones((3, 4))), (0.1, np.ones((2, 4))),
+        ([0.1, 0.0], np.ones((2, 4))), ([0.1, np.nan], np.ones((2, 4))),
+        ([0.1], np.ones((1, 2, 4))), ([0.1, 0.2], np.ones((2, 1)))],
+        ids=["dt-count", "one-dt", "zero-dt", "nan-dt", "3-d", "one-sample"])
+    def test_rejects_a_bad_batch(self, dt, xs):
+        with pytest.raises(DomainError, match="a period needs dt > 0"):
+            periodic_force_history(TestFilterBudget.spectrum(3), dt, xs)
+
+    def test_batch_over_the_budget(self, monkeypatch):
+        # each row fits the budget, the batch's F x N x terms states do not
+        monkeypatch.setattr(kernels, "SIZE_BUDGET", 100)
+        spectrum, xs = TestFilterBudget.spectrum(4), np.ones((3, 10))
+        periodic_force_history(spectrum, 0.1, xs[0])
+        with pytest.raises(DomainError, match="samples x Prony terms must be "
+                                              "<= 100, got 30 x 4"):
+            periodic_force_history(spectrum, np.full(3, 0.1), xs)
+
+
 class TestTermOrderSumMemory:
     """The in-place sum holds no copy of the states: kernel_force_history
-    holds what the per-term loop held, and a periodic pass at most one
-    block of rows x terms more (its correction d^i * h*)."""
+    holds what the per-term loop held, and a periodic pass, of one row or
+    many, at most one block of rows x terms more (its correction d^i * h*)."""
 
     SLACK = 16 * 1024               # far below one block of 200 terms
 
@@ -670,6 +720,19 @@ class TestTermOrderSumMemory:
         assert self.peak(periodic_force_history, spectrum, 0.01, xs) <= \
             self.peak(column_loop_periodic_force_history, spectrum, 0.01,
                       xs) + block + self.SLACK
+
+    @pytest.mark.parametrize("n", [256, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("rows", [2, 5])
+    def test_batched_periodic_force_history(self, rows, n):
+        # F rows in one pass hold what F one-row passes held, and still only
+        # one block more: the correction runs one row's block at a time
+        spectrum = TestFilterBudget.spectrum(200)
+        xs = np.stack([signal(seed, n) for seed in range(rows)])
+        block = 8 * min(n - 1, _BLOCK_ROWS) * 200
+        assert self.peak(periodic_force_history, spectrum,
+                         0.01 * np.arange(1, rows + 1), xs) <= \
+            rows * self.peak(column_loop_periodic_force_history, spectrum,
+                             0.01, xs[0]) + block + self.SLACK
 
 
 class TestGridSteps:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from qlvsim.constitutive import (ExponentialTensileLaw, FungBiaxialParams,
                                  FungUniaxialLaw, LinearElasticLaw)
 from qlvsim.errors import DomainError, FitError
-from qlvsim.kernels import (FungSpectrum, KelvinParams, MaxwellParams,
-                            PronySpectrum, VoigtParams,
+from qlvsim.kernels import (_BLOCK_ROWS, FungSpectrum, KelvinParams,
+                            MaxwellParams, PronySpectrum, VoigtParams,
                             fung_reduced_relaxation, kelvin_creep,
-                            kelvin_relaxation,
+                            kelvin_relaxation, kernel_to_prony,
                             kernel_force_history, maxwell_relaxation,
                             periodic_force_history, prony_relaxation,
                             prony_step, voigt_creep)
@@ -476,6 +478,152 @@ def settled_transient(spec, specimen, f_min):
         y = kernel_force_history(specimen, t, x)
     last = slice(-(nps + 1), None)
     return _loop_hysteresis(x[last], y[last]), y[last]
+
+
+def linspace_cycle_h(spec, model, w):
+    """H of one frequency's steady cycle, a reference for the sweep's
+    passes: the first period of run_cyclic's np.linspace grid, one 1-D
+    filter call, the elastic stress through a StrainHistory."""
+    nps = spec.samples_per_cycle
+    t = np.linspace(0.0, spec.cycles * 2.0 * math.pi / w,
+                    spec.cycles * nps + 1)[:nps]
+    x = spec.mean + 0.5 * spec.amplitude * (1.0 - np.cos(w * t))
+    dt = t[1] - t[0]
+    if isinstance(model, VoigtParams):
+        y = model.mu * x + model.eta * (
+            (np.roll(x, -1) - np.roll(x, 1)) / (2.0 * dt))
+    elif isinstance(model, QlvModel):
+        y = periodic_force_history(model.prony, dt, model.elastic_stress(
+            StrainHistory(times=t, values=x)))
+    else:
+        prony = kernel_to_prony(model)
+        scale = (model.mu if isinstance(model, MaxwellParams)
+                 else model.E_R * model.tau_sigma / model.tau_eps)
+        raw = PronySpectrum(K=prony.K * scale,
+                            amplitudes=[a * scale for a in prony.amplitudes],
+                            frequencies=prony.frequencies)
+        y = periodic_force_history(raw, dt, x)
+    return _loop_hysteresis(np.append(x, x[0]), np.append(y, y[0]))
+
+
+SWEEP_SPECIMENS = {
+    "qlv": QlvModel.from_kernel(ExponentialTensileLaw(B=10.0, C=2.0),
+                                FungSpectrum(c=0.5, q1=1e-2, q2=1e2)),
+    "qlv-linear": QlvModel.from_kernel(
+        LinearElasticLaw(k=2.0),
+        PronySpectrum(K=0.4, amplitudes=(0.35, 0.25), frequencies=(0.5, 8.0))),
+    "maxwell": MaxwellParams(mu=1.3, eta=0.7),
+    "voigt": VoigtParams(mu=1.0, eta=0.5),
+    "kelvin": KelvinParams(E_R=1.0, tau_eps=0.5, tau_sigma=1.5),
+}
+
+
+def sweep_spec(nps, cycles=3):
+    return ProtocolSpec(kind="cyclic", amplitude=0.05, mean=0.25,
+                        angular_frequency=1.0, cycles=cycles,
+                        samples_per_cycle=nps)
+
+
+def traced_sweep(spec, model, freqs):
+    """(H, tracemalloc peak) of one sweep, after an untraced one."""
+    frequency_sweep(spec, model, freqs)
+    tracemalloc.start()
+    try:
+        _, hs = frequency_sweep(spec, model, freqs)
+        return hs, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSweepPasses:
+    """A sweep solves a block of frequencies per filter pass, one period
+    each, and gives each frequency's run_cyclic H bit for bit."""
+
+    # passes of 16, 64, 1 and 1 frequencies; no count fills its last pass
+    @pytest.mark.parametrize("nps, count", [
+        (256, 23), (64, 70), (4 * _BLOCK_ROWS, 3), (4 * _BLOCK_ROWS + 3, 2)])
+    @pytest.mark.parametrize("specimen", list(SWEEP_SPECIMENS))
+    def test_h_is_each_run_cyclic_h(self, specimen, nps, count):
+        model, spec = SWEEP_SPECIMENS[specimen], sweep_spec(nps)
+        freqs = np.logspace(-1.5, 1.5, count)
+        got, hs = frequency_sweep(spec, model, freqs)
+        assert got.tobytes() == freqs.tobytes()
+        want = [run_cyclic(replace(spec, angular_frequency=float(w)),
+                           model)[1].hysteresis_H for w in freqs]
+        assert hs.tobytes() == np.array(want).tobytes()
+        assert hs.tobytes() == np.array(
+            [linspace_cycle_h(spec, model, w) for w in freqs]).tobytes()
+
+    def test_cycles_do_not_change_cost(self):
+        # each run keeps run_cyclic's grid, whose step rounds with cycles, so
+        # the H of two cycle counts agree to rounding, each bit for bit with
+        # its own linspace grid, and the sweep's memory is the same
+        model, freqs = SWEEP_SPECIMENS["qlv"], np.logspace(-1, 1, 9)
+        hs, peaks = {}, {}
+        for cycles in (5, 40_000):
+            spec = sweep_spec(32, cycles)
+            hs[cycles], peaks[cycles] = traced_sweep(spec, model, freqs)
+            assert hs[cycles].tobytes() == np.array(
+                [linspace_cycle_h(spec, model, w) for w in freqs]).tobytes()
+        np.testing.assert_allclose(hs[40_000], hs[5], rtol=1e-10, atol=0.0)
+        assert abs(peaks[40_000] - peaks[5]) <= 1024
+
+    def test_count_does_not_change_peak(self):
+        # 256 samples: 16 frequencies per pass
+        model, spec = SWEEP_SPECIMENS["qlv"], sweep_spec(256)
+        _, one_pass = traced_sweep(spec, model, np.logspace(-1, 1, 16))
+        _, many = traced_sweep(spec, model, np.logspace(-1, 1, 200))
+        assert many <= one_pass + 16 * 1024
+
+    def test_first_failing_frequency_raises(self, monkeypatch):
+        # frequency 2's stress fails and frequency 1's loop does: one
+        # run_cyclic per frequency, in order, raised frequency 1's error, so
+        # the failing pass of all nine runs again one frequency at a time
+        model, spec = SWEEP_SPECIMENS["kelvin"], sweep_spec(64)
+        freqs = np.logspace(-1, 1, 9)
+        steady, loop = protocols._steady_cycles, protocols._loop_hysteresis
+        (_,), (bad_loop,) = steady(spec, model, freqs[1:2])
+
+        def steady_cycles(spec, model, ws):
+            if freqs[2] in ws:
+                raise FloatingPointError("overflow encountered in multiply")
+            return steady(spec, model, ws)
+
+        def loop_hysteresis(strain, stress):
+            if np.array_equal(stress[:-1], bad_loop):
+                raise DomainError("frequency 1's loop")
+            return loop(strain, stress)
+
+        monkeypatch.setattr(protocols, "_steady_cycles", steady_cycles)
+        monkeypatch.setattr(protocols, "_loop_hysteresis", loop_hysteresis)
+        with pytest.raises(DomainError, match="frequency 1's loop"):
+            frequency_sweep(spec, model, freqs)
+        with pytest.raises(FloatingPointError):
+            frequency_sweep(spec, model, freqs[2:])
+
+    def test_passes_fit_the_budget(self, monkeypatch):
+        # 256 samples x 64 terms of states per frequency: with a budget of
+        # 3.5 frequencies' states a pass takes 3, and H keeps its bits
+        model, spec = SWEEP_SPECIMENS["qlv"], sweep_spec(256)
+        freqs = np.logspace(-1, 1, 9)
+        _, want = frequency_sweep(spec, model, freqs)
+        sizes = []
+
+        def counted(spec, model, ws):
+            sizes.append(ws.size)
+            return steady_cycles(spec, model, ws)
+
+        steady_cycles = protocols._steady_cycles
+        monkeypatch.setattr(protocols, "_steady_cycles", counted)
+        frequency_sweep(spec, model, freqs)
+        assert sizes == [9]
+        budget = 256 * 64 * 7 // 2
+        monkeypatch.setattr(protocols, "SIZE_BUDGET", budget)
+        monkeypatch.setattr("qlvsim.kernels.SIZE_BUDGET", budget)
+        sizes.clear()
+        _, hs = frequency_sweep(spec, model, freqs)
+        assert sizes == [3, 3, 3]
+        assert hs.tobytes() == want.tobytes()
 
 
 class TestFitExponential:
