@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import protocols
-from .config import RunConfig, load_config
+from .config import RunConfig, _Validator, load_config
 from .errors import ConfigError, DomainError, QlvError
 from .kernels import KERNEL_TYPES, grid_steps, reduced_relaxation
 from .network import SystemState, simulate
@@ -44,7 +44,16 @@ def _finite(text: str) -> float:
     return value
 
 
+def _floats(text: str) -> list:
+    """argparse type of a kernel's list flag: comma-separated floats."""
+    return [float(x) for x in text.split(",")]
+
+
 _finite.__name__ = "float"      # a non-number reads "invalid float value"
+_floats.__name__ = "float list"
+# each kernel kind's parameters, and whether one takes a list
+_KERNEL_FLAGS = {f.name: f.type.startswith("tuple")
+                 for cls in KERNEL_TYPES.values() for f in fields(cls)}
 
 
 @functools.cache    # built once per process: nothing it reads changes
@@ -84,12 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
     kern = sub.add_parser("kernels",
                           help="tabulate a reduced relaxation function")
     kern.add_argument("--kind", required=True, choices=KERNEL_TYPES)
-    # a tuple field takes a comma-separated list, the others a float
-    for name, type_ in {f.name: f.type for cls in KERNEL_TYPES.values()
-                        for f in fields(cls)}.items():
-        listed = type_.startswith("tuple")
+    for name, listed in _KERNEL_FLAGS.items():
         kern.add_argument("--" + name.replace("_", "-"), dest=name,
-                          type=None if listed else float,
+                          type=_floats if listed else float,
                           help="comma-separated list" if listed else None)
     kern.add_argument("--duration", type=_finite, default=10.0)
     kern.add_argument("--dt", type=_finite, default=0.01)
@@ -102,22 +108,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _relaxation_from_args(args):
-    """The --kind kernel's reduced relaxation; a bad parameter exits 2."""
-    cls = KERNEL_TYPES[args.kind]
-    values = {f.name: getattr(args, f.name) for f in fields(cls)}
-    missing = [f"--{n}".replace("_", "-") for n in values if values[n] is None]
-    if missing:
-        raise ConfigError([f"kernel kind {args.kind!r} requires "
-                           f"{', '.join(missing)}"])
-    try:
-        for name in (f.name for f in fields(cls)
-                     if f.type.startswith("tuple")):
-            values[name] = tuple(map(float, values[name].split(",")))
-        return reduced_relaxation(cls(**values))
-    except DomainError as exc:      # as the same value in a config does
-        raise ConfigError([str(exc)]) from exc
-    except ValueError as exc:
-        raise ConfigError([f"--{name}: {exc}"]) from exc
+    """The --kind kernel's reduced relaxation.  Its flags are read as the
+    keys of a config section ``kernels``, so a bad, missing or foreign
+    parameter exits 2 with the message the same key in a config gives."""
+    v = _Validator()
+    kernel = v.build({name: getattr(args, name) for name in _KERNEL_FLAGS
+                      if getattr(args, name) is not None}, "kernels",
+                     KERNEL_TYPES[args.kind], require_all=True)
+    relax = kernel and v.construct("kernels", reduced_relaxation, kernel)
+    if v.errors:
+        raise ConfigError(v.errors)
+    return relax
 
 
 def _protocol_and_specimen(cfg: RunConfig, expected_kind: str,

@@ -24,8 +24,8 @@ from .kernels import (KERNEL_TYPES, SIZE_BUDGET, KelvinParams, MaxwellParams,
                       PronySpectrum, VoigtParams, check_filter_size,
                       grid_steps)
 from .network import (KernelEntry, NonlinearSpring, SpringMassSystem,
-                      _damped_solve, steps_and_records)
-from .protocols import ProtocolSpec
+                      steps_and_records)
+from .protocols import PROTOCOL_FIELDS, ProtocolSpec
 from .qlv import QlvModel
 
 
@@ -192,12 +192,12 @@ class _Validator:
     def build(self, section, path: str, cls, *extra, require_all=False,
               **given):
         """A ``cls`` from the keys of ``section`` named after its fields,
-        except the fields ``given``; a key that is no field and not ``extra``
-        is an error.  Each field is read by its annotation's check, required
+        except the fields ``given``; any other key that is not ``extra`` is
+        an error.  Each field is read by its annotation's check, required
         if it has no default or with ``require_all``.  None if a field failed
         to read, a ``given`` one is None or the constructor rejected them."""
-        section = self.section(section, path,
-                               {*extra, *(f.name for f in fields(cls))})
+        section = self.section(section, path, {*extra, *(
+            f.name for f in fields(cls) if f.name not in given)})
         errors = len(self.errors)
         for f in fields(cls):
             if f.name not in given:
@@ -256,13 +256,8 @@ def _build_model(v: _Validator, section: dict) -> dict:
     elastic = _build_elastic(v, sec.get("elastic"), "model.elastic")
     if elastic is None or kernel is None:
         return {}
-    if isinstance(kernel, VoigtParams):
-        v.fail("model.kernel.kind", "the Voigt element has an impulsive "
-               "relaxation and cannot drive the hereditary integral; use it "
-               "as a bare element without model.elastic")
-        return {}
-    return {"model": v.construct("model", QlvModel.from_kernel, elastic,
-                                 kernel, n_prony=n_terms)}
+    return {"model": v.construct("model.kernel", QlvModel.from_kernel,
+                                 elastic, kernel, n_prony=n_terms)}
 
 
 _NETWORK_KEYS = {"masses", "stiffness", "damping", "kernels", "aero_kernels",
@@ -372,8 +367,7 @@ def _build_network(v: _Validator, section: dict) -> dict:
     if system is not None and dt is not None:
         v.construct("network.dt", system.check_time_step, dt)
         if system.damping_active:   # the run's own pivot check
-            v.construct("network.damping", _damped_solve,
-                        np.diag(system.masses) + 0.5 * dt * system.damping)
+            v.construct("network.damping", system.damped_solve, dt)
     return dict(network=system, initial_q=q0, initial_v=v0,
                 sim_duration=duration, sim_dt=dt)
 
@@ -381,13 +375,17 @@ def _build_network(v: _Validator, section: dict) -> dict:
 def _build_protocol(v: _Validator, section: dict):
     sec = v.section(section, "protocol")
     kind = v.read(sec, "protocol", "kind", _string, required=True,
-                  choices={"tensile", "creep", "relaxation", "cyclic"})
-    # one type serves every kind, so its keys are checked whatever the kind
-    spec = v.build(sec, "protocol", ProtocolSpec, "max_cycles", "settle_time",
-                   kind=kind)
-    # no-ops since cyclic runs solve the steady state; still type-checked
-    v.read(sec, "protocol", "settle_time", _number)
-    v.read(sec, "protocol", "max_cycles", _integer)
+                  choices=PROTOCOL_FIELDS)
+    # a kind takes its own fields, the others keep their defaults; with no
+    # valid kind, every key of every kind is checked
+    unread = {f.name: f.default for f in fields(ProtocolSpec)
+              if kind and f.name not in ("kind", *PROTOCOL_FIELDS[kind])}
+    # cyclic's ignored keys (its runs solve the steady state), type-checked
+    ignored = ("settle_time", "max_cycles") if kind in ("cyclic", None) else ()
+    spec = v.build(sec, "protocol", ProtocolSpec, "kind", *ignored,
+                   kind=kind, **unread)
+    for key, check in zip(ignored, (_number, _integer)):
+        v.read(sec, "protocol", key, check)
     return spec
 
 

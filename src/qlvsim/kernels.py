@@ -410,17 +410,19 @@ def fung_to_prony(s: FungSpectrum, n_terms: int) -> PronySpectrum:
 class ReducedRelaxation:
     """Normalized relaxation function: value(0) = 1, non-increasing.
 
-    ``kernel`` is one of the parameter types above (already in normalized
-    form where that matters).
+    ``kernel`` is one of the KERNEL_TYPES.  A Prony spectrum is rescaled so
+    g(0) = 1; the Voigt element contributes only its regular (step) part,
+    whose normalized form is constant 1.
     """
 
     kernel: object
 
     def __post_init__(self):
         if isinstance(self.kernel, PronySpectrum):
-            if abs(self.kernel.at_zero - 1.0) > 1e-9:
-                raise DomainError(
-                    f"Prony kernel not normalized: g(0) = {self.kernel.at_zero}")
+            object.__setattr__(self, "kernel", self.kernel.normalized())
+        elif not isinstance(self.kernel, tuple(KERNEL_TYPES.values())):
+            raise DomainError(
+                f"unsupported kernel type {type(self.kernel).__name__}")
 
     def value(self, t):
         """G(t) for t >= 0; at t = 0 the one-sided limit 1 is returned."""
@@ -439,11 +441,8 @@ class ReducedRelaxation:
             # with q = tau_eps, S = tau_sigma/tau_eps - 1
             big_s = k.tau_sigma / k.tau_eps - 1.0
             out = (1.0 + big_s * np.exp(-t / k.tau_eps)) / (1.0 + big_s)
-        elif isinstance(k, VoigtParams):
-            # regular part only; the impulsive term is excluded
+        else:   # Voigt: regular part only; the impulsive term is excluded
             out = np.ones_like(t)
-        else:
-            raise DomainError(f"unsupported kernel type {type(k).__name__}")
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -457,22 +456,10 @@ class ReducedRelaxation:
             return 0.0
         if isinstance(k, KelvinParams):
             return k.tau_eps / k.tau_sigma
-        if isinstance(k, VoigtParams):
-            return 1.0
-        raise DomainError(f"unsupported kernel type {type(k).__name__}")
+        return 1.0      # Voigt
 
 
-def reduced_relaxation(kernel) -> ReducedRelaxation:
-    """Normalized relaxation function for any supported kernel.
-
-    Prony spectra are rescaled so g(0) = 1; the Voigt element contributes
-    only its regular (step) part, whose normalized form is constant 1.
-    """
-    if isinstance(kernel, PronySpectrum):
-        return ReducedRelaxation(kernel.normalized())
-    if isinstance(kernel, (FungSpectrum, MaxwellParams, KelvinParams, VoigtParams)):
-        return ReducedRelaxation(kernel)
-    raise DomainError(f"unsupported kernel type {type(kernel).__name__}")
+reduced_relaxation = ReducedRelaxation     # the name callers use
 
 
 def kernel_to_prony(kernel, n_terms: int = 64) -> PronySpectrum:

@@ -255,6 +255,8 @@ class SpringMassSystem:
     kernels_replace_damping: bool = True
     _stack: _Stack = field(init=False, repr=False, compare=False)
     _dt_bound: float = field(init=False, repr=False, compare=False)
+    _solves: dict = field(init=False, repr=False, compare=False,
+                          default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=float)
@@ -328,6 +330,13 @@ class SpringMassSystem:
             raise DomainError(
                 f"dt = {dt} violates the explicit stability bound "
                 f"2/omega_max = {self._dt_bound}")
+
+    def damped_solve(self, dt: float):
+        """:func:`_damped_solve` of M + dt/2 beta, made once per ``dt``."""
+        if dt not in self._solves:
+            self._solves[dt] = _damped_solve(
+                np.diag(self.masses) + 0.5 * dt * self.damping)
+        return self._solves[dt]
 
     def external_force_at(self, t: float) -> np.ndarray:
         if self.external_force is None:
@@ -447,7 +456,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
     gain = prony_step(st, 0.0, dt, 1.0)
     beta = system.damping if system.damping_active else None
     if beta is not None and n_steps:
-        solve = _damped_solve(np.diag(m) + 0.5 * dt * beta)
+        solve = system.damped_solve(dt)
 
     def forces(t, z, h):
         """External, aero and memory forces, and the net force without

@@ -21,6 +21,14 @@ from .kernels import (_BLOCK_ROWS, SIZE_BUDGET, KelvinParams, MaxwellParams,
 from .qlv import QlvModel, StrainHistory, hysteresis_ratio, qlv_stress_fast
 
 
+# the fields each protocol kind reads; the others keep their defaults
+PROTOCOL_FIELDS = {"tensile": ("duration", "dt", "stretch_rate"),
+                   "creep": ("duration", "dt", "hold_stress"),
+                   "relaxation": ("duration", "dt", "hold_strain"),
+                   "cyclic": ("amplitude", "mean", "angular_frequency",
+                              "cycles", "samples_per_cycle")}
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Drive definition for a virtual test.
@@ -48,10 +56,9 @@ class ProtocolSpec:
     samples_per_cycle: int = 512
 
     def __post_init__(self):
-        kinds = ("tensile", "creep", "relaxation", "cyclic")
-        if self.kind not in kinds:
-            raise DomainError(f"protocol kind must be one of {kinds}, "
-                              f"got {self.kind!r}")
+        if self.kind not in PROTOCOL_FIELDS:
+            raise DomainError(f"protocol kind must be one of "
+                              f"{tuple(PROTOCOL_FIELDS)}, got {self.kind!r}")
         if self.kind == "cyclic":
             if self.amplitude <= 0 or self.angular_frequency <= 0:
                 raise DomainError("cyclic drive needs amplitude > 0 and "
@@ -240,13 +247,11 @@ def _element_creep(element, t: np.ndarray, load: float) -> np.ndarray:
         # du/dt = (F - mu u)/eta, u(0) = 0
         return _trapezoid(0.0, element.mu / element.eta, load / element.eta,
                           t)
-    if isinstance(element, KelvinParams):
-        # E_R tau_sigma du/dt = F - E_R u (constant F), u(0) from the
-        # initial condition tau_eps F = E_R tau_sigma u
-        scale = element.E_R * element.tau_sigma
-        return _trapezoid(element.tau_eps * load / scale,
-                          1.0 / element.tau_sigma, load / scale, t)
-    raise DomainError(f"unsupported element type {type(element).__name__}")
+    # Kelvin: E_R tau_sigma du/dt = F - E_R u (constant F), u(0) from the
+    # initial condition tau_eps F = E_R tau_sigma u
+    scale = element.E_R * element.tau_sigma
+    return _trapezoid(element.tau_eps * load / scale, 1.0 / element.tau_sigma,
+                      load / scale, t)
 
 
 def _element_relaxation(element, t: np.ndarray) -> np.ndarray:
@@ -260,12 +265,9 @@ def _element_relaxation(element, t: np.ndarray) -> np.ndarray:
     if isinstance(element, VoigtParams):
         # regular part only; the impulsive term lives at t = 0
         return np.full_like(t, element.mu)
-    if isinstance(element, KelvinParams):
-        # tau_eps dF/dt = E_R u - F with u = 1, F(0) = E_R tau_sigma/tau_eps
-        return _trapezoid(element.E_R * element.tau_sigma / element.tau_eps,
-                          1.0 / element.tau_eps, element.E_R / element.tau_eps,
-                          t)
-    raise DomainError(f"unsupported element type {type(element).__name__}")
+    # Kelvin: tau_eps dF/dt = E_R u - F, u = 1, F(0) = E_R tau_sigma/tau_eps
+    return _trapezoid(element.E_R * element.tau_sigma / element.tau_eps,
+                      1.0 / element.tau_eps, element.E_R / element.tau_eps, t)
 
 
 def run_relaxation(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:

@@ -613,6 +613,17 @@ class TestProtocols:
         assert np.all(np.diff(green) >= -1e-12)
         assert green[-1] > green[0] > 0.0
 
+    def test_key_of_another_kind_is_unknown(self, tmp_path, capsys):
+        # a typo of hold_strain would run and write an all-zero stress
+        cfg = write_cfg(tmp_path, RELAX_CFG.read_text().replace(
+            "hold_strain:", "hold_stress:"))
+        out = tmp_path / "relax.csv"
+        assert cli_main(["relax", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: protocol.hold_stress: unknown key (allowed: ")
+        assert not out.exists()
+
     def test_duration_and_dt_overrides(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CREEP_TEXT)
         out = tmp_path / "creep.csv"
@@ -647,6 +658,23 @@ class TestSimulate:
                + series.columns["dissipation"]
                - series.columns["external_work"])
         assert np.max(np.abs(bal - bal[0])) <= 1e-3
+
+    def test_dense_damped_update_is_factored_once(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the config's pivot check and the run share one factorization
+        import scipy.linalg
+        calls = []
+
+        def spy(*args, lapack=scipy.linalg.get_lapack_funcs):
+            calls.append(args)
+            return lapack(*args)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spy)
+        config = write_cfg(tmp_path, TestNonFinite.CHAIN
+                           + "  damping: [[0.1, 0.02], [0.02, 0.2]]\n")
+        assert cli_main(["simulate", "--config", str(config),
+                         "--out", str(tmp_path / "sim.csv")]) == 0
+        assert len(calls) == 1
 
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
@@ -1008,7 +1036,25 @@ class TestKernels:
 
     def test_missing_required_parameter(self, capsys):
         assert cli_main(["kernels", "--kind", "maxwell", "--mu", "1.0"]) == 2
-        assert "--eta" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: kernels.eta: required key missing\n"
+
+    def test_parameter_of_another_kind_is_an_unknown_key(self, capsys):
+        # as a key of another kind in a config's model.kernel is
+        assert cli_main(["kernels", "--kind", "maxwell", "--mu", "1",
+                         "--eta", "1", "--c", "5", "--tau-eps", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: kernels.tau_eps: unknown key (allowed: ['eta', 'mu'])\n"
+            "error: kernels.c: unknown key (allowed: ['eta', 'mu'])\n")
+
+    @pytest.mark.parametrize("value", ["1,x", "", "1,,2"])
+    def test_list_flag_that_is_no_float_list(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["kernels", "--kind", "prony",
+                                        "--amplitudes", value])
+        assert exc.value.code == 2
+        assert "--amplitudes: invalid float list value" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, error", [
         (["--kind", "maxwell", "--mu", "-1", "--eta", "1"],
@@ -1023,7 +1069,7 @@ class TestKernels:
                                                           error):
         # exit 2, as the same value in a config
         assert cli_main(["kernels", *flags]) == 2
-        assert capsys.readouterr().err == f"error: {error}\n"
+        assert capsys.readouterr().err == f"error: kernels: {error}\n"
 
     def test_fung_tabulation(self, capsys):
         code = cli_main(["kernels", "--kind", "fung", "--c", "0.5",
@@ -1057,8 +1103,10 @@ KERNEL_FLAGS = {"maxwell": {"mu": "1", "eta": "1"},
                 "prony": {"K": "0.5", "amplitudes": "0.3,0.2",
                           "frequencies": "1,10"},
                 "fung": {"c": "0.5", "q1": "0.01", "q2": "100"}}
-KERNEL_CASES = [(kind, name) for kind, flags in KERNEL_FLAGS.items()
-                for name in (*flags, "duration", "dt")]
+# each kind with every kind's flags, its own and foreign ones, and the grid's
+KERNEL_CASES = [(kind, name) for kind in KERNEL_FLAGS for name in (
+    *dict.fromkeys(n for flags in KERNEL_FLAGS.values() for n in flags),
+    "duration", "dt")]
 FLAG_VALUES = ["-1", "0", "1e300", "-1e300", "1e-300", str(2**63), "x", "",
                "nan", "inf", "2,1", "1,x"]
 # finite --dt/--duration values: zero, negative, tiny, moderate and huge
@@ -1198,13 +1246,15 @@ class TestExitCodeContract:
     @given(flag=st.sampled_from(KERNEL_CASES),
            value=st.sampled_from(FLAG_VALUES))
     @example(flag=("maxwell", "dt"), value="1e-300")
+    @example(flag=("maxwell", "tau-eps"), value="1")
     def test_kernels_flag(self, capsys, alarm, flag, value):
         kind, name = flag
         flags = {**KERNEL_FLAGS[kind], "duration": "10", "dt": "0.01",
                  name: value}
-        self.check(["kernels", "--kind", kind,
-                    *(f"--{key}={v}" for key, v in flags.items())],
-                   capsys, alarm)
+        code = self.check(["kernels", "--kind", kind,
+                           *(f"--{key}={v}" for key, v in flags.items())],
+                          capsys, alarm)
+        assert code == 2 or name in (*KERNEL_FLAGS[kind], "duration", "dt")
 
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[

@@ -648,22 +648,56 @@ class TestSchemaRule:
          f" kernel: {{{PRONY}, bogus: 1}}}}]\n", names(PronySpectrum)),
         ("protocol", f"model:\n  kernel: {MAXWELL}\nprotocol: {{kind: creep,"
          " duration: 1.0, dt: 0.1, bogus: 1}\n",
+         {"kind", "duration", "dt", "hold_stress"}),
+        ("protocol", f"model:\n  kernel: {MAXWELL}\nprotocol: {{kind: "
+         "tensile, duration: 1.0, dt: 0.1, stretch_rate: 0.1, bogus: 1}\n",
+         {"kind", "duration", "dt", "stretch_rate"}),
+        ("protocol", f"model:\n  kernel: {MAXWELL}\nprotocol: {{kind: "
+         "relaxation, duration: 1.0, dt: 0.1, bogus: 1}\n",
+         {"kind", "duration", "dt", "hold_strain"}),
+        # the ignored max_cycles/settle_time are cyclic's extras
+        ("protocol", f"model:\n  kernel: {MAXWELL}\nprotocol: {{kind: cyclic,"
+         " amplitude: 0.1, angular_frequency: 1.0, cycles: 1, bogus: 1}\n",
+         {"kind", "amplitude", "mean", "angular_frequency", "cycles",
+          "samples_per_cycle", "max_cycles", "settle_time"}),
+        # with no kind to pick them, every key of every kind
+        ("protocol", f"model:\n  kernel: {MAXWELL}\nprotocol: {{bogus: 1}}\n",
          {"max_cycles", "settle_time", *names(ProtocolSpec)}),
     ], ids=["elastic", "kernel", "fung_kernel", "kernels", "aero_kernels",
-            "springs", "spring_kernel", "protocol"])
+            "springs", "spring_kernel", "protocol", "protocol_tensile",
+            "protocol_relaxation", "protocol_cyclic", "protocol_no_kind"])
     def test_allowed_keys_are_the_fields(self, path, text, expected):
         [err] = [e for e in errors_of(text) if e.startswith(f"{path}.bogus:")]
         assert set(ast.literal_eval(err.split("(allowed: ")[1][:-1])) == \
             expected
 
     def test_protocol_keys_are_checked_whatever_the_kind(self):
-        # one type serves every protocol kind, so no kind decides its keys
+        # with no valid kind to pick them, every field is a key
         errs = errors_of(f"model:\n  kernel: {MAXWELL}\n"
                          "protocol: {kind: bogus, bogus: 1}\n")
         assert errs[0] == ("protocol.kind: must be one of ['creep', "
                            "'cyclic', 'relaxation', 'tensile'], got 'bogus'")
         assert errs[1].startswith("protocol.bogus: unknown key (allowed: ")
         assert len(errs) == 2
+
+    def test_protocol_key_of_another_kind_is_unknown(self):
+        errs = errors_of(MINIMAL.replace("hold_strain", "hold_stress"))
+        assert errs == ["protocol.hold_stress: unknown key (allowed: "
+                        "['dt', 'duration', 'hold_strain', 'kind'])"]
+
+    def test_unread_protocol_fields_keep_their_defaults(self):
+        spec = parse_config(MINIMAL).protocol
+        assert spec == ProtocolSpec(kind="relaxation", hold_strain=0.1,
+                                    duration=1.0, dt=0.1)
+
+    def test_voigt_model_has_one_error_at_its_kernel(self):
+        # the Voigt element drives no hereditary integral; kernel_to_prony
+        # is the one check that says so
+        errs = errors_of("model:\n  elastic: {kind: linear, k: 1.0}\n"
+                         "  kernel: {kind: voigt, mu: 1.0, eta: 1.0}\n")
+        assert errs == ["model.kernel: the Voigt relaxation has an impulsive "
+                        "part and no normalized Prony form; use the element "
+                        "equations directly"]
 
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(sorted(ELASTIC_TYPES)), data=st.data())

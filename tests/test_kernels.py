@@ -18,7 +18,7 @@ from qlvsim.kernels import (_BLOCK_ROWS, SIZE_BUDGET, FungSpectrum,
                             kernel_force_history, kernel_to_prony,
                             maxwell_creep,
                             maxwell_relaxation, periodic_force_history,
-                            prony_relaxation, prony_step,
+                            prony_relaxation, prony_step, ReducedRelaxation,
                             reduced_relaxation, unit_step, voigt_creep,
                             voigt_relaxation)
 
@@ -285,6 +285,32 @@ class TestReducedRelaxation:
     def test_voigt_has_no_prony_form(self):
         with pytest.raises(DomainError):
             kernel_to_prony(VoigtParams(mu=1.0, eta=1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(K=st.floats(0.0, 10.0),
+           terms=st.lists(st.tuples(st.floats(0.0, 10.0),
+                                    st.floats(0.01, 100.0)),
+                          max_size=4, unique_by=lambda x: x[1]))
+    def test_constructor_normalizes_a_spectrum(self, K, terms):
+        # one normalization: the constructor's bits are the spectrum's own
+        terms.sort(key=lambda x: x[1])
+        p = PronySpectrum(K, tuple(a for a, _ in terms),
+                          tuple(f for _, f in terms))
+        if p.at_zero <= 0:
+            with pytest.raises(DomainError, match="cannot normalize"):
+                ReducedRelaxation(p)
+            return
+        t = np.linspace(0.0, 5.0, 11)
+        g = ReducedRelaxation(p)
+        assert g == reduced_relaxation(p)
+        assert g.kernel == p.normalized()
+        assert g.value(t).tobytes() == \
+            prony_relaxation(p.normalized(), t).tobytes()
+        assert g.long_time_limit == p.normalized().K
+
+    def test_unsupported_type_raises_at_construction(self):
+        with pytest.raises(DomainError, match="unsupported kernel type dict"):
+            ReducedRelaxation({"mu": 1.0, "eta": 1.0})
 
 
 class TestKernelForceHistory:
