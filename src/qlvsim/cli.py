@@ -2,7 +2,8 @@
 columns)`` table or text) and its stderr lines; one writer sends the output
 to ``--out``, else ``output.path``, else stdout, and the lines follow.
 A run's ``--dt``/``--duration`` set its config's ``protocol`` (or, for
-simulate, ``network``) keys before validation, which checks them there.
+simulate, ``network``) keys before validation, which checks them there;
+``kernels`` reads them as keys of a ``kernels`` section, as its other flags.
 Exit codes: 0 success, 2 validation/usage errors, 1 runtime or numerical
 errors, a float overflow or invalid operation among them."""
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import protocols
 from .config import RunConfig, _Validator, load_config
 from .errors import ConfigError, DomainError, QlvError
-from .kernels import KERNEL_TYPES, grid_steps, reduced_relaxation
+from .kernels import KERNEL_TYPES, reduced_relaxation, time_grid
 from .network import SystemState, simulate
 from .protocols import (Series, check_fit_terms, fit_exponential_law,
                         fit_relaxation_spectrum, frequency_sweep)
@@ -30,7 +31,7 @@ from .seriesio import (read_series, serialize_series, write_series,
 # when the command runs, so a wrapper set on the module later is called.
 _PROTOCOLS = {"tensile": "tensile", "creep": "creep", "relax": "relaxation",
               "cyclic": "cyclic"}
-# command -> the config section its --dt/--duration set
+# command -> the config section its --dt and --duration set
 _GRID_SECTION = {"tensile": "protocol", "creep": "protocol",
                  "relax": "protocol", "simulate": "network"}
 _METRICS = ("youngs_modulus", "yield_stress", "uts", "fracture_energy",
@@ -38,7 +39,7 @@ _METRICS = ("youngs_modulus", "yield_stress", "uts", "fracture_energy",
 
 
 def _finite(text: str) -> float:
-    """argparse type of --dt/--duration: a float that is not inf or nan."""
+    """argparse type of --dt and --duration: a finite float."""
     if not math.isfinite(value := float(text)):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
@@ -108,17 +109,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _relaxation_from_args(args):
-    """The --kind kernel's reduced relaxation.  Its flags are read as the
-    keys of a config section ``kernels``, so a bad, missing or foreign
-    parameter exits 2 with the message the same key in a config gives."""
+    """The --kind kernel's reduced relaxation and its time grid.  Its flags
+    are read as the keys of a config section ``kernels``, so a bad, missing
+    or foreign parameter exits 2 with the message the same key in a config
+    gives; --duration and --dt are its grid keys, checked at
+    ``kernels.duration`` as a network's are at ``network.duration``."""
     v = _Validator()
     kernel = v.build({name: getattr(args, name) for name in _KERNEL_FLAGS
                       if getattr(args, name) is not None}, "kernels",
                      KERNEL_TYPES[args.kind], require_all=True)
     relax = kernel and v.construct("kernels", reduced_relaxation, kernel)
+    t = v.construct("kernels.duration", time_grid, args.duration, args.dt)
     if v.errors:
         raise ConfigError(v.errors)
-    return relax
+    return relax, t
 
 
 def _protocol_and_specimen(cfg: RunConfig, expected_kind: str,
@@ -225,14 +229,7 @@ def _cmd_fit(args, cfg):
 
 
 def _cmd_kernels(args, cfg):
-    relax = _relaxation_from_args(args)
-    if args.dt <= 0 or args.duration <= 0:
-        raise ConfigError(["--dt/--duration must be > 0"])
-    try:
-        n = max(1, grid_steps(args.duration, args.dt))
-    except DomainError as exc:
-        raise ConfigError([f"--dt/--duration: {exc}"]) from exc
-    t = np.linspace(0.0, n * args.dt, n + 1)
+    relax, t = _relaxation_from_args(args)
     return Series(times=t, columns={"G": relax.value(t)}), []
 
 

@@ -324,10 +324,7 @@ def _build_network(v: _Validator, section: dict) -> dict:
     stiffness = v.read(sec, "network", "stiffness", _matrix, required=True)
     duration = v.read(sec, "network", "duration", _number)
     dt = v.read(sec, "network", "dt", _number)
-    for name, val in (("duration", duration), ("dt", dt)):
-        if val is not None and val <= 0:
-            v.fail(f"network.{name}", f"must be > 0, got {val}")
-    if duration is not None and dt is not None and duration > 0 and dt > 0:
+    if None not in (duration, dt):
         v.construct("network.duration", grid_steps, duration, dt)
     if masses is None or stiffness is None:
         return {}

@@ -230,11 +230,24 @@ def is_uniform_grid(times) -> bool:
 
 
 def grid_steps(duration: float, dt: float) -> int:
-    """round(duration/dt), the steps of a ``dt`` grid over ``duration``, once
-    |duration/dt| is checked against SIZE_BUDGET before any allocation."""
-    if not abs(duration / dt) <= SIZE_BUDGET:
+    """round(duration/dt), the steps of a ``dt`` grid over ``duration``: the
+    one check of every command's grid.  dt and duration must be > 0, and
+    the steps at least 1 and at most SIZE_BUDGET, before any allocation."""
+    if not dt > 0:
+        raise DomainError(f"dt must be > 0, got {dt}")
+    if not duration > 0:
+        raise DomainError(f"duration must be > 0, got {duration}")
+    if not duration / dt <= SIZE_BUDGET:
         raise DomainError(f"duration/dt must be <= {SIZE_BUDGET}")
-    return round(duration / dt)
+    if (n := round(duration / dt)) < 1:
+        raise DomainError("duration and dt produce an empty series")
+    return n
+
+
+def time_grid(duration: float, dt: float) -> np.ndarray:
+    """The grid_steps(duration, dt) + 1 times of a ``dt`` grid from 0."""
+    n = grid_steps(duration, dt)
+    return np.linspace(0.0, n * dt, n + 1)
 
 
 def check_filter_size(samples: int, terms: int) -> None:

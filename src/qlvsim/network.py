@@ -218,8 +218,9 @@ class _Stack:
             spring_scale=np.array([1.0 if s.kernel is None else s.kernel.K
                                    for s in springs]))
 
-    def drives(self, q: np.ndarray) -> np.ndarray:
-        """q followed by every spring's elastic force, in one expression."""
+    def drives(self, q: np.ndarray, t: float) -> np.ndarray:
+        """q followed by every spring's elastic force at time ``t``, in one
+        expression; the first faulty spring raises, named with ``t``."""
         if not self.springs:
             return q
         ends = np.append(q, 0.0)         # row n is the ground
@@ -229,8 +230,15 @@ class _Stack:
             arg = B * (lam - 1.0)
             force = c * np.expm1(arg)
         if not (lam.min() > 0 and arg.max() <= _EXP_ARG_MAX
-                and np.isfinite(force).all()):   # the first fault raises
-            force = [s.elastic_force(q) for s in self.springs]
+                and np.isfinite(force).all()):
+            force = []
+            for s in self.springs:
+                try:
+                    force.append(s.elastic_force(q))
+                except (DomainError, FloatingPointError) as exc:
+                    end = "ground" if s.j is None else s.j
+                    raise type(exc)(f"spring ({s.i}, {end}) at t = {t:g}: "
+                                    f"{exc}") from exc
         return np.concatenate((q, force))
 
 
@@ -385,9 +393,9 @@ def steps_and_records(n: int, duration: float, dt: float,
                       stride: int) -> tuple[int, int]:
     """Steps and record-table rows of a :func:`simulate` run of ``n``
     masses: a record of the first state, of every ``stride``-th step and of
-    the last.  The steps and the rows times the 2n + 5 columns are checked
-    against SIZE_BUDGET."""
-    n_steps = max(1, grid_steps(duration, dt)) if duration > 0 else 0
+    the last.  The steps come from :func:`grid_steps`, and the rows times
+    the 2n + 5 columns are checked against SIZE_BUDGET."""
+    n_steps = grid_steps(duration, dt)
     rows = 1 + n_steps // stride + (n_steps % stride > 0)
     if rows * (2 * n + 5) > SIZE_BUDGET:
         raise DomainError(f"records x columns must be <= {SIZE_BUDGET}, "
@@ -437,15 +445,10 @@ def simulate(system: SpringMassSystem, state: SystemState,
     initial and final states, into one preallocated table of
     :func:`steps_and_records` rows; the result's arrays are views of its columns.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise DomainError(f"dt must be finite and > 0, got {dt}")
-    if not (math.isfinite(duration) and duration >= 0):
-        raise DomainError(f"duration must be finite and >= 0, got {duration}")
     if record_stride < 1:
         raise DomainError(f"record_stride must be >= 1, got {record_stride}")
     n_steps, rows = steps_and_records(system.n, duration, dt, record_stride)
-    if n_steps > 0:
-        system.check_time_step(dt)
+    system.check_time_step(dt)
     st = system._stack
     if state.h.shape != st.amplitudes.shape:
         raise DomainError("state internal variables do not match the system")
@@ -455,7 +458,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
     decay = prony_step(st, 1.0, dt, 0.0)
     gain = prony_step(st, 0.0, dt, 1.0)
     beta = system.damping if system.damping_active else None
-    if beta is not None and n_steps:
+    if beta is not None:
         solve = system.damped_solve(dt)
 
     def forces(t, z, h):
@@ -471,7 +474,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
         return f_ext, aero, memory, (f_ext + aero) - (K @ q + memory + springs)
 
     t, q, v, h = state.time, state.q, state.v, state.h
-    z = st.drives(q)
+    z = st.drives(q, t)
     f_ext, aero, memory, f = forces(t, z, h)
     damp = 0.0 if beta is None else beta @ v
     work = diss = 0.0
@@ -487,7 +490,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
     for i in range(n_steps):
         v_half = v + 0.5 * dt * ((f - damp) / m)
         q_new = q + dt * v_half
-        z_new = st.drives(q_new)
+        z_new = st.drives(q_new, t + dt)
         h = decay * h + gain * (z_new - z)[st.source]
         f_ext1, aero1, memory1, f1 = forces(t + dt, z_new, h)
         if beta is None:

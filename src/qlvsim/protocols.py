@@ -17,7 +17,7 @@ from .constitutive import ExponentialTensileLaw
 from .errors import DomainError, FitError
 from .kernels import (_BLOCK_ROWS, SIZE_BUDGET, KelvinParams, MaxwellParams,
                       PronySpectrum, VoigtParams, grid_steps, kernel_to_prony,
-                      periodic_force_history, prony_step)
+                      periodic_force_history, prony_step, time_grid)
 from .qlv import QlvModel, StrainHistory, hysteresis_ratio, qlv_stress_fast
 
 
@@ -35,12 +35,13 @@ class ProtocolSpec:
 
     kind: "tensile" | "creep" | "relaxation" | "cyclic".
     tensile uses ``stretch_rate``; creep holds ``hold_stress``; relaxation
-    holds ``hold_strain`` (Green strain); cyclic drives the Green strain as
-    ``mean + amplitude*(1 - cos(w t))/2`` and samples its periodic steady
-    state at ``samples_per_cycle`` points per period; ``cycles`` is the
-    number of steady-state periods written out (cyclic ignores ``duration``
-    and ``dt``).  A positive ``mean`` keeps the stress positive through the
-    whole cycle so the hysteresis denominator is not clipped at zero.
+    holds ``hold_strain`` (Green strain); these sample the ``dt`` grid over
+    ``duration`` that :func:`qlvsim.kernels.grid_steps` checks.  cyclic
+    drives the Green strain as ``mean + amplitude*(1 - cos(w t))/2``,
+    samples its periodic steady state at ``samples_per_cycle`` points per
+    period and writes ``cycles`` periods of it.  A positive ``mean`` keeps
+    the stress positive through the whole cycle so the hysteresis
+    denominator is not clipped at zero.
     """
 
     kind: str
@@ -72,14 +73,9 @@ class ProtocolSpec:
                 raise DomainError(f"cycles*samples_per_cycle must be <= "
                                   f"{SIZE_BUDGET}")
         else:
-            if self.dt <= 0:
-                raise DomainError(f"dt must be > 0, got {self.dt}")
-            if self.duration <= 0:
-                raise DomainError("protocol needs duration > 0")
+            grid_steps(self.duration, self.dt)
             if self.kind == "tensile" and self.stretch_rate <= 0:
                 raise DomainError("tensile test needs stretch_rate > 0")
-            if grid_steps(self.duration, self.dt) < 1:
-                raise DomainError("duration and dt produce an empty series")
 
 
 @dataclass(frozen=True)
@@ -121,11 +117,6 @@ class TestReport:
             raise DomainError("fracture energy must be >= 0")
 
 
-def _time_grid(duration: float, dt: float) -> np.ndarray:
-    n = grid_steps(duration, dt)
-    return np.linspace(0.0, n * dt, n + 1)
-
-
 def _youngs_modulus(strain: np.ndarray, stress: np.ndarray) -> float | None:
     """Least-squares slope over the initial 1% strain window."""
     window = strain <= strain[0] + 0.01
@@ -165,7 +156,7 @@ def run_tensile(spec: ProtocolSpec, model: QlvModel) -> tuple[Series, TestReport
     """
     if spec.kind != "tensile":
         raise DomainError(f"expected a tensile spec, got {spec.kind!r}")
-    t = _time_grid(spec.duration, spec.dt)
+    t = time_grid(spec.duration, spec.dt)
     stretch = 1.0 + spec.stretch_rate * t
     history = StrainHistory(times=t, values=stretch, measure="stretch")
     stress = qlv_stress_fast(model, history).values
@@ -195,7 +186,7 @@ def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
     """
     if spec.kind != "creep":
         raise DomainError(f"expected a creep spec, got {spec.kind!r}")
-    t = _time_grid(spec.duration, spec.dt)
+    t = time_grid(spec.duration, spec.dt)
     load = spec.hold_stress
 
     if isinstance(model, (MaxwellParams, VoigtParams, KelvinParams)):
@@ -279,7 +270,7 @@ def run_relaxation(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
     """
     if spec.kind != "relaxation":
         raise DomainError(f"expected a relaxation spec, got {spec.kind!r}")
-    t = _time_grid(spec.duration, spec.dt)
+    t = time_grid(spec.duration, spec.dt)
 
     if isinstance(model, (MaxwellParams, VoigtParams, KelvinParams)):
         stress = spec.hold_strain * _element_relaxation(model, t)
@@ -303,12 +294,11 @@ def run_relaxation(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
 def _steady_cycles(spec: ProtocolSpec, model, freqs: np.ndarray):
     """(strain, stress) of the cyclic drive's steady state, one row of
     samples_per_cycle samples (closing sample excluded) per angular frequency
-    in ``freqs``, in one filter pass.  Row f's times are i*step, step =
-    cycles*period/(cycles*nps): run_cyclic's linspace grid, bit for bit."""
+    in ``freqs``, in one filter pass.  Row f's times are i*dt, dt =
+    period/samples_per_cycle, whatever ``cycles``: run_cyclic's grid."""
     nps = spec.samples_per_cycle
-    t = np.arange(nps) * np.array([[spec.cycles * 2.0 * math.pi / w / (
-        spec.cycles * nps)] for w in freqs.tolist()])
-    dt = t[:, 1:2] - t[:, :1]
+    dt = 2.0 * math.pi / freqs[:, None] / nps
+    t = np.arange(nps) * dt
     strain = spec.mean + 0.5 * spec.amplitude * (
         1.0 - np.cos(freqs[:, None] * t))
     if isinstance(model, VoigtParams):
@@ -337,16 +327,17 @@ def run_cyclic(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
     stress is the exact periodic steady state of that drive (see
     :func:`qlvsim.kernels.periodic_force_history`), computed over one
     period of ``samples_per_cycle`` samples; the hysteresis ratio is taken
-    from that cycle.  The series holds the steady cycle repeated for
-    ``cycles`` periods plus the closing sample: ``cycles*samples_per_cycle
-    + 1`` rows, starting at the strain minimum.
+    from that cycle.  The series tiles the steady cycle for ``cycles``
+    periods plus the closing sample: ``cycles*samples_per_cycle + 1`` rows
+    at times i*dt, dt = period/samples_per_cycle, starting at the strain
+    minimum.
     """
     if spec.kind != "cyclic":
         raise DomainError(f"expected a cyclic spec, got {spec.kind!r}")
     w, nps, cycles = spec.angular_frequency, spec.samples_per_cycle, \
         spec.cycles
     (strain,), (stress,) = _steady_cycles(spec, model, np.array([w]))
-    t = np.linspace(0.0, cycles * 2.0 * math.pi / w, cycles * nps + 1)
+    t = np.arange(cycles * nps + 1) * (2.0 * math.pi / w / nps)
     strain, stress = (np.append(np.tile(a, cycles), a[0])
                       for a in (strain, stress))
     report = TestReport(hysteresis_H=_loop_hysteresis(strain[:nps + 1],

@@ -16,7 +16,8 @@ import qlvsim
 from qlvsim.cli import _build_parser, cli_main
 from qlvsim.config import parse_config
 from qlvsim.constitutive import ELASTIC_TYPES
-from qlvsim.kernels import KERNEL_TYPES
+from qlvsim.errors import DomainError
+from qlvsim.kernels import KERNEL_TYPES, grid_steps
 from qlvsim.seriesio import read_series, serialize_series, write_series
 from qlvsim.protocols import Series
 
@@ -330,9 +331,12 @@ class TestValidateAgreesWithTheRun:
         ("relax", RELAX_CFG.read_text().replace("duration: 10.0",
                                                 "duration: 0.004"),
          "protocol: duration and dt produce an empty series"),
+        ("simulate", CHAIN_CFG.read_text().replace("duration: 50.0",
+                                                   "duration: 0.004"),
+         "network.duration: duration and dt produce an empty series"),
         ("creep", CREEP_TEXT.replace("duration: 5.0", "duration: -1.0e+300")
          .replace("dt: 0.01", "dt: 1.0e-10"),
-         "protocol: protocol needs duration > 0"),
+         "protocol: duration must be > 0, got -1e+300"),
         ("simulate", CHAIN_CFG.read_text().replace("duration: 50.0",
                                                    "duration: 1.0e+300"),
          "network.duration: duration/dt must be <= 10000000"),
@@ -354,8 +358,9 @@ class TestValidateAgreesWithTheRun:
     ]
     IDS = ["hold_strain", "stretch_rate", "no-stretch_rate", "prony_terms",
            "one-prony_term", "sweep_count", "cycles", "dt", "empty-grid",
-           "negative-duration", "network-duration", "network-dt",
-           "filter-states", "record-table", "unstable-network-dt"]
+           "simulate-empty-grid", "negative-duration", "network-duration",
+           "network-dt", "filter-states", "record-table",
+           "unstable-network-dt"]
 
     @pytest.mark.parametrize("command, text, error", CASES, ids=IDS)
     @pytest.mark.parametrize("validate", [True, False],
@@ -390,8 +395,10 @@ class TestValidateAgreesWithTheRun:
          "protocol: dt must be > 0, got -0.1"),
         ("creep", CREEP_TEXT, {"duration": "0.004"},
          "protocol: duration and dt produce an empty series"),
+        ("simulate", CHAIN_CFG.read_text(), {"duration": "0.004"},
+         "network.duration: duration and dt produce an empty series"),
         ("creep", CREEP_TEXT, {"duration": "-1e300", "dt": "1e-10"},
-         "protocol: protocol needs duration > 0"),
+         "protocol: duration must be > 0, got -1e+300"),
         ("simulate", CHAIN_CFG.read_text(), {"dt": "1e-300"},
          "network.duration: duration/dt must be <= 10000000"),
         ("simulate", CHAIN_CFG.read_text(), {"duration": "1e300"},
@@ -404,8 +411,8 @@ class TestValidateAgreesWithTheRun:
          "2/omega_max = 1.0987851636338393"),
     ]
     FLAG_IDS = ["dt", "duration", "negative-dt", "empty-grid",
-                "negative-duration", "simulate-dt", "simulate-duration",
-                "record-table", "unstable-network-dt"]
+                "simulate-empty-grid", "negative-duration", "simulate-dt",
+                "simulate-duration", "record-table", "unstable-network-dt"]
 
     @staticmethod
     def written(tmp_path, command, text, flags):
@@ -448,7 +455,7 @@ class TestValidateAgreesWithTheRun:
             runs.append((out.read_bytes(), capsys.readouterr()))
         assert runs[0] == runs[1]
 
-    # kernels reads no config, so it checks its grid flags as flags
+    # kernels reads no config: its grid flags are keys of a kernels section
     @pytest.mark.parametrize("argv", [
         ["kernels", "--kind", "maxwell", "--mu", "1", "--eta", "1",
          "--dt", "1e-300"]], ids=["kernels"])
@@ -457,8 +464,51 @@ class TestValidateAgreesWithTheRun:
         with alarm(20):     # a grid that is built fails, not hangs
             assert cli_main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == \
-            "error: --dt/--duration: duration/dt must be <= 10000000\n"
+            "error: kernels.duration: duration/dt must be <= 10000000\n"
         assert not out.exists()
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(duration=st.floats(-1.0, 1.0) | st.sampled_from(
+               [1e300, -1e300, 5e-324, sys.float_info.max]),
+           dt=st.floats(1e-3, 1.0) | st.floats(-1.0, 0.0) | st.sampled_from(
+               [1e-300, 5e-324, -sys.float_info.max]))
+    @example(duration=0.004, dt=0.01)
+    @example(duration=0.006, dt=0.01)
+    def test_one_grid_rule(self, tmp_path, capsys, alarm, duration, dt):
+        # relax, simulate and kernels write grid_steps + 1 rows, or all
+        # exit 2 with grid_steps' message at their grid key, and validate
+        # agrees with relax and simulate; valid grids hold <= 1001 rows
+        try:
+            rows, error = grid_steps(duration, dt) + 1, None
+        except DomainError as exc:
+            rows, error = None, str(exc)
+        out, flags = tmp_path / "out.csv", {"duration": duration, "dt": dt}
+        grid = ["--out", str(out), f"--duration={duration!r}", f"--dt={dt!r}"]
+
+        def check(argv, key):
+            out.unlink(missing_ok=True)
+            with alarm(20):
+                code = cli_main(argv)
+            err = capsys.readouterr().err
+            if error is not None:
+                assert (code, err) == (2, f"error: {key}: {error}\n"), argv
+                assert not out.exists()
+            else:
+                assert code == 0, (argv, err)
+                assert argv[0] == "validate" or \
+                    read_series(out).times.size == rows
+
+        check(["kernels", "--kind", "maxwell", "--mu", "1", "--eta", "1",
+               *grid], "kernels.duration")
+        chain = CHAIN_CFG.read_text().replace("stride: 10", "stride: 1")
+        for command, text, key in (("relax", RELAX_CFG.read_text(),
+                                    "protocol"),
+                                   ("simulate", chain, "network.duration")):
+            check([command, "--config", str(write_cfg(tmp_path, text)),
+                   *grid], key)
+            check(["validate", "--config", str(self.written(
+                tmp_path, command, text, flags))], key)
 
     def test_unstable_dt_override(self, tmp_path, capsys):
         # a stable --dt runs a config whose own dt is unstable
@@ -726,20 +776,24 @@ class TestSimulate:
     PAIR = "{i: 0, j: 1, B: 2.0, C: 0.5}"
     STIFF = "{i: 1, B: 400.0, C: 0.5}"
 
+    COMPRESSED = "spring (0, 1) at t = 0: stretch must be > 0, got min -0.5"
+    OVERFLOWING = ("spring (1, ground) at t = 0: exponent B*(lambda-1) = "
+                   "800.0 overflows; offending stretch 3.0")
+
     @pytest.mark.parametrize("springs, q, message", [
-        (f"{PAIR}, {STIFF}", "-1.5, 0.0", "stretch must be > 0, got min -0.5"),
-        (f"{PAIR}, {STIFF}", "2.0, 2.0",
-         "exponent B*(lambda-1) = 800.0 overflows; offending stretch 3.0"),
-        (f"{PAIR}, {STIFF}", "0.5, 2.0", "stretch must be > 0, got min -0.5"),
-        (f"{STIFF}, {PAIR}", "0.5, 2.0",
-         "exponent B*(lambda-1) = 800.0 overflows; offending stretch 3.0"),
+        (f"{PAIR}, {STIFF}", "-1.5, 0.0", COMPRESSED),
+        (f"{PAIR}, {STIFF}", "2.0, 2.0", OVERFLOWING),
+        (f"{PAIR}, {STIFF}", "0.5, 2.0", COMPRESSED),
+        (f"{STIFF}, {PAIR}", "0.5, 2.0", OVERFLOWING),
         ("{i: 1, B: 1.0, C: 1.0e+300}", "0.0, 600.0",
-         "overflow encountered in scalar multiply"),
+         "spring (1, ground) at t = 0: overflow encountered in scalar "
+         "multiply"),
     ], ids=["compressed", "overflowing", "compressed-first",
             "overflowing-first", "force-overflows"])
     def test_spring_out_of_its_domain(self, tmp_path, capsys, springs, q,
                                       message):
-        # the first faulty spring's own error, as one call per spring gives
+        # the first faulty spring's own error, as one call per spring gives,
+        # named by the spring's ends and the time of the step
         path = write_cfg(tmp_path, "network:\n  masses: [1.0, 1.0]\n"
                          "  stiffness: [[2.0, -1.0], [-1.0, 1.0]]\n"
                          "  damping: [[0.1, 0.0], [0.0, 0.1]]\n"
@@ -801,14 +855,14 @@ SWEEP_FAULTS = {
     "exponential-domain": (
         {"amplitude: 50.0": "amplitude: 5000.0"},
         "error: strain outside elastic domain at time index 17 "
-        "(t = 16.689710972195773): exponent B*(lambda-1) = 731.0523396932097 "
-        "overflows; offending stretch 74.10523396932096"),
+        "(t = 16.689710972195776): exponent B*(lambda-1) = 731.0523396932098 "
+        "overflows; offending stretch 74.10523396932098"),
     "fung-domain": (
         {"amplitude: 50.0": "amplitude: 5000.0",
          "{kind: exponential, B: 10.0, C: 2.0}":
              "{kind: fung, a1: 1.0, c: 1.0}"},
         "error: strain outside elastic domain at time index 2 "
-        "(t = 1.9634954084936205): energy exponent Q = 2331.6149568864653 "
+        "(t = 1.9634954084936207): energy exponent Q = 2331.6149568864653 "
         "overflows"),
     "loop-of-one-strain": (
         {"amplitude: 50.0": "amplitude: 1.0e-300"},
@@ -821,7 +875,7 @@ SWEEP_FAULTS = {
         "error: overflow encountered in add"),
     "subnormal-frequency": (
         {"start: 0.1": "start: 1.0e-310"},
-        "error: invalid value encountered in multiply"),
+        "error: overflow encountered in divide"),   # the period, 2*pi/w
 }
 
 
@@ -1254,7 +1308,15 @@ class TestExitCodeContract:
         code = self.check(["kernels", "--kind", kind,
                            *(f"--{key}={v}" for key, v in flags.items())],
                           capsys, alarm)
-        assert code == 2 or name in (*KERNEL_FLAGS[kind], "duration", "dt")
+        if name not in ("duration", "dt"):
+            assert code == 2 or name in KERNEL_FLAGS[kind]
+            return
+        try:    # a grid flag exits 2 exactly when grid_steps rejects it
+            grid_steps(float(flags["duration"]), float(flags["dt"]))
+        except (ValueError, DomainError):   # not a float, or not a grid
+            assert code == 2
+        else:
+            assert code == 0
 
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -764,15 +765,31 @@ class TestTermOrderSumMemory:
 class TestGridSteps:
     def test_rounds_the_step_count(self):
         assert grid_steps(1.0, 0.3) == 3
-        assert grid_steps(0.004, 0.01) == 0
+        assert grid_steps(0.006, 0.01) == 1
         assert grid_steps(float(SIZE_BUDGET), 1.0) == SIZE_BUDGET
+        # below half a step the grid is empty, and no caller takes it
+        with pytest.raises(DomainError, match="^duration and dt produce an "
+                                              "empty series$"):
+            grid_steps(0.004, 0.01)
 
     @pytest.mark.parametrize("duration, dt", [
         (float(SIZE_BUDGET + 1), 1.0), (1.0, 1e-300), (1e300, 1.0),
-        (1e300, 1e-300), (-1e300, 1e-10), (float("nan"), 1.0)],
-        ids=["budget+1", "tiny-dt", "long", "overflow", "negative-overflow",
-             "nan"])
+        (1e300, 1e-300)], ids=["budget+1", "tiny-dt", "long", "overflow"])
     def test_over_the_budget(self, duration, dt):
         with pytest.raises(DomainError,
                            match=f"duration/dt must be <= {SIZE_BUDGET}"):
+            grid_steps(duration, dt)
+
+    # checked before the budget, so a negative or nan duration is named
+    @pytest.mark.parametrize("duration, dt, message", [
+        (-1e300, 1e-10, "duration must be > 0, got -1e+300"),
+        (float("nan"), 1.0, "duration must be > 0, got nan"),
+        (0.0, 1.0, "duration must be > 0, got 0.0"),
+        (1.0, 0.0, "dt must be > 0, got 0.0"),
+        (1e300, -1e-300, "dt must be > 0, got -1e-300"),
+        (1.0, float("nan"), "dt must be > 0, got nan")],
+        ids=["negative-overflow", "nan", "zero-duration", "zero-dt",
+             "negative-dt", "nan-dt"])
+    def test_not_positive(self, duration, dt, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             grid_steps(duration, dt)

@@ -333,12 +333,18 @@ class TestSimulate:
                       [0.0, -1.0, 1.0]])
         return SpringMassSystem(masses=[1.0, 1.0, 1.0], stiffness=K)
 
-    def test_duration_zero_returns_initial(self):
+    @pytest.mark.parametrize("duration, message", [
+        (0.0, "duration must be > 0, got 0.0"),
+        (0.004, "duration and dt produce an empty series")],
+        ids=["zero", "below-half-a-step"])
+    def test_empty_grid_is_rejected(self, duration, message):
+        # grid_steps' rule: no run of no step, nor of one past the duration
         system = self.chain()
         state = SystemState.initial(system, q=[0.1, 0.0, 0.0])
-        result = simulate(system, state, duration=0.0, dt=0.01)
-        assert result.times.shape == (1,)
-        assert np.allclose(result.q[0], [0.1, 0.0, 0.0])
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            simulate(system, state, duration=duration, dt=0.01)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            steps_and_records(3, duration, 0.01, 1)
 
     def test_step_count_over_the_budget(self, alarm):
         # checked before the first step; the alarm fails a run that steps
@@ -359,7 +365,7 @@ class TestSimulate:
             simulate(system, state, duration=1e4, dt=0.01)
 
     @pytest.mark.parametrize("n, n_steps, stride, rows", [
-        (3, 0, 1, 1), (3, 1, 1, 2), (3, 100, 7, 16), (3, 105, 7, 16),
+        (3, 1, 1, 2), (3, 100, 7, 16), (3, 105, 7, 16),
         (3, 10**6, 2, 500001), (1, 10, 2**63, 2), (3, 909089, 1, 909090)])
     def test_steps_and_records(self, n, n_steps, stride, rows):
         assert steps_and_records(n, float(n_steps), 1.0, stride) == \
@@ -753,7 +759,7 @@ class TestStackedSprings:
                    for i, j, B, C, length in springs]
         q = np.array(data.draw(st.lists(st.floats(-0.2, 0.2), min_size=n,
                                         max_size=n)))
-        z = self.system(n, springs)._stack.drives(q)
+        z = self.system(n, springs)._stack.drives(q, 0.0)
         assert z[:n].tobytes() == q.tobytes()
         want = np.array([s.elastic_force(q) for s in springs])
         assert z[n:].tobytes() == want.tobytes()
@@ -771,22 +777,26 @@ class TestStackedSprings:
     JUST_OVER = NonlinearSpring(1, None, ExponentialTensileLaw(B=352.0, C=0.5))
 
     @pytest.mark.parametrize("faulty, message", [
-        ((COMPRESSED, OVERFLOWING), "stretch must be > 0, got min -0.5"),
+        ((COMPRESSED, OVERFLOWING),
+         "spring (0, ground) at t = 0: stretch must be > 0, got min -0.5"),
         ((OVERFLOWING, COMPRESSED),
-         "exponent B*(lambda-1) = 800.0 overflows; offending stretch 3.0"),
+         "spring (1, ground) at t = 0: exponent B*(lambda-1) = 800.0 "
+         "overflows; offending stretch 3.0"),
         ((JUST_OVER,),
-         "exponent B*(lambda-1) = 704.0 overflows; offending stretch 3.0"),
+         "spring (1, ground) at t = 0: exponent B*(lambda-1) = 704.0 "
+         "overflows; offending stretch 3.0"),
     ], ids=["compressed-first", "overflowing-first", "finite-over-the-cap"])
     def test_first_faulty_spring_raises_its_own_error(self, faulty, message):
+        # the first faulty spring's own error, named by its ends and time
         springs = (self.HEALTHY, *faulty, self.HEALTHY)
         q = np.array([-1.5, 2.0])   # stretches 1 + q[0] and 1 + q[1]
         with pytest.raises(DomainError) as scalar:
             for s in springs:
                 s.elastic_force(q)
-        assert str(scalar.value) == message
+        assert message.endswith(f": {scalar.value}")
         system = self.system(2, springs)
         with pytest.raises(DomainError) as stacked:
-            system._stack.drives(q)
+            system._stack.drives(q, 0.0)
         assert str(stacked.value) == message
         with pytest.raises(DomainError) as run:
             simulate(system, SystemState.initial(system, q=q), 1.0, 0.5)
@@ -806,7 +816,7 @@ class TestStackedSprings:
         with pytest.raises(DomainError) as got:
             simulate(system, state, 1.0, 0.01)
         assert "stretch must be > 0" in str(want.value)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"spring (0, 1) at t = 0.03: {want.value}"
 
 
 class TestDampedSolve:
@@ -847,8 +857,9 @@ class TestDampedSolve:
                     rf"^M \+ dt/2 beta is singular: zero pivot in row "
                     rf"{row}$")):
                 simulate(system, state, 1.0, 0.01)
-        # a run of no steps solves nothing
-        assert simulate(system, state, 0.0, 0.01).times.tolist() == [0.0]
+        # the grid is checked first: a run of no steps is no run
+        with pytest.raises(DomainError, match="^duration must be > 0"):
+            simulate(system, state, 0.0, 0.01)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 130))

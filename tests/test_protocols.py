@@ -482,11 +482,11 @@ def settled_transient(spec, specimen, f_min):
 
 def linspace_cycle_h(spec, model, w):
     """H of one frequency's steady cycle, a reference for the sweep's
-    passes: the first period of run_cyclic's np.linspace grid, one 1-D
-    filter call, the elastic stress through a StrainHistory."""
+    passes: one period's np.linspace grid, whose times are i*step with
+    step = period/samples_per_cycle, one 1-D filter call, the elastic
+    stress through a StrainHistory."""
     nps = spec.samples_per_cycle
-    t = np.linspace(0.0, spec.cycles * 2.0 * math.pi / w,
-                    spec.cycles * nps + 1)[:nps]
+    t = np.linspace(0.0, 2.0 * math.pi / w, nps + 1)[:nps]
     x = spec.mean + 0.5 * spec.amplitude * (1.0 - np.cos(w * t))
     dt = t[1] - t[0]
     if isinstance(model, VoigtParams):
@@ -555,17 +555,25 @@ class TestSweepPasses:
             [linspace_cycle_h(spec, model, w) for w in freqs]).tobytes()
 
     def test_cycles_do_not_change_cost(self):
-        # each run keeps run_cyclic's grid, whose step rounds with cycles, so
-        # the H of two cycle counts agree to rounding, each bit for bit with
-        # its own linspace grid, and the sweep's memory is the same
+        # the period's step is period/samples_per_cycle whatever cycles, so
+        # H is the same bit for bit for every cycle count, and equal to the
+        # one-period linspace reference, and the sweep's memory is the same;
+        # run_cyclic's cycle is the drive at its own time column (at w = 0.1
+        # a step of cycles*period/(cycles*32) rounds otherwise; a zero mean
+        # keeps the drive's last bits)
         model, freqs = SWEEP_SPECIMENS["qlv"], np.logspace(-1, 1, 9)
         hs, peaks = {}, {}
-        for cycles in (5, 40_000):
+        for cycles in (1, 5, 40_000):
             spec = sweep_spec(32, cycles)
             hs[cycles], peaks[cycles] = traced_sweep(spec, model, freqs)
-            assert hs[cycles].tobytes() == np.array(
-                [linspace_cycle_h(spec, model, w) for w in freqs]).tobytes()
-        np.testing.assert_allclose(hs[40_000], hs[5], rtol=1e-10, atol=0.0)
+            assert hs[cycles].tobytes() == hs[1].tobytes()
+            series, _ = run_cyclic(replace(spec, angular_frequency=0.1,
+                                           mean=0.0), model)
+            assert series.columns["green_strain"][:32].tobytes() == (
+                0.5 * spec.amplitude * (
+                    1.0 - np.cos(0.1 * series.times[:32]))).tobytes()
+        assert hs[1].tobytes() == np.array(
+            [linspace_cycle_h(spec, model, w) for w in freqs]).tobytes()
         assert abs(peaks[40_000] - peaks[5]) <= 1024
 
     def test_count_does_not_change_peak(self):
