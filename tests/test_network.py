@@ -333,18 +333,18 @@ class TestSimulate:
                       [0.0, -1.0, 1.0]])
         return SpringMassSystem(masses=[1.0, 1.0, 1.0], stiffness=K)
 
-    @pytest.mark.parametrize("duration, message", [
+    EMPTY_GRIDS = pytest.mark.parametrize("duration, message", [
         (0.0, "duration must be > 0, got 0.0"),
         (0.004, "duration and dt produce an empty series")],
         ids=["zero", "below-half-a-step"])
+
+    @EMPTY_GRIDS
     def test_empty_grid_is_rejected(self, duration, message):
         # grid_steps' rule: no run of no step, nor of one past the duration
         system = self.chain()
         state = SystemState.initial(system, q=[0.1, 0.0, 0.0])
         with pytest.raises(DomainError, match=f"^{message}$"):
             simulate(system, state, duration=duration, dt=0.01)
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            steps_and_records(3, duration, 0.01, 1)
 
     def test_step_count_over_the_budget(self, alarm):
         # checked before the first step; the alarm fails a run that steps
@@ -370,6 +370,11 @@ class TestSimulate:
     def test_steps_and_records(self, n, n_steps, stride, rows):
         assert steps_and_records(n, float(n_steps), 1.0, stride) == \
             (n_steps, rows)
+
+    @EMPTY_GRIDS
+    def test_steps_and_records_of_an_empty_grid(self, duration, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            steps_and_records(3, duration, 0.01, 1)
 
     def test_records_one_over_the_budget(self):
         with pytest.raises(DomainError, match="got 909091 x 11"):
