@@ -63,8 +63,7 @@ def _finite(x) -> bool:
 def _numbers(v, index="") -> bool:
     """Whether a YAML value is a non-empty list of numbers; if not, its first
     text entry raises _number's fault, named by its index after ``index``."""
-    if isinstance(v, list) and v and not any(
-            isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
+    if isinstance(v, list) and v and set(map(type, v)) <= {int, float}:
         return True
     for i, x in enumerate(v if isinstance(v, list) else ()):
         if isinstance(x, str):
@@ -345,9 +344,8 @@ def _build_network(v: _Validator, section: dict) -> dict:
     springs = build_list("springs", _build_spring)
     replace = v.read(sec, "network", "kernels_replace_damping", _boolean,
                      default=True)
-    force = None
-    if sec.get("force") is not None:
-        force = _build_force(v, sec["force"], n)
+    force = (None if sec.get("force") is None
+             else _build_force(v, sec["force"], n))
 
     init = v.section(sec.get("initial"), "network.initial", {"q", "v"})
     q0 = v.read(init, "network.initial", "q", _vector, size=n)
@@ -390,17 +388,17 @@ def _build_sweep(v: _Validator, section: dict):
     sec = v.section(section, "sweep", {"start", "stop", "count"})
     start = v.read(sec, "sweep", "start", _number, required=True)
     stop = v.read(sec, "sweep", "stop", _number, required=True)
-    count = v.read(sec, "sweep", "count", _integer, required=True)
+    count = v.read(sec, "sweep", "count", _integer, required=True, low=2,
+                   high=SIZE_BUDGET)
     if None in (start, stop) or count is None:
         return None
     if start <= 0 or stop <= start:
         v.fail("sweep.start", "need 0 < start < stop for a log-spaced sweep")
         return None
-    if not 2 <= count <= SIZE_BUDGET:
-        v.fail("sweep.count", f"must be >= 2, got {count}" if count < 2
-               else f"must be <= {SIZE_BUDGET}")
-        return None
-    return np.logspace(math.log10(start), math.log10(stop), count)
+    freqs = np.logspace(math.log10(start), math.log10(stop), count)
+    if math.isinf(2.0 * math.pi / float(freqs[0])):    # the longest period
+        v.fail("sweep.start", f"the period 2*pi/start overflows, got {start}")
+    return freqs
 
 
 class _Decimals:
@@ -487,14 +485,11 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     v = _Validator()
     v.section(data, "", _TOP_KEYS)
-    has_model = "model" in data
-    has_network = "network" in data
-    if has_model and has_network:
-        v.fail("model", "exactly one of 'model' and 'network' is allowed; "
-               "both are present")
-    if not has_model and not has_network:
-        v.fail("model", "exactly one of 'model' and 'network' is required; "
-               "neither is present")
+    has_model, has_network = "model" in data, "network" in data
+    if has_model == has_network:
+        v.fail("model", "exactly one of 'model' and 'network' is " + (
+            "allowed; both are present" if has_model
+            else "required; neither is present"))
 
     specimen = {}
     if has_model and not has_network:
@@ -502,23 +497,26 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if has_network and not has_model:
         specimen = _build_network(v, data["network"])
 
-    protocol = None
-    if data.get("protocol") is not None:
-        protocol = _build_protocol(v, data["protocol"])
+    protocol = (None if data.get("protocol") is None
+                else _build_protocol(v, data["protocol"]))
 
     # an elastic law needs a Green strain; a bare element holds any strain
     if protocol and specimen.get("model") and protocol.hold_strain < -0.5:
         v.fail("protocol.hold_strain", "must be >= -0.5 (a Green strain) "
                f"for a model specimen, got {protocol.hold_strain}")
-    # a model's periodic steady state filters one period through its terms
-    if protocol and protocol.kind == "cyclic" and specimen.get("model"):
-        v.construct("protocol.samples_per_cycle", check_filter_size,
-                    protocol.samples_per_cycle,
-                    len(specimen["model"].prony.amplitudes))
+    if protocol and protocol.kind == "cyclic":
+        # the run's last time, cycles periods of 2*pi/w, as it is built
+        w, nps = protocol.angular_frequency, protocol.samples_per_cycle
+        if math.isinf(protocol.cycles * nps * (2.0 * math.pi / w / nps)):
+            v.fail("protocol.angular_frequency",
+                   f"cycles periods of 2*pi/w overflow, got {w}")
+        # a model's periodic steady state filters one period through its terms
+        if specimen.get("model"):
+            v.construct("protocol.samples_per_cycle", check_filter_size, nps,
+                        len(specimen["model"].prony.amplitudes))
 
-    sweep = None
-    if data.get("sweep") is not None:
-        sweep = _build_sweep(v, data["sweep"])
+    sweep = (None if data.get("sweep") is None
+             else _build_sweep(v, data["sweep"]))
 
     out = v.section(data.get("output"), "output",
                     {"path", "stride", "precision"})
@@ -546,12 +544,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
 def _effective_dict(data: dict, stride: int, precision: int) -> dict:
     """The parsed document with output defaults made explicit."""
-    effective = {k: data[k] for k in data}
-    out = dict(effective.get("output") or {})
-    out.setdefault("stride", stride)
-    out.setdefault("precision", precision)
-    effective["output"] = out
-    return effective
+    return {**data, "output": {"stride": stride, "precision": precision,
+                               **(data.get("output") or {})}}
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:

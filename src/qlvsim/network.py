@@ -136,13 +136,6 @@ class NonlinearSpring:
         return self.law.stress(lam)
 
 
-def _scatter(ends: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Force vector with +value at ends[:, 0] and -value at ends[:, 1],
-    summed in the order given; index n is a sink for ground ends."""
-    signed = np.multiply.outer(values, (1.0, -1.0))
-    return np.bincount(ends.ravel(), signed.ravel(), minlength=n + 1)[:n]
-
-
 @dataclass(frozen=True)
 class _Stack:
     """Every Prony term of a system in one flat spectrum, the maps from
@@ -153,7 +146,10 @@ class _Stack:
     ``owner[k]`` and is driven by the increment of z[source[k]], where z
     is q followed by the springs' elastic forces (:meth:`drives`).  An
     owner's force is the sum of its terms' internal variables (plus K q[j]
-    for aero entries), applied at its ``ends`` row pair.
+    for aero entries), applied at its ``ends`` row pair, and a spring's,
+    times its scale, at ``spring_ends``; a ground end is the slot after z,
+    which holds 0.  ``rows`` are the bins of one bincount of them all: a
+    block of n + 1 each for memory, aero and springs, n the ground's.
     """
 
     amplitudes: np.ndarray
@@ -166,8 +162,9 @@ class _Stack:
     aero_j: np.ndarray
     springs: tuple
     spring_ends: np.ndarray      # (springs, 2)
-    spring_law: np.ndarray       # rows: rest length, B, C/B
+    spring_columns: tuple        # arrays: i, j, rest length, B, C/B
     spring_scale: np.ndarray     # equilibrium fraction of each spring's force
+    rows: np.ndarray             # ends, then spring_ends, as bincount bins
 
     @classmethod
     def of(cls, system: "SpringMassSystem") -> "_Stack":
@@ -191,7 +188,8 @@ class _Stack:
         if any(not (0 <= s.i < n and (s.j is None or 0 <= s.j < n))
                for s in springs):
             raise DomainError("nonlinear spring endpoint out of range")
-        spring_ends = np.array([(s.i, n if s.j is None else s.j)
+        ground = n + len(springs)
+        spring_ends = np.array([(s.i, ground if s.j is None else s.j)
                                 for s in springs], dtype=int).reshape(-1, 2)
         relaxing = [k for k, s in enumerate(springs) if s.kernel is not None]
         spectra = ([e.spectrum for e in mem]
@@ -199,47 +197,54 @@ class _Stack:
                    + [e.spectrum for e in aero])
         sources = ([e.j for e in mem] + [n + k for k in relaxing]
                    + [e.j for e in aero])
-        ends = ([(e.i, n) for e in mem] + [spring_ends[k] for k in relaxing]
-                + [(e.i, n) for e in aero])
+        ends = np.array([(e.i, n) for e in mem]
+                        + [spring_ends[k] for k in relaxing]
+                        + [(e.i, n) for e in aero], dtype=int).reshape(-1, 2)
         sizes = [len(s.amplitudes) for s in spectra]
+        k = len(mem) + len(relaxing)
+        blocks = enumerate((ends[:k], ends[k:], spring_ends))
         return cls(
             amplitudes=np.array([a for s in spectra for a in s.amplitudes]),
             frequencies=np.array([f for s in spectra for f in s.frequencies]),
             owner=np.repeat(np.arange(len(spectra)), sizes),
             source=np.repeat(np.array(sources, dtype=int), sizes),
-            ends=np.array(ends, dtype=int).reshape(-1, 2),
-            n_internal=len(mem) + len(relaxing),
+            ends=ends,
+            n_internal=k,
             aero_K=np.array([e.spectrum.K for e in aero]),
             aero_j=ij[len(mem):, 1],
             springs=springs,
             spring_ends=spring_ends,
-            spring_law=np.array([(s.rest_length, s.law.B, s.law.C / s.law.B)
-                                 for s in springs]).reshape(-1, 3).T,
+            spring_columns=(*spring_ends.T.copy(), *np.array(
+                [(s.rest_length, s.law.B, s.law.C / s.law.B)
+                 for s in springs]).reshape(-1, 3).T.copy()),
             spring_scale=np.array([1.0 if s.kernel is None else s.kernel.K
-                                   for s in springs]))
+                                   for s in springs]),
+            rows=np.concatenate([np.minimum(e, n).ravel() + b * (n + 1)
+                                 for b, e in blocks]))
 
     def drives(self, q: np.ndarray, t: float) -> np.ndarray:
-        """q followed by every spring's elastic force at time ``t``, in one
-        expression; the first faulty spring raises, named with ``t``."""
+        """z at ``t``: q, then every spring's elastic force in one expression,
+        in a fresh array; the first faulty spring raises, named with ``t``."""
         if not self.springs:
             return q
-        ends = np.append(q, 0.0)         # row n is the ground
-        (i, j), (length, B, c) = self.spring_ends.T, self.spring_law
+        n = q.size
+        z = np.empty(n + len(self.springs) + 1)
+        z[:n], z[-1] = q, 0.0
+        i, j, length, B, c = self.spring_columns
         with np.errstate(over="ignore", invalid="ignore"):
-            lam = 1.0 + (ends[i] - ends[j]) / length
+            lam = 1.0 + (z[i] - z[j]) / length
             arg = B * (lam - 1.0)
-            force = c * np.expm1(arg)
+            force = np.multiply(c, np.expm1(arg), out=z[n:-1])
         if not (lam.min() > 0 and arg.max() <= _EXP_ARG_MAX
                 and np.isfinite(force).all()):
-            force = []
-            for s in self.springs:
+            for k, s in enumerate(self.springs):
                 try:
-                    force.append(s.elastic_force(q))
+                    force[k] = s.elastic_force(q)
                 except (DomainError, FloatingPointError) as exc:
                     end = "ground" if s.j is None else s.j
                     raise type(exc)(f"spring ({s.i}, {end}) at t = {t:g}: "
                                     f"{exc}") from exc
-        return np.concatenate((q, force))
+        return z[:-1]
 
 
 @dataclass(frozen=True)
@@ -271,10 +276,8 @@ class SpringMassSystem:
         K = np.asarray(self.stiffness, dtype=float)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "stiffness", K)
-        object.__setattr__(self, "memory_kernels", tuple(self.memory_kernels))
-        object.__setattr__(self, "aero_kernels", tuple(self.aero_kernels))
-        object.__setattr__(self, "nonlinear_springs",
-                           tuple(self.nonlinear_springs))
+        for name in ("memory_kernels", "aero_kernels", "nonlinear_springs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         n = m.size
         if np.any(m <= 0) or not np.all(np.isfinite(m)):
             raise DomainError("all masses must be finite and > 0")
@@ -303,9 +306,8 @@ class SpringMassSystem:
 
     @property
     def damping_active(self) -> bool:
-        if self.damping is None:
-            return False
-        return not (self.memory_kernels and self.kernels_replace_damping)
+        return self.damping is not None and not (
+            self.memory_kernels and self.kernels_replace_damping)
 
     def instantaneous_stiffness(self) -> np.ndarray:
         """Stiffness at t = 0+: equilibrium entries plus kernel amplitudes."""
@@ -347,9 +349,8 @@ class SpringMassSystem:
         return self._solves[dt]
 
     def external_force_at(self, t: float) -> np.ndarray:
-        if self.external_force is None:
-            return np.zeros(self.n)
-        return np.asarray(self.external_force(t), dtype=float)
+        return (np.zeros(self.n) if self.external_force is None
+                else np.asarray(self.external_force(t), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -436,14 +437,15 @@ def simulate(system: SpringMassSystem, state: SystemState,
              record_stride: int = 1) -> SimulationResult:
     """Fixed-step velocity-Verlet integration with energy accounting.
 
-    Each step evaluates the configuration-dependent force once; the next
-    step starts from it.  Damping is implicit in the velocity update,
-    (M + dt/2 beta) v_new = M v_half + dt/2 f (see :func:`_damped_solve`).
-    External and aero work, and the dissipation of damping, memory kernels
-    and relaxing springs, accumulate with trapezoidal force averaging.
-    Records are taken every ``record_stride`` steps, always including the
-    initial and final states, into one preallocated table of
-    :func:`steps_and_records` rows; the result's arrays are views of its columns.
+    Each step evaluates the configuration-dependent force once, with one
+    bincount over ``_Stack.rows``; the next step starts from it.  Damping
+    is implicit in the velocity update, (M + dt/2 beta) v_new = M v_half +
+    dt/2 f (see :func:`_damped_solve`).  External and aero work, and the
+    dissipation of damping, memory kernels and relaxing springs, accumulate
+    with trapezoidal force averaging.  Records are taken every
+    ``record_stride`` steps, always including the initial and final states,
+    into one preallocated table of :func:`steps_and_records` rows; the
+    result's arrays are views of its columns.
     """
     if record_stride < 1:
         raise DomainError(f"record_stride must be >= 1, got {record_stride}")
@@ -454,23 +456,28 @@ def simulate(system: SpringMassSystem, state: SystemState,
         raise DomainError("state internal variables do not match the system")
 
     n, m, K = system.n, system.masses, system.stiffness
-    k = st.n_internal
-    decay = prony_step(st, 1.0, dt, 0.0)
-    gain = prony_step(st, 0.0, dt, 1.0)
+    k, owners, aero_j = st.n_internal, len(st.ends), st.aero_j
+    decay, gain = prony_step(st, 1.0, dt, 0.0), prony_step(st, 0.0, dt, 1.0)
     beta = system.damping if system.damping_active else None
-    if beta is not None:
-        solve = system.damped_solve(dt)
+    solve = None if beta is None else system.damped_solve(dt)
+    external = system.external_force_at
+    # +- each owner's value, then each spring's force times its scale
+    signs = np.multiply.outer(np.append(np.ones(owners), st.spring_scale),
+                              (1.0, -1.0)).ravel()
+    blocks = [slice(b * (n + 1), b * (n + 1) + n) for b in range(3)]
 
     def forces(t, z, h):
         """External, aero and memory forces, and the net force without
         damping.  Memory is the internal variables' share of the restoring
         force: that of memory kernels and relaxing springs."""
         q = z[:n]
-        owned = np.bincount(st.owner, h, minlength=len(st.ends))
-        memory = _scatter(st.ends[:k], owned[:k], n)
-        aero = _scatter(st.ends[k:], st.aero_K * q[st.aero_j] + owned[k:], n)
-        springs = _scatter(st.spring_ends, st.spring_scale * z[n:], n)
-        f_ext = system.external_force_at(t)
+        owned = np.bincount(st.owner, h, minlength=owners)
+        if aero_j.size:
+            owned = np.append(owned[:k], st.aero_K * q[aero_j] + owned[k:])
+        memory, aero, springs = map(np.bincount(
+            st.rows, np.concatenate((owned, z[n:])).repeat(2) * signs,
+            minlength=3 * (n + 1)).__getitem__, blocks)
+        f_ext = external(t)
         return f_ext, aero, memory, (f_ext + aero) - (K @ q + memory + springs)
 
     t, q, v, h = state.time, state.q, state.v, state.h
@@ -500,7 +507,8 @@ def simulate(system: SpringMassSystem, state: SystemState,
             v_new = solve(np.asarray_chkfinite(m * v_half + 0.5 * dt * f1))
             damp1 = beta @ v_new
         dq = q_new - q
-        work += float(np.dot(0.5 * (f_ext + f_ext1) + 0.5 * (aero + aero1), dq))
+        work += float(np.dot(0.5 * (f_ext + f_ext1) + (
+            0.5 * (aero + aero1) if aero_j.size else 0.0), dq))
         diss += float(np.dot(0.5 * ((memory + damp) + (memory1 + damp1)), dq))
         t, q, v, z = t + dt, q_new, v_new, z_new
         f_ext, aero, memory, f, damp = f_ext1, aero1, memory1, f1, damp1
@@ -514,9 +522,6 @@ def simulate(system: SpringMassSystem, state: SystemState,
 
 def step(system: SpringMassSystem, state: SystemState,
          dt: float) -> SystemState:
-    """Advance one velocity-Verlet step: :func:`simulate` over one ``dt``.
-
-    Each call pays a whole run's setup, two to five times a step inside
-    :func:`simulate`, so loops belong there.
-    """
+    """Advance one velocity-Verlet step: :func:`simulate` over one ``dt``,
+    which pays a whole run's setup; loops belong in :func:`simulate`."""
     return simulate(system, state, dt, dt).final_state

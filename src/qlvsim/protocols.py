@@ -192,7 +192,8 @@ def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
     if isinstance(model, (MaxwellParams, VoigtParams, KelvinParams)):
         u = _element_creep(model, t, load)
         series = Series(times=t, columns={"deformation": u})
-        return series, TestReport(creep_rate=np.gradient(u, t))
+        # the grid's own step: gradient's dx1*(dx1 + dx2) of t underflows
+        return series, TestReport(creep_rate=np.gradient(u, t[1] - t[0]))
 
     if load == 0.0:
         green = np.zeros_like(t)
@@ -215,7 +216,7 @@ def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
         green = model.elastic.green_at_stress(te)
     series = Series(times=t, columns={"green_strain": green,
                                       "stretch": np.sqrt(2 * green + 1.0)})
-    return series, TestReport(creep_rate=np.gradient(green, t))
+    return series, TestReport(creep_rate=np.gradient(green, t[1] - t[0]))
 
 
 def _trapezoid(u0: float, a: float, b: float, t: np.ndarray) -> np.ndarray:
@@ -286,7 +287,7 @@ def run_relaxation(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
         normalized = g if te0 != 0 else stress
     series = Series(times=t, columns={"stress": stress,
                                       "normalized_stress": np.asarray(normalized)})
-    report = TestReport(relaxation_rate=np.gradient(stress, t),
+    report = TestReport(relaxation_rate=np.gradient(stress, t[1] - t[0]),
                         relaxation_asymptote=asymptote)
     return series, report
 

@@ -355,12 +355,26 @@ class TestValidateAgreesWithTheRun:
         ("simulate", CHAIN_CFG.read_text().replace("dt: 0.01", "dt: 1.9"),
          "network.dt: dt = 1.9 violates the explicit stability bound "
          "2/omega_max = 1.0987851636338393"),
+        # periods 2*pi/w that overflow: the sweep's longest, and the last
+        # time of a cyclic run, which one period or cycles of them overflow
+        ("sweep", CYCLIC_CFG.read_text().replace("start: 0.1 ",
+                                                 "start: 1.0e-310 "),
+         "sweep.start: the period 2*pi/start overflows, got 1e-310"),
+        ("cyclic", CYCLIC_CFG.read_text().replace(
+            "angular_frequency: 1.0 ", "angular_frequency: 1.0e-310 "),
+         "protocol.angular_frequency: cycles periods of 2*pi/w overflow, "
+         "got 1e-310"),
+        ("cyclic", CYCLIC_CFG.read_text().replace(
+            "angular_frequency: 1.0 ", "angular_frequency: 4.0e-308 "),
+         "protocol.angular_frequency: cycles periods of 2*pi/w overflow, "
+         "got 4e-308"),
     ]
     IDS = ["hold_strain", "stretch_rate", "no-stretch_rate", "prony_terms",
            "one-prony_term", "sweep_count", "cycles", "dt", "empty-grid",
            "simulate-empty-grid", "negative-duration", "network-duration",
            "network-dt", "filter-states", "record-table",
-           "unstable-network-dt"]
+           "unstable-network-dt", "subnormal-frequency",
+           "subnormal-angular-frequency", "cycles-overflow"]
 
     @pytest.mark.parametrize("command, text, error", CASES, ids=IDS)
     @pytest.mark.parametrize("validate", [True, False],
@@ -475,6 +489,7 @@ class TestValidateAgreesWithTheRun:
                [1e-300, 5e-324, -sys.float_info.max]))
     @example(duration=0.004, dt=0.01)
     @example(duration=0.006, dt=0.01)
+    @example(duration=3.698998296699463e-297, dt=1e-300)   # dt**2 underflows
     def test_one_grid_rule(self, tmp_path, capsys, alarm, duration, dt):
         # relax, simulate and kernels write grid_steps + 1 rows, or all
         # exit 2 with grid_steps' message at their grid key, and validate
@@ -873,9 +888,6 @@ SWEEP_FAULTS = {
         {"mean: 0.25": "mean: 1.0e+308",
          "amplitude: 50.0": "amplitude: 1.0e+308"},
         "error: overflow encountered in add"),
-    "subnormal-frequency": (
-        {"start: 0.1": "start: 1.0e-310"},
-        "error: overflow encountered in divide"),   # the period, 2*pi/w
 }
 
 

@@ -671,6 +671,34 @@ class TestReferenceLoop:
         self.check(dataclasses.replace(self.system(without),
                                        damping=damping))
 
+    def test_benchmark_network_shape(self):
+        """The benchmark's network op in small: a chain of 100 masses with
+        10 two-term diagonal memory kernels, 5 interior springs, diagonal
+        damping kept beside the kernels and a sinusoidal tip force."""
+        rng = np.random.default_rng(22)
+        n = 100
+        links = rng.uniform(0.5, 2.0, n)
+        K = np.diag(links + np.append(links[1:], 0.0)) \
+            - np.diag(links[1:], 1) - np.diag(links[1:], -1)
+        memory = tuple(KernelEntry(i, i, PronySpectrum(
+            K=K[i, i], amplitudes=tuple(rng.uniform(0.05, 0.2, 2)),
+            frequencies=(rng.uniform(0.5, 1.5), rng.uniform(3.0, 6.0))))
+            for i in sorted(rng.choice(n, 10, replace=False).tolist()))
+        springs = tuple(NonlinearSpring(i, i + 1, ExponentialTensileLaw(
+            B=rng.uniform(2.0, 5.0), C=rng.uniform(0.01, 0.05)))
+            for i in sorted(rng.choice(n - 1, 5, replace=False).tolist()))
+        tip = np.append(np.zeros(n - 1), rng.uniform(0.05, 0.15))
+        w = rng.uniform(0.5, 2.0)
+        system = SpringMassSystem(
+            masses=rng.uniform(0.5, 2.0, n), stiffness=K,
+            damping=np.diag(rng.uniform(0.01, 0.05, n)),
+            memory_kernels=memory, nonlinear_springs=springs,
+            kernels_replace_damping=False,
+            external_force=lambda t: tip * math.sin(w * t))
+        state = SystemState.initial(system, q=rng.uniform(-0.01, 0.01, n),
+                                    v=rng.uniform(-0.01, 0.01, n))
+        self.check(system, duration=0.15, dt=0.005, stride=3, state=state)
+
     def test_diagonal_damping_through_underflow(self, monkeypatch):
         """Velocities that underflow put -0.0 into the right-hand side of
         the damped update, where getrs may return the opposite zero from a
