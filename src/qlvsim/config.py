@@ -25,7 +25,7 @@ from .kernels import (KERNEL_TYPES, SIZE_BUDGET, KelvinParams, MaxwellParams,
                       grid_steps)
 from .network import (KernelEntry, NonlinearSpring, SpringMassSystem,
                       steps_and_records)
-from .protocols import PROTOCOL_FIELDS, ProtocolSpec
+from .protocols import PROTOCOL_FIELDS, ProtocolSpec, check_period
 from .qlv import QlvModel
 
 
@@ -144,19 +144,26 @@ def _matrix(v):
 
 
 class _Validator:
-    """Collects dotted-key-path error messages across the whole document."""
+    """Collects dotted-key-path error messages across the whole document;
+    a section that is not a mapping is reported alone, and the faults of its
+    keys (under a ``not_mappings`` prefix) only count in ``faults``."""
 
     def __init__(self):
         self.errors: list[str] = []
+        self.faults = 0
+        self.not_mappings: tuple = ()
 
     def fail(self, path: str, message: str) -> None:
-        self.errors.append(f"{path}: {message}")
+        self.faults += 1
+        if not path.startswith(self.not_mappings):
+            self.errors.append(f"{path}: {message}")
 
     def section(self, data, path: str, allowed: set | None = None) -> dict:
         if data is None:
             return {}
         if not isinstance(data, dict):
             self.fail(path, f"must be a mapping, got {type(data).__name__}")
+            self.not_mappings += (f"{path}.",)
             return {}
         for key in data if allowed is not None else ():
             if key not in allowed:
@@ -197,14 +204,14 @@ class _Validator:
         to read, a ``given`` one is None or the constructor rejected them."""
         section = self.section(section, path, {*extra, *(
             f.name for f in fields(cls) if f.name not in given)})
-        errors = len(self.errors)
+        errors = self.faults
         for f in fields(cls):
             if f.name not in given:
                 value = self.read(section, path, f.name, _READERS[f.type],
                                   required=require_all or f.default is MISSING)
                 if value is not None:
                     given[f.name] = value
-        if len(self.errors) > errors or any(x is None for x in given.values()):
+        if self.faults > errors or any(x is None for x in given.values()):
             return None
         return self.construct(path, cls, **given)
 
@@ -276,7 +283,7 @@ def _build_kernel_entry(v: _Validator, item, path: str, n: int):
 
 def _build_spring(v: _Validator, item, path: str, n: int):
     sec = v.section(item, path)
-    errors = len(v.errors)
+    errors = v.faults
     i = v.read(sec, path, "i", _index, required=True, n=n)
     j = v.read(sec, path, "j", _index, n=n)
     law = v.build(sec, path, ExponentialTensileLaw, "i", "j", "rest_length",
@@ -286,7 +293,7 @@ def _build_spring(v: _Validator, item, path: str, n: int):
     if sec.get("kernel") is not None:
         kernel = v.build(sec["kernel"], f"{path}.kernel", PronySpectrum,
                          require_all=True)
-    if len(v.errors) > errors:
+    if v.faults > errors:
         return None
     return v.construct(path, NonlinearSpring, i=i, j=j, law=law,
                        rest_length=rest, kernel=kernel)
@@ -361,8 +368,6 @@ def _build_network(v: _Validator, section: dict) -> dict:
                          kernels_replace_damping=replace)
     if system is not None and dt is not None:
         v.construct("network.dt", system.check_time_step, dt)
-        if system.damping_active:   # the run's own pivot check
-            v.construct("network.damping", system.damped_solve, dt)
     return dict(network=system, initial_q=q0, initial_v=v0,
                 sim_duration=duration, sim_dt=dt)
 
@@ -396,8 +401,7 @@ def _build_sweep(v: _Validator, section: dict):
         v.fail("sweep.start", "need 0 < start < stop for a log-spaced sweep")
         return None
     freqs = np.logspace(math.log10(start), math.log10(stop), count)
-    if math.isinf(2.0 * math.pi / float(freqs[0])):    # the longest period
-        v.fail("sweep.start", f"the period 2*pi/start overflows, got {start}")
+    v.construct("sweep.start", check_period, float(freqs[0]))  # longest period
     return freqs
 
 
@@ -504,16 +508,11 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if protocol and specimen.get("model") and protocol.hold_strain < -0.5:
         v.fail("protocol.hold_strain", "must be >= -0.5 (a Green strain) "
                f"for a model specimen, got {protocol.hold_strain}")
-    if protocol and protocol.kind == "cyclic":
-        # the run's last time, cycles periods of 2*pi/w, as it is built
-        w, nps = protocol.angular_frequency, protocol.samples_per_cycle
-        if math.isinf(protocol.cycles * nps * (2.0 * math.pi / w / nps)):
-            v.fail("protocol.angular_frequency",
-                   f"cycles periods of 2*pi/w overflow, got {w}")
-        # a model's periodic steady state filters one period through its terms
-        if specimen.get("model"):
-            v.construct("protocol.samples_per_cycle", check_filter_size, nps,
-                        len(specimen["model"].prony.amplitudes))
+    # a model's periodic steady state filters one period through its terms
+    if protocol and protocol.kind == "cyclic" and specimen.get("model"):
+        v.construct("protocol.samples_per_cycle", check_filter_size,
+                    protocol.samples_per_cycle,
+                    len(specimen["model"].prony.amplitudes))
 
     sweep = (None if data.get("sweep") is None
              else _build_sweep(v, data["sweep"]))

@@ -247,6 +247,17 @@ class _Stack:
         return z[:-1]
 
 
+def _top_eig(X: np.ndarray, root_m: np.ndarray, name: str) -> float:
+    """lambda_max of M^-1/2 X_sym M^-1/2, X_sym the symmetric part of X,
+    or 0 if it is negative."""
+    with np.errstate(over="ignore"):
+        A = (0.5 * X + 0.5 * X.T) / np.outer(root_m, root_m)
+    if not np.all(np.isfinite(A)):
+        raise DomainError(f"masses and {name} are too ill-scaled for a "
+                          "finite stability bound")
+    return max(float(np.linalg.eigvalsh(A).max()), 0.0)
+
+
 @dataclass(frozen=True)
 class SpringMassSystem:
     """Masses, stiffness/damping matrices and optional kernel attachments.
@@ -295,10 +306,29 @@ class SpringMassSystem:
                 raise DomainError(f"damping must be {n}x{n}, got {beta.shape}")
             if not np.all(np.isfinite(beta)):
                 raise DomainError("damping entries must be finite")
-        object.__setattr__(self, "_stack", _Stack.of(self))
-        wmax = self.max_natural_frequency()
+        st = _Stack.of(self)
+        object.__setattr__(self, "_stack", st)
+        # the stiffness at t = 0+: equilibrium entries, memory amplitudes,
+        # each spring's tangent C/L at rest and the aero entries, with the
+        # sign each has in the force; row and column n take ground ends
+        K0 = np.zeros((n + 1, n + 1))
+        K0[:n, :n] = K
+        for terms, sign in ((st.owner < len(self.memory_kernels), 1.0),
+                            (st.owner >= st.n_internal, -1.0)):
+            np.add.at(K0, (st.ends[st.owner[terms], 0], st.source[terms]),
+                      sign * st.amplitudes[terms])
+        np.add.at(K0, (st.ends[st.n_internal:, 0], st.aero_j), -st.aero_K)
+        e = np.minimum(st.spring_ends, n)
+        np.add.at(K0, (e[:, [0, 1, 0, 1]], e[:, [0, 1, 1, 0]]), np.outer(
+            [s.law.C / s.rest_length for s in self.nonlinear_springs],
+            [1.0, 1.0, -1.0, -1.0]))
+        # omega_max, and the damping rate of the explicit first half-step
+        root_m = np.sqrt(m)
+        damp = (_top_eig(self.damping, root_m, "damping")
+                if self.damping_active else 0.0)
+        rate = max(math.sqrt(_top_eig(K0[:n, :n], root_m, "stiffness")), damp)
         object.__setattr__(self, "_dt_bound",
-                           np.inf if wmax == 0.0 else 2.0 / wmax)
+                           np.inf if rate == 0.0 else 2.0 / rate)
 
     @property
     def n(self) -> int:
@@ -309,44 +339,24 @@ class SpringMassSystem:
         return self.damping is not None and not (
             self.memory_kernels and self.kernels_replace_damping)
 
-    def instantaneous_stiffness(self) -> np.ndarray:
-        """Stiffness at t = 0+: equilibrium entries plus kernel amplitudes."""
-        st = self._stack
-        mem = st.owner < len(self.memory_kernels)
-        K0 = self.stiffness.copy()
-        np.add.at(K0, (st.ends[st.owner[mem], 0], st.source[mem]),
-                  st.amplitudes[mem])
-        return K0
-
-    def max_natural_frequency(self) -> float:
-        K0 = self.instantaneous_stiffness()
-        K0 = 0.5 * (K0 + K0.T)
-        root_m = np.sqrt(self.masses)
-        with np.errstate(over="ignore"):
-            A = K0 / np.outer(root_m, root_m)
-        if not np.all(np.isfinite(A)):
-            raise DomainError("masses and stiffness are too ill-scaled for a "
-                              "finite stability bound")
-        w2 = np.linalg.eigvalsh(A)
-        return float(np.sqrt(max(w2.max(), 0.0)))
-
     def stability_bound(self) -> float:
-        """Largest stable explicit time step, 2 / omega_max."""
+        """Largest stable explicit time step, 2 / max(omega_max, the damping
+        rate), both of the system at rest."""
         return self._dt_bound
 
-    def check_time_step(self, dt: float) -> None:
-        """DomainError unless ``dt`` is below the stability bound."""
+    def check_time_step(self, dt: float):
+        """DomainError unless ``dt`` is below the stability bound; then the
+        damped update's solve for ``dt``, :func:`_damped_solve` of M + dt/2
+        beta made once per ``dt``, or None when no damping acts."""
         if dt >= self._dt_bound:
             raise DomainError(
                 f"dt = {dt} violates the explicit stability bound "
                 f"2/omega_max = {self._dt_bound}")
-
-    def damped_solve(self, dt: float):
-        """:func:`_damped_solve` of M + dt/2 beta, made once per ``dt``."""
-        if dt not in self._solves:
-            self._solves[dt] = _damped_solve(
-                np.diag(self.masses) + 0.5 * dt * self.damping)
-        return self._solves[dt]
+        if self.damping_active and dt not in self._solves:
+            with np.errstate(over="ignore"):    # _damped_solve rejects inf
+                self._solves[dt] = _damped_solve(
+                    np.diag(self.masses) + 0.5 * dt * self.damping)
+        return self._solves.get(dt)
 
     def external_force_at(self, t: float) -> np.ndarray:
         return (np.zeros(self.n) if self.external_force is None
@@ -450,7 +460,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
     if record_stride < 1:
         raise DomainError(f"record_stride must be >= 1, got {record_stride}")
     n_steps, rows = steps_and_records(system.n, duration, dt, record_stride)
-    system.check_time_step(dt)
+    solve = system.check_time_step(dt)
     st = system._stack
     if state.h.shape != st.amplitudes.shape:
         raise DomainError("state internal variables do not match the system")
@@ -458,8 +468,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
     n, m, K = system.n, system.masses, system.stiffness
     k, owners, aero_j = st.n_internal, len(st.ends), st.aero_j
     decay, gain = prony_step(st, 1.0, dt, 0.0), prony_step(st, 0.0, dt, 1.0)
-    beta = system.damping if system.damping_active else None
-    solve = None if beta is None else system.damped_solve(dt)
+    beta = None if solve is None else system.damping
     external = system.external_force_at
     # +- each owner's value, then each spring's force times its scale
     signs = np.multiply.outer(np.append(np.ones(owners), st.spring_scale),

@@ -29,6 +29,12 @@ PROTOCOL_FIELDS = {"tensile": ("duration", "dt", "stretch_rate"),
                               "cycles", "samples_per_cycle")}
 
 
+def check_period(w: float, cycles: int = 1, samples: int = 1) -> None:
+    """DomainError if cycles periods of 2*pi/w, run_cyclic's grid, overflow."""
+    if math.isinf(cycles * samples * (2.0 * math.pi / w / samples)):
+        raise DomainError(f"{cycles} x period 2*pi/w overflows, got w = {w}")
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Drive definition for a virtual test.
@@ -72,6 +78,8 @@ class ProtocolSpec:
             if self.cycles * self.samples_per_cycle > SIZE_BUDGET:
                 raise DomainError(f"cycles*samples_per_cycle must be <= "
                                   f"{SIZE_BUDGET}")
+            check_period(self.angular_frequency, self.cycles,
+                         self.samples_per_cycle)
         else:
             grid_steps(self.duration, self.dt)
             if self.kind == "tensile" and self.stretch_rate <= 0:
@@ -368,6 +376,7 @@ def frequency_sweep(spec: ProtocolSpec, model,
     freqs = np.asarray(angular_frequencies, dtype=float)
     if np.any(freqs <= 0):
         raise DomainError("angular frequencies must be > 0")
+    check_period(float(freqs.min(initial=np.inf)))    # the longest period
     terms = len(model.prony.amplitudes) if isinstance(model, QlvModel) else 1
     block = max(1, min(4 * _BLOCK_ROWS, SIZE_BUDGET // max(terms, 1))
                 // spec.samples_per_cycle)

@@ -80,7 +80,7 @@ class TestExitCodes:
                 warnings.simplefilter("error")
                 assert cli_main(config_argv(command, path, out)) == 2
             assert capsys.readouterr().err == (
-                "error: network.damping: M + dt/2 beta is singular: zero "
+                "error: network.dt: M + dt/2 beta is singular: zero "
                 f"pivot in row {row}\n")
         assert not out.exists()
 
@@ -158,6 +158,87 @@ class TestExitCodes:
             text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stderr == "error: invalid YAML: nesting too deep\n"
+
+
+CHAIN3 = ("network:\n  masses: [1.0, 1.0, 1.0]\n  stiffness: "
+          "[[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]\n")
+BARE_ELEMENT = "model:\n  kernel: {kind: maxwell, mu: 1.0, eta: 1.0}\n"
+RELAX_PROTOCOL = ("protocol: {kind: relaxation, hold_strain: 0.1, "
+                  "duration: 1.0, dt: 0.1}\n")
+
+
+class TestRejectedWithExitTwo:
+    """Each rejection exits 2 with its one message, under validate and
+    under the run command where validate sees it, and writes nothing."""
+
+    CASES = [
+        (["validate", "relax"], RELAX_CFG.read_text().replace(
+            "precision: 17", "precision: 0"),
+         "output.precision: must be in [1, 17], got 0"),
+        (["validate", "simulate"], CHAIN3 + "  force: {kind: sinusoid, "
+         "amplitudes: [0.0, 0.0, 0.1], angular_frequency: 0.0}\n"
+         "  duration: 1.0\n  dt: 0.01\n",
+         "network.force.angular_frequency: must be > 0, got 0.0"),
+        (["validate", "simulate"], CHAIN3 + "  force: {kind: impulse}\n"
+         "  duration: 1.0\n  dt: 0.01\n",
+         "network.force.kind: must be one of ['constant', 'sinusoid'], "
+         "got 'impulse'"),
+        (["validate", "simulate"], CHAIN3 + "  initial: {q: [0.1, 0.0]}\n"
+         "  duration: 1.0\n  dt: 0.01\n",
+         "network.initial.q: expected 3 entries, got 2"),
+        (["validate", "relax"], "- model\n- protocol\n",
+         "top level must be a mapping, got list"),
+        (["validate", "relax"], "model:\n  elastic: {kind: linear, k: 1.0}\n"
+         + RELAX_PROTOCOL, "model.kernel: required key missing"),
+        (["validate", "relax"], "model:\n  kernel: {kind: prony, K: 0.5, "
+         "amplitudes: [0.5], frequencies: [1.0]}\n" + RELAX_PROTOCOL,
+         "model.elastic: required key missing (only classical elements may "
+         "be used without an elastic law)"),
+        (["tensile"], BARE_ELEMENT + "protocol: {kind: tensile, "
+         "stretch_rate: 0.1, duration: 1.0, dt: 0.1}\n",
+         "model.elastic: the tensile command needs a model with an elastic "
+         "law"),
+        (["relax"], BARE_ELEMENT,
+         "protocol: section required for the relaxation command"),
+        (["sweep"], BARE_ELEMENT + "protocol: {kind: cyclic, amplitude: 0.1, "
+         "angular_frequency: 1.0, cycles: 1}\n",
+         "sweep: section required for the sweep command"),
+        (["simulate"], CHAIN3 + "  dt: 0.01\n",
+         "network.duration: simulate needs positive duration and dt "
+         "(network.duration/network.dt or --duration/--dt)"),
+    ]
+    IDS = ["precision", "force-angular-frequency", "force-kind",
+           "initial-q", "top-level-list", "no-kernel", "no-elastic",
+           "tensile-bare-element", "no-protocol", "no-sweep",
+           "no-duration"]
+
+    @pytest.mark.parametrize("commands, text, error", CASES, ids=IDS)
+    def test_config_rejection(self, tmp_path, capsys, commands, text, error):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out.csv"
+        for command in commands:
+            assert cli_main(config_argv(command, cfg, out)) == 2, command
+            assert capsys.readouterr().err == f"error: {error}\n", command
+        assert not out.exists()
+
+    def test_fit_spectrum_without_its_column(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("time,stress\n0,1\n1,0.5\n")
+        out = tmp_path / "fit.txt"
+        assert cli_main(["fit", "spectrum", str(series), "--out",
+                         str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {series}: missing column 'normalized_stress' (or 'G')\n")
+        assert not out.exists()
+
+    def test_run_with_no_output_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, BARE_ELEMENT + RELAX_PROTOCOL)
+        assert cli_main(["relax", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == ("error: output.path: no output "
+                                           "path given (set output.path or "
+                                           "pass --out)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
 
 
 FUNG_CREEP_TEXT = """
@@ -355,25 +436,39 @@ class TestValidateAgreesWithTheRun:
         ("simulate", CHAIN_CFG.read_text().replace("dt: 0.01", "dt: 1.9"),
          "network.dt: dt = 1.9 violates the explicit stability bound "
          "2/omega_max = 1.0987851636338393"),
+        # the bound holds each spring's tangent at rest and the damping
+        # rate of the explicit first half-step
+        ("simulate", "network:\n  masses: [1.0]\n  stiffness: [[1.0e-6]]\n"
+         "  springs: [{i: 0, B: 1.0, C: 10000.0}]\n  initial: {q: [1.0e-3]}\n"
+         "  duration: 1.0\n  dt: 0.1\n",
+         "network.dt: dt = 0.1 violates the explicit stability bound "
+         "2/omega_max = 0.019999999998999998"),
+        ("simulate", "network:\n  masses: [1.0]\n  stiffness: [[1.0]]\n"
+         "  damping: [[800000.0]]\n  initial: {v: [0.01]}\n"
+         "  duration: 2.0\n  dt: 0.5\n",
+         "network.dt: dt = 0.5 violates the explicit stability bound "
+         "2/omega_max = 2.5e-06"),
+        ("simulate", "network:\n  masses: [1.0]\n  stiffness: [[0.0]]\n"
+         "  damping: [[-1.0e+308]]\n  duration: 10.0\n  dt: 10.0\n",
+         "network.dt: M + dt/2 beta must be finite"),
         # periods 2*pi/w that overflow: the sweep's longest, and the last
         # time of a cyclic run, which one period or cycles of them overflow
         ("sweep", CYCLIC_CFG.read_text().replace("start: 0.1 ",
                                                  "start: 1.0e-310 "),
-         "sweep.start: the period 2*pi/start overflows, got 1e-310"),
+         "sweep.start: 1 x period 2*pi/w overflows, got w = 1e-310"),
         ("cyclic", CYCLIC_CFG.read_text().replace(
             "angular_frequency: 1.0 ", "angular_frequency: 1.0e-310 "),
-         "protocol.angular_frequency: cycles periods of 2*pi/w overflow, "
-         "got 1e-310"),
+         "protocol: 5 x period 2*pi/w overflows, got w = 1e-310"),
         ("cyclic", CYCLIC_CFG.read_text().replace(
             "angular_frequency: 1.0 ", "angular_frequency: 4.0e-308 "),
-         "protocol.angular_frequency: cycles periods of 2*pi/w overflow, "
-         "got 4e-308"),
+         "protocol: 5 x period 2*pi/w overflows, got w = 4e-308"),
     ]
     IDS = ["hold_strain", "stretch_rate", "no-stretch_rate", "prony_terms",
            "one-prony_term", "sweep_count", "cycles", "dt", "empty-grid",
            "simulate-empty-grid", "negative-duration", "network-duration",
            "network-dt", "filter-states", "record-table",
-           "unstable-network-dt", "subnormal-frequency",
+           "unstable-network-dt", "stiff-spring", "strong-damping",
+           "overflowing-damped-update", "subnormal-frequency",
            "subnormal-angular-frequency", "cycles-overflow"]
 
     @pytest.mark.parametrize("command, text, error", CASES, ids=IDS)
@@ -800,7 +895,7 @@ class TestSimulate:
         (f"{PAIR}, {STIFF}", "2.0, 2.0", OVERFLOWING),
         (f"{PAIR}, {STIFF}", "0.5, 2.0", COMPRESSED),
         (f"{STIFF}, {PAIR}", "0.5, 2.0", OVERFLOWING),
-        ("{i: 1, B: 1.0, C: 1.0e+300}", "0.0, 600.0",
+        ("{i: 1, B: 1.0, C: 2.0e+4}", "0.0, 700.0",
          "spring (1, ground) at t = 0: overflow encountered in scalar "
          "multiply"),
     ], ids=["compressed", "overflowing", "compressed-first",

@@ -93,6 +93,24 @@ protocol: {kind: tensile, duration: -1.0, dt: 0.1}
         errs = errors_of(text)
         assert len(errs) >= 3
 
+    NETWORK = "network:\n  masses: [1.0]\n  stiffness: [[1.0]]\n"
+
+    # a section that is not a mapping is reported alone, none of its keys
+    @pytest.mark.parametrize("text, error", [
+        ("network: 5\n", "network: must be a mapping, got int"),
+        (NETWORK + "  springs: [5]\n",
+         "network.springs[0]: must be a mapping, got int"),
+        ("model: 5\n", "model: must be a mapping, got int"),
+        ("model:\n  kernel: 5\n  elastic: {kind: linear, k: 1.0}\n",
+         "model.kernel: must be a mapping, got int"),
+        (MINIMAL.split("protocol:")[0] + "protocol: 5\n",
+         "protocol: must be a mapping, got int"),
+        (NETWORK + "  force: 5\n",
+         "network.force: must be a mapping, got int")],
+        ids=["network", "spring", "model", "kernel", "protocol", "force"])
+    def test_section_that_is_not_a_mapping(self, text, error):
+        assert errors_of(text) == [error]
+
     def test_invalid_yaml(self):
         errs = errors_of("model: [unclosed")
         assert any("invalid YAML" in e for e in errs)
@@ -177,14 +195,15 @@ network:
 
     @pytest.mark.parametrize("masses, damping, row", [
         ("[1.0]", "[[-200.0]]", 0),
-        ("[1.0, 1.0]", "[[0.0, 200.0], [200.0, 0.0]]", 1)],
+        ("[1.0, 1.0]", "[[-100.0, -100.0], [-100.0, -100.0]]", 1)],
         ids=["diagonal", "dense"])
     def test_singular_damped_update(self, masses, damping, row):
+        # damping with an eigenvalue of -2m/dt, under the stability bound
         net = (f"network:\n  masses: {masses}\n  stiffness: "
                f"{np.eye(len(yaml.safe_load(masses))).tolist()}\n"
                f"  damping: {damping}\n  duration: 1.0\n")
         assert errors_of(net + "  dt: 0.01\n") == [
-            f"network.damping: M + dt/2 beta is singular: zero pivot in row "
+            f"network.dt: M + dt/2 beta is singular: zero pivot in row "
             f"{row}"]
         # checked at the run's dt; inactive once kernels replace damping
         parse_config(net)
@@ -192,12 +211,19 @@ network:
         parse_config(net + "  dt: 0.01\n  kernels: [{i: 0, j: 0, K: 1.0, "
                      "amplitudes: [0.5], frequencies: [1.0]}]\n")
 
+    OVERFLOWING = ("network:\n  masses: [1.0]\n  stiffness: [[0.0]]\n"
+                   "  damping: [[{}]]\n  duration: 10.0\n  dt: 10.0\n")
+
     def test_damped_update_that_overflows(self):
-        with np.errstate(over="ignore"):    # dt/2 beta is inf
-            assert errors_of("network:\n  masses: [1.0]\n  stiffness: "
-                             "[[0.0]]\n  damping: [[1.0e+308]]\n  duration: "
-                             "10.0\n  dt: 10.0\n") == [
-                "network.damping: M + dt/2 beta must be finite"]
+        # damping that large fails the stability bound first
+        assert errors_of(self.OVERFLOWING.format("1.0e+308")) == [
+            "network.dt: dt = 10.0 violates the explicit stability bound "
+            "2/omega_max = 2e-308"]
+
+    def test_negative_damped_update_that_overflows(self):
+        # negative damping leaves the bound alone, and dt/2 beta overflows
+        assert errors_of(self.OVERFLOWING.format("-1.0e+308")) == [
+            "network.dt: M + dt/2 beta must be finite"]
 
     def test_classical_element_without_elastic(self):
         text = """

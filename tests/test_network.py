@@ -187,6 +187,49 @@ class TestStep:
         with pytest.raises(DomainError, match="ill-scaled"):
             SpringMassSystem(masses=[1e-300, 1.0],
                              stiffness=[[1e10, -1.0], [-1.0, 1.0]])
+        with pytest.raises(DomainError, match="damping are too ill-scaled"):
+            SpringMassSystem(masses=[1e-300, 1.0], stiffness=np.eye(2),
+                             damping=[[1e10, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("scale", [0.1, 30.0])
+    @pytest.mark.parametrize("replace", [False, True])
+    def test_bound_holds_every_force_at_rest(self, scale, replace):
+        """2/max(omega_max, damping rate), the stiffness at t = 0+ built
+        here entry by entry: K, memory amplitudes (+), aero K and
+        amplitudes (-), and each spring's tangent C/L at rest, whose
+        relaxing kernel is normalized; damping counts only if it acts."""
+        m = np.array([1.0, 2.0, 0.5])
+        K = np.array([[3.0, -1.0, 0.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 2.0]])
+        beta = scale * np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.0],
+                                 [0.0, -0.3, 0.7]])
+        system = SpringMassSystem(
+            masses=m, stiffness=K, damping=beta,
+            kernels_replace_damping=replace,
+            memory_kernels=(KernelEntry(0, 1, PronySpectrum(
+                K=-1.0, amplitudes=(0.3, 0.2), frequencies=(1.0, 4.0))),),
+            aero_kernels=(KernelEntry(1, 2, PronySpectrum(
+                K=0.4, amplitudes=(0.5,), frequencies=(2.0,))),),
+            nonlinear_springs=(
+                NonlinearSpring(0, 2, ExponentialTensileLaw(B=3.0, C=2.0),
+                                rest_length=0.5, kernel=PronySpectrum(
+                                    K=0.5, amplitudes=(0.3, 0.2),
+                                    frequencies=(1.0, 2.0))),
+                NonlinearSpring(1, None,
+                                ExponentialTensileLaw(B=1.0, C=0.7))))
+        K0 = K.copy()
+        K0[0, 1] += 0.3 + 0.2
+        K0[1, 2] -= 0.4 + 0.5
+        K0[np.ix_([0, 2], [0, 2])] += 4.0 * np.array([[1.0, -1.0],
+                                                      [-1.0, 1.0]])
+        K0[1, 1] += 0.7
+        scaled = np.diag(m ** -0.5)
+        rate = math.sqrt(np.linalg.eigvalsh(
+            scaled @ (0.5 * (K0 + K0.T)) @ scaled).max())
+        if not replace:
+            rate = max(rate, np.linalg.eigvalsh(
+                scaled @ (0.5 * (beta + beta.T)) @ scaled).max())
+        assert system.stability_bound() == pytest.approx(2.0 / rate,
+                                                         rel=1e-12)
 
     def test_second_order_convergence(self):
         system = harmonic_system()
@@ -716,7 +759,7 @@ class TestReferenceLoop:
         monkeypatch.setattr(network, "_damped_solve", spy)
         system = SpringMassSystem(
             masses=[1.3, 1.45], stiffness=[[2.5, -1.0], [-1.0, 1.0]],
-            damping=np.diag([17.0, 2.75]))
+            damping=np.diag([0.5, 2.75]))
         state = SystemState.initial(system, q=[0.0, 6e-306],
                                     v=[0.0, -3e-307])
         self.check(system, duration=600.0, dt=0.6, stride=1, state=state)

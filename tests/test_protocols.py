@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,19 @@ class TestProtocolSpec:
         with pytest.raises(DomainError):
             ProtocolSpec(kind="cyclic", amplitude=0.1, angular_frequency=1.0,
                          cycles=0)
+
+    def test_period_that_overflows(self):
+        # one rule for a cyclic run's cycles periods and a sweep's longest
+        # period, raised before any grid is built, with no warning
+        spec = sweep_spec(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^3 x period 2\*pi/w "
+                               r"overflows, got w = 1e-310$"):
+                replace(spec, angular_frequency=1e-310)
+            with pytest.raises(DomainError, match=r"^1 x period 2\*pi/w "
+                               r"overflows, got w = 1e-310$"):
+                frequency_sweep(spec, SWEEP_SPECIMENS["kelvin"], [1e-310, 1.0])
 
 
 class TestTensile:
