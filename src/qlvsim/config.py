@@ -78,7 +78,7 @@ _TEXT_EXPONENT = re.compile(r"(?![-+]?[0-9]*\.[0-9]*[eE][-+])"
 
 
 # each check converts a non-null YAML value or raises its fault as ValueError
-def _number(v, entry=""):
+def _number(v, entry="", low=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         m = isinstance(v, str) and _TEXT_EXPONENT(v)
         raise ValueError(f"{entry}must be a number, got {v!r}" + (
@@ -87,6 +87,8 @@ def _number(v, entry=""):
             if m else ""))
     if not _finite(v):
         raise ValueError(f"must be finite, got {v!r}")
+    if low is not None and not v > low:
+        raise ValueError(f"must be > {low}, got {float(v)}")
     return float(v)
 
 
@@ -191,7 +193,7 @@ class _Validator:
         errors at the given key path."""
         try:
             return factory(*args, **kwargs)
-        except (DomainError, StabilityError) as exc:
+        except (DomainError, StabilityError, FloatingPointError) as exc:
             self.fail(path, str(exc))
             return None
 
@@ -313,11 +315,9 @@ def _build_force(v: _Validator, section: dict, n: int):
         v.section(sec, path, {"kind", "amplitudes", "angular_frequency"})
         amps = v.read(sec, path, "amplitudes", _vector, required=True,
                       size=n)
-        w = v.read(sec, path, "angular_frequency", _number, required=True)
+        w = v.read(sec, path, "angular_frequency", _number, required=True,
+                   low=0)
         if amps is None or w is None:
-            return None
-        if w <= 0:
-            v.fail(f"{path}.angular_frequency", f"must be > 0, got {w}")
             return None
         return lambda t: amps * math.sin(w * t)
     return None
@@ -368,6 +368,9 @@ def _build_network(v: _Validator, section: dict) -> dict:
                          kernels_replace_damping=replace)
     if system is not None and dt is not None:
         v.construct("network.dt", system.check_time_step, dt)
+    if system is not None and q0 is not None:
+        with np.errstate(over="raise", invalid="raise"):    # as a run's
+            v.construct("network.initial.q", system._stack.drives, q0, 0.0)
     return dict(network=system, initial_q=q0, initial_v=v0,
                 sim_duration=duration, sim_dt=dt)
 
@@ -520,17 +523,15 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     out = v.section(data.get("output"), "output",
                     {"path", "stride", "precision"})
     out_path = v.read(out, "output", "path", _string)
-    stride = v.read(out, "output", "stride", _integer, default=1)
-    precision = v.read(out, "output", "precision", _integer, default=17)
-    if stride is not None and stride < 1:
-        v.fail("output.stride", f"must be >= 1, got {stride}")
-    elif (stride is not None and specimen.get("network") is not None
-          and None not in (specimen["sim_duration"], specimen["sim_dt"])):
+    errors = v.faults
+    stride = v.read(out, "output", "stride", _integer, default=1, low=1)
+    if (v.faults == errors and specimen.get("network") is not None
+            and None not in (specimen["sim_duration"], specimen["sim_dt"])):
         v.construct("output.stride", steps_and_records,
                     specimen["network"].n, specimen["sim_duration"],
                     specimen["sim_dt"], stride)
-    if precision is not None and not 1 <= precision <= 17:
-        v.fail("output.precision", f"must be in [1, 17], got {precision}")
+    precision = v.read(out, "output", "precision", _integer, default=17,
+                       low=1, high=17)
 
     if v.errors:
         raise ConfigError(v.errors)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_bounds
 
 # exp() overflows float64 near 709.78; reject a bit earlier
 _EXP_ARG_MAX = 700.0
@@ -36,12 +36,7 @@ class ExponentialTensileLaw:
     C: float
 
     def __post_init__(self):
-        _check_finite("B", self.B)
-        _check_finite("C", self.C)
-        if self.B <= 0:
-            raise DomainError(f"B must be > 0, got {self.B}")
-        if self.C <= 0:
-            raise DomainError(f"C must be > 0, got {self.C}")
+        check_bounds(self, "B", "C", low=0)
 
     def stress(self, lam):
         return tensile_stress(self, lam)
@@ -76,9 +71,7 @@ class LinearElasticLaw:
     k: float
 
     def __post_init__(self):
-        _check_finite("k", self.k)
-        if self.k <= 0:
-            raise DomainError(f"k must be > 0, got {self.k}")
+        check_bounds(self, "k", low=0)
 
     def stress_green(self, E):
         E = np.asarray(E, dtype=float)
@@ -113,8 +106,7 @@ class BiaxialStrainState:
     E12: float = 0.0
 
     def __post_init__(self):
-        for name in ("E11", "E22", "E12"):
-            _check_finite(name, getattr(self, name))
+        check_bounds(self, "E11", "E22", "E12")
 
     @property
     def E21(self) -> float:
@@ -164,14 +156,9 @@ class FungBiaxialParams:
     include_third_order: bool = False
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2", "alpha3", "alpha4",
-                     "a1", "a2", "a3", "a4",
-                     "gamma1", "gamma2", "gamma3", "gamma4", "gamma5", "c"):
-            _check_finite(name, getattr(self, name))
-        if self.c < 0:
-            raise DomainError(f"c must be >= 0, got {self.c}")
-        if self.a1 < 0 or self.a2 < 0 or self.a3 < 0:
-            raise DomainError("exponent coefficients a1, a2, a3 must be >= 0")
+        check_bounds(self, "alpha1", "alpha2", "alpha3", "alpha4", "a4",
+                     "gamma1", "gamma2", "gamma3", "gamma4", "gamma5")
+        check_bounds(self, "c", "a1", "a2", "a3", low=0, strict=False)
         if self.a1 * self.a2 - self.a4 ** 2 < 0:
             raise DomainError(
                 "exponent quadratic form must be positive semidefinite: "

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one bound rule."""
+
+import math
 
 
 class QlvError(Exception):
@@ -7,6 +9,19 @@ class QlvError(Exception):
 
 class DomainError(QlvError, ValueError):
     """An input violates a documented precondition or parameter invariant."""
+
+
+def check_bounds(owner, *names, low=None, strict=True) -> None:
+    """DomainError unless each named field of ``owner`` is finite and, when
+    ``low`` is given, > low (>= low when not ``strict``).  An int is finite
+    and is compared as an int, however many digits it has."""
+    for name in names:
+        x = getattr(owner, name)
+        if not (isinstance(x, int) or math.isfinite(x)):
+            raise DomainError(f"{name} must be finite, got {x!r}")
+        if low is not None and not (x > low if strict else x >= low):
+            raise DomainError(f"{name} must be {'>' if strict else '>='} "
+                              f"{low}, got {x}")
 
 
 class StabilityError(QlvError, ValueError):

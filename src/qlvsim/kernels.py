@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_bounds
 
 _BLOCK_ROWS = 1024      # filter block: 512 KB of states at 64 terms
 
@@ -46,10 +46,7 @@ class _SpringDashpot:
     eta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise DomainError(f"mu must be > 0, got {self.mu}")
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise DomainError(f"eta must be > 0, got {self.eta}")
+        check_bounds(self, "mu", "eta", low=0)
 
 
 @dataclass(frozen=True)
@@ -72,10 +69,7 @@ class KelvinParams:
     tau_sigma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.E_R) and self.E_R > 0):
-            raise DomainError(f"E_R must be > 0, got {self.E_R}")
-        if not (np.isfinite(self.tau_eps) and self.tau_eps > 0):
-            raise DomainError(f"tau_eps must be > 0, got {self.tau_eps}")
+        check_bounds(self, "E_R", "tau_eps", low=0)
         if not (np.isfinite(self.tau_sigma) and self.tau_sigma >= self.tau_eps):
             raise DomainError(
                 f"need 0 < tau_eps <= tau_sigma, got tau_eps={self.tau_eps}, "
@@ -107,8 +101,7 @@ class PronySpectrum:
             raise DomainError("frequencies must be finite and > 0")
         if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
             raise DomainError("frequencies must be strictly increasing")
-        if not np.isfinite(self.K):
-            raise DomainError(f"K must be finite, got {self.K}")
+        check_bounds(self, "K")
 
     @property
     def at_zero(self) -> float:
@@ -132,10 +125,7 @@ class FungSpectrum:
     q2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.c) and self.c > 0):
-            raise DomainError(f"c must be > 0, got {self.c}")
-        if not (np.isfinite(self.q1) and self.q1 > 0):
-            raise DomainError(f"q1 must be > 0, got {self.q1}")
+        check_bounds(self, "c", "q1", low=0)
         if not (np.isfinite(self.q2) and self.q2 > self.q1):
             raise DomainError(f"need 0 < q1 < q2, got q1={self.q1}, q2={self.q2}")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import _EXP_ARG_MAX, ExponentialTensileLaw
-from .errors import DomainError, NumericalError, StabilityError
+from .errors import DomainError, NumericalError, StabilityError, check_bounds
 from .kernels import SIZE_BUDGET, PronySpectrum, grid_steps, prony_step
 
 
@@ -123,8 +123,7 @@ class NonlinearSpring:
     kernel: PronySpectrum | None = None
 
     def __post_init__(self):
-        if self.rest_length <= 0:
-            raise DomainError(f"rest_length must be > 0, got {self.rest_length}")
+        check_bounds(self, "rest_length", low=0)
         if self.kernel is not None and abs(self.kernel.at_zero - 1.0) > 1e-9:
             raise DomainError("nonlinear-spring kernel must be normalized")
 
@@ -279,6 +278,7 @@ class SpringMassSystem:
     kernels_replace_damping: bool = True
     _stack: _Stack = field(init=False, repr=False, compare=False)
     _dt_bound: float = field(init=False, repr=False, compare=False)
+    _dt_rate: str = field(init=False, repr=False, compare=False)
     _solves: dict = field(init=False, repr=False, compare=False,
                           default_factory=dict)
 
@@ -322,13 +322,15 @@ class SpringMassSystem:
         np.add.at(K0, (e[:, [0, 1, 0, 1]], e[:, [0, 1, 1, 0]]), np.outer(
             [s.law.C / s.rest_length for s in self.nonlinear_springs],
             [1.0, 1.0, -1.0, -1.0]))
-        # omega_max, and the damping rate of the explicit first half-step
+        # omega_max and lambda_d, the explicit first half-step's damping rate
         root_m = np.sqrt(m)
         damp = (_top_eig(self.damping, root_m, "damping")
                 if self.damping_active else 0.0)
-        rate = max(math.sqrt(_top_eig(K0[:n, :n], root_m, "stiffness")), damp)
+        omega = math.sqrt(_top_eig(K0[:n, :n], root_m, "stiffness"))
+        rate, name = max((omega, "omega_max"), (damp, "lambda_d"))
         object.__setattr__(self, "_dt_bound",
                            np.inf if rate == 0.0 else 2.0 / rate)
+        object.__setattr__(self, "_dt_rate", name)
 
     @property
     def n(self) -> int:
@@ -351,7 +353,7 @@ class SpringMassSystem:
         if dt >= self._dt_bound:
             raise DomainError(
                 f"dt = {dt} violates the explicit stability bound "
-                f"2/omega_max = {self._dt_bound}")
+                f"2/{self._dt_rate} = {self._dt_bound}")
         if self.damping_active and dt not in self._solves:
             with np.errstate(over="ignore"):    # _damped_solve rejects inf
                 self._solves[dt] = _damped_solve(

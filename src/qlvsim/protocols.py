@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import ExponentialTensileLaw
-from .errors import DomainError, FitError
+from .errors import DomainError, FitError, check_bounds
 from .kernels import (_BLOCK_ROWS, SIZE_BUDGET, KelvinParams, MaxwellParams,
                       PronySpectrum, VoigtParams, grid_steps, kernel_to_prony,
                       periodic_force_history, prony_step, time_grid)
@@ -66,15 +66,12 @@ class ProtocolSpec:
         if self.kind not in PROTOCOL_FIELDS:
             raise DomainError(f"protocol kind must be one of "
                               f"{tuple(PROTOCOL_FIELDS)}, got {self.kind!r}")
+        check_bounds(self, "hold_stress", "hold_strain")
         if self.kind == "cyclic":
-            if self.amplitude <= 0 or self.angular_frequency <= 0:
-                raise DomainError("cyclic drive needs amplitude > 0 and "
-                                  "angular_frequency > 0")
-            if self.cycles < 1 or self.samples_per_cycle < 2:
-                raise DomainError("cyclic drive needs cycles >= 1 and "
-                                  "samples_per_cycle >= 2")
-            if self.mean < 0:
-                raise DomainError("cyclic mean strain must be >= 0")
+            check_bounds(self, "amplitude", "angular_frequency", low=0)
+            check_bounds(self, "mean", low=0, strict=False)
+            check_bounds(self, "cycles", low=1, strict=False)
+            check_bounds(self, "samples_per_cycle", low=2, strict=False)
             if self.cycles * self.samples_per_cycle > SIZE_BUDGET:
                 raise DomainError(f"cycles*samples_per_cycle must be <= "
                                   f"{SIZE_BUDGET}")
@@ -82,8 +79,8 @@ class ProtocolSpec:
                          self.samples_per_cycle)
         else:
             grid_steps(self.duration, self.dt)
-            if self.kind == "tensile" and self.stretch_rate <= 0:
-                raise DomainError("tensile test needs stretch_rate > 0")
+            if self.kind == "tensile":
+                check_bounds(self, "stretch_rate", low=0)
 
 
 @dataclass(frozen=True)

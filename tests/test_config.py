@@ -218,12 +218,26 @@ network:
         # damping that large fails the stability bound first
         assert errors_of(self.OVERFLOWING.format("1.0e+308")) == [
             "network.dt: dt = 10.0 violates the explicit stability bound "
-            "2/omega_max = 2e-308"]
+            "2/lambda_d = 2e-308"]
 
     def test_negative_damped_update_that_overflows(self):
         # negative damping leaves the bound alone, and dt/2 beta overflows
         assert errors_of(self.OVERFLOWING.format("-1.0e+308")) == [
             "network.dt: M + dt/2 beta must be finite"]
+
+    @pytest.mark.parametrize("q, error", [
+        ("0.0, 700.0", "spring (1, ground) at t = 0: overflow encountered "
+         "in scalar multiply"),
+        ("0.0, -1.5", "spring (1, ground) at t = 0: stretch must be > 0, "
+         "got min -0.5")], ids=["overflow", "compressed"])
+    def test_initial_state_out_of_a_spring_domain(self, q, error):
+        # the run's first force evaluation, whatever numpy's error state
+        text = ("network:\n  masses: [1.0, 1.0]\n"
+                "  stiffness: [[2.0, -1.0], [-1.0, 1.0]]\n"
+                "  springs: [{i: 1, B: 1.0, C: 2.0e+4}]\n"
+                f"  initial: {{q: [{q}]}}\n")
+        with np.errstate(all="ignore"):
+            assert errors_of(text) == [f"network.initial.q: {error}"]
 
     def test_classical_element_without_elastic(self):
         text = """
@@ -330,7 +344,7 @@ class TestProtocolChecks:
         errs = errors_of("model:\n  elastic: {kind: linear, k: 1.0}\n"
                          f"  kernel: {MAXWELL}\nprotocol: {{kind: tensile,"
                          f" stretch_rate: {rate}, duration: 1.0, dt: 0.1}}\n")
-        assert errs == ["protocol: tensile test needs stretch_rate > 0"]
+        assert errs == [f"protocol: stretch_rate must be > 0, got {rate}"]
 
     def test_hold_strain_below_a_green_strain(self):
         errs = errors_of(MINIMAL.replace("hold_strain: 0.1",
@@ -343,6 +357,48 @@ class TestProtocolChecks:
                            "{kind: relaxation, hold_strain: -1.0, "
                            "duration: 1.0, dt: 0.1}\n")
         assert cfg.protocol.hold_strain == -1.0
+
+
+class TestReaderLimits:
+    """A config key with no library constructor states its bound as a limit
+    of its reader, and reports it at the key."""
+
+    SINUSOID = ("network:\n  masses: [1.0]\n  stiffness: [[1.0]]\n"
+                "  force: {{kind: sinusoid, amplitudes: [1.0], "
+                "angular_frequency: {}}}\n")
+
+    @pytest.mark.parametrize("text, error", [
+        (SINUSOID.format(".nan"),
+         "network.force.angular_frequency: must be finite, got nan"),
+        (SINUSOID.format(".inf"),
+         "network.force.angular_frequency: must be finite, got inf"),
+        (SINUSOID.format("0"),
+         "network.force.angular_frequency: must be > 0, got 0.0"),
+        (MINIMAL + "output: {precision: 0}\n",
+         "output.precision: must be >= 1, got 0"),
+        (MINIMAL + "output: {precision: 18}\n",
+         "output.precision: must be <= 17"),
+    ], ids=["w-nan", "w-inf", "w-zero", "precision-low", "precision-high"])
+    def test_rejected_at_its_key(self, text, error):
+        assert errors_of(text) == [error]
+
+    def test_limits_are_accepted(self):
+        cfg = parse_config(self.SINUSOID.format("1.0e-300"))
+        assert cfg.network.external_force_at(0.0).tolist() == [0.0]
+        cfg = parse_config(MINIMAL + "output: {stride: 1, precision: 17}\n")
+        assert (cfg.output_stride, cfg.output_precision) == (1, 17)
+        assert parse_config(MINIMAL + "output: {precision: 1}\n"
+                            ).output_precision == 1
+
+    @pytest.mark.parametrize("stride, error", [
+        ("0", "must be >= 1, got 0"), ("x", "must be an integer, got 'x'")],
+        ids=["zero", "text"])
+    def test_a_faulty_stride_is_not_sized(self, stride, error):
+        # the record table is sized only at a stride that was read, not at
+        # the default the reader falls back to (over the budget here)
+        text = NET + ("  duration: 15000.0\n  dt: 0.01\n"
+                      f"output: {{stride: {stride}}}\n")
+        assert errors_of(text) == [f"output.stride: {error}"]
 
 
 def flow_network_text(n=100, seed=0):
