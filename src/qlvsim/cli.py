@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import fields
 
@@ -38,19 +37,11 @@ _METRICS = ("youngs_modulus", "yield_stress", "uts", "fracture_energy",
             "relaxation_asymptote", "hysteresis_H")
 
 
-def _finite(text: str) -> float:
-    """argparse type of --dt and --duration: a finite float."""
-    if not math.isfinite(value := float(text)):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
 def _floats(text: str) -> list:
     """argparse type of a kernel's list flag: comma-separated floats."""
     return [float(x) for x in text.split(",")]
 
 
-_finite.__name__ = "float"      # a non-number reads "invalid float value"
 _floats.__name__ = "float list"
 # each kernel kind's parameters, and whether one takes a list
 _KERNEL_FLAGS = {f.name: f.type.startswith("tuple")
@@ -78,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output CSV path "
                            "(overrides output.path from the config)")
         for key in ("dt", "duration") if name in _GRID_SECTION else ():
-            p.add_argument(f"--{key}", type=_finite, help=f"set "
+            p.add_argument(f"--{key}", type=float, help=f"set "
                            f"{_GRID_SECTION[name]}.{key} in the config")
 
     fit = sub.add_parser("fit", help="fit model parameters to a CSV series")
@@ -98,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
         kern.add_argument("--" + name.replace("_", "-"), dest=name,
                           type=_floats if listed else float,
                           help="comma-separated list" if listed else None)
-    kern.add_argument("--duration", type=_finite, default=10.0)
-    kern.add_argument("--dt", type=_finite, default=0.01)
+    kern.add_argument("--duration", type=float, default=10.0)
+    kern.add_argument("--dt", type=float, default=0.01)
     kern.add_argument("--out", help="output CSV path")
 
     for p in sub.choices.values():

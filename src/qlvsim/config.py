@@ -176,7 +176,7 @@ class _Validator:
     def read(self, section: dict, path: str, key: str, check, default=None,
              required: bool = False, **limits):
         """The value at ``key`` converted by ``check``; ``default`` if it is
-        missing or null (an error if required) or fails the check."""
+        missing or null (an error if required), None if it fails the check."""
         v = section.get(key)
         if v is None:
             if required:
@@ -186,7 +186,7 @@ class _Validator:
             return check(v, **limits)
         except ValueError as exc:
             self.fail(f"{path}.{key}", str(exc))
-            return default
+            return None
 
     def construct(self, path: str, factory, *args, **kwargs):
         """Run a module constructor, converting domain errors to config
@@ -234,7 +234,7 @@ def _build_elastic(v: _Validator, section: dict, path: str):
 
 
 def _build_kernel(v: _Validator, section: dict, path: str):
-    """Returns (kernel object, prony_terms) or (None, n)."""
+    """Returns (kernel object or None, prony_terms or None if it failed)."""
     sec = v.section(section, path)
     kind = v.read(sec, path, "kind", _string, required=True,
                   choices=KERNEL_TYPES)
@@ -262,7 +262,7 @@ def _build_model(v: _Validator, section: dict) -> dict:
                "elements may be used without an elastic law)")
         return {}
     elastic = _build_elastic(v, sec.get("elastic"), "model.elastic")
-    if elastic is None or kernel is None:
+    if None in (elastic, kernel, n_terms):
         return {}
     return {"model": v.construct("model.kernel", QlvModel.from_kernel,
                                  elastic, kernel, n_prony=n_terms)}
@@ -523,9 +523,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     out = v.section(data.get("output"), "output",
                     {"path", "stride", "precision"})
     out_path = v.read(out, "output", "path", _string)
-    errors = v.faults
     stride = v.read(out, "output", "stride", _integer, default=1, low=1)
-    if (v.faults == errors and specimen.get("network") is not None
+    if (stride is not None and specimen.get("network") is not None
             and None not in (specimen["sim_duration"], specimen["sim_dt"])):
         v.construct("output.stride", steps_and_records,
                     specimen["network"].n, specimen["sim_duration"],

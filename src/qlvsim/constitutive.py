@@ -13,15 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_bounds
+from .errors import DomainError, check_bounds, check_range
 
 # exp() overflows float64 near 709.78; reject a bit earlier
 _EXP_ARG_MAX = 700.0
-
-
-def _check_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
-        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,18 +39,14 @@ class ExponentialTensileLaw:
     def stress_green(self, E):
         """Nominal stress as a function of uniaxial Green strain."""
         E = np.asarray(E, dtype=float)
-        _check_finite("green strain", E)
-        if np.any(E < -0.5):
-            raise DomainError(f"Green strain must be >= -0.5, got min {E.min()}")
+        check_range("Green strain", E, low=-0.5, strict=False)
         lam = np.sqrt(2.0 * E + 1.0)
         return tensile_stress(self, lam)
 
     def stretch_at_stress(self, T):
         """Inverse of :meth:`stress`; valid for T > -C/B."""
         T = np.asarray(T, dtype=float)
-        if np.any(T <= -self.C / self.B):
-            raise DomainError(f"stress {float(T.min())} outside the range "
-                              f"of the law")
+        check_range("stress", T, low=-self.C / self.B)
         out = 1.0 + np.log(self.B * T / self.C + 1.0) / self.B
         return float(out) if out.ndim == 0 else out
 
@@ -75,12 +66,12 @@ class LinearElasticLaw:
 
     def stress_green(self, E):
         E = np.asarray(E, dtype=float)
-        _check_finite("green strain", E)
+        check_range("Green strain", E)
         return self.k * E
 
     def green_at_stress(self, T):
         T = np.asarray(T, dtype=float)
-        _check_finite("stress", T)
+        check_range("stress", T)
         return T / self.k
 
 
@@ -91,9 +82,7 @@ class GreenStrainUniaxial:
     value: float
 
     def __post_init__(self):
-        _check_finite("green strain", self.value)
-        if self.value < -0.5:
-            raise DomainError(f"Green strain must be >= -0.5, got {self.value}")
+        check_range("Green strain", self.value, low=-0.5, strict=False)
 
 
 @dataclass(frozen=True)
@@ -177,10 +166,7 @@ ELASTIC_TYPES = {"exponential": ExponentialTensileLaw,
 def tensile_stress(law: ExponentialTensileLaw, lam):
     """Nominal stress of the exponential law, T = (C/B)*(exp(B*(lam-1)) - 1)."""
     lam = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(lam)):
-        raise DomainError(f"stretch must be finite, got {lam!r}")
-    if np.any(lam <= 0):
-        raise DomainError(f"stretch must be > 0, got min {lam.min()}")
+    check_range("stretch", lam, low=0)
     arg = law.B * (lam - 1.0)
     if np.any(arg > _EXP_ARG_MAX):
         raise DomainError(
@@ -199,10 +185,7 @@ def tensile_slope(law: ExponentialTensileLaw, lam):
 def green_strain(lam):
     """Uniaxial Green strain E = (lam^2 - 1)/2."""
     lam = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(lam)):
-        raise DomainError(f"stretch must be finite, got {lam!r}")
-    if np.any(lam <= 0):
-        raise DomainError(f"stretch must be > 0, got min {lam.min()}")
+    check_range("stretch", lam, low=0)
     out = 0.5 * (lam ** 2 - 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -273,7 +256,7 @@ class FungUniaxialLaw:
 
     def stress_green(self, E):
         E = np.asarray(E, dtype=float)
-        _check_finite("green strain", E)
+        check_range("Green strain", E)
         out = self._stress_and_slope(E)[0]
         return float(out) if out.ndim == 0 else out
 
@@ -300,7 +283,7 @@ class FungUniaxialLaw:
         bisecting whenever a Newton step would leave the bracket.
         """
         T = np.asarray(T, dtype=float)
-        _check_finite("stress", T)
+        check_range("stress", T)
         scalar = T.ndim == 0
         T = np.atleast_1d(T)
         lo, hi = np.full(T.shape, -0.5), np.full(T.shape, 0.1)
@@ -334,10 +317,7 @@ class FungUniaxialLaw:
 
 def uniaxial_pk2_from_load(F: float, lam: float, A0: float) -> float:
     """Second Piola-Kirchhoff stress from load: S = F / (lam * A0)."""
-    _check_finite("F", F)
-    _check_finite("lam", lam)
-    if A0 <= 0 or not np.isfinite(A0):
-        raise DomainError(f"reference area A0 must be > 0, got {A0}")
-    if lam <= 0:
-        raise DomainError(f"stretch must be > 0, got {lam}")
+    check_range("F", F)
+    check_range("lam", lam, low=0)
+    check_range("A0", A0, low=0)
     return F / (lam * A0)

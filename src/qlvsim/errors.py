@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 class QlvError(Exception):
     """Base class for all package-specific errors."""
@@ -11,17 +13,30 @@ class DomainError(QlvError, ValueError):
     """An input violates a documented precondition or parameter invariant."""
 
 
-def check_bounds(owner, *names, low=None, strict=True) -> None:
-    """DomainError unless each named field of ``owner`` is finite and, when
-    ``low`` is given, > low (>= low when not ``strict``).  An int is finite
-    and is compared as an int, however many digits it has."""
-    for name in names:
-        x = getattr(owner, name)
+def check_range(name: str, x, low=None, strict=True) -> None:
+    """DomainError unless ``x``, a number or an array, is finite and, when
+    ``low`` is given, > low (>= low when not ``strict``).  An int is compared
+    as an int, however many digits it has; a non-float is read as an array,
+    whose fault names its first non-finite entry or its minimum."""
+    if isinstance(x, (int, float)):
         if not (isinstance(x, int) or math.isfinite(x)):
-            raise DomainError(f"{name} must be finite, got {x!r}")
-        if low is not None and not (x > low if strict else x >= low):
-            raise DomainError(f"{name} must be {'>' if strict else '>='} "
-                              f"{low}, got {x}")
+            raise DomainError(f"{name} must be finite, got {float(x)}")
+        least, got = x, ""
+    else:
+        x = np.asarray(x, dtype=float)
+        if not (finite := np.isfinite(x)).all():
+            raise DomainError(f"{name} must be finite, "
+                              f"got {float(x.flat[finite.argmin()])}")
+        least, got = x.min(initial=math.inf), "min "
+    if low is not None and not (least > low if strict else least >= low):
+        raise DomainError(f"{name} must be {'>' if strict else '>='} {low}, "
+                          f"got {got}{least}")
+
+
+def check_bounds(owner, *names, low=None, strict=True) -> None:
+    """check_range of each named field of ``owner``."""
+    for name in names:
+        check_range(name, getattr(owner, name), low, strict)
 
 
 class StabilityError(QlvError, ValueError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_bounds
+from .errors import DomainError, check_bounds, check_range
 
 _BLOCK_ROWS = 1024      # filter block: 512 KB of states at 64 terms
 
@@ -95,10 +95,8 @@ class PronySpectrum:
         object.__setattr__(self, "frequencies", freqs)
         if len(amps) != len(freqs):
             raise DomainError("amplitudes and frequencies must have equal length")
-        if any(a < 0 or not np.isfinite(a) for a in amps):
-            raise DomainError("amplitudes must be finite and >= 0")
-        if any(f <= 0 or not np.isfinite(f) for f in freqs):
-            raise DomainError("frequencies must be finite and > 0")
+        check_range("amplitudes", amps, low=0, strict=False)
+        check_range("frequencies", freqs, low=0)
         if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
             raise DomainError("frequencies must be strictly increasing")
         check_bounds(self, "K")
@@ -221,12 +219,10 @@ def is_uniform_grid(times) -> bool:
 
 def grid_steps(duration: float, dt: float) -> int:
     """round(duration/dt), the steps of a ``dt`` grid over ``duration``: the
-    one check of every command's grid.  dt and duration must be > 0, and
-    the steps at least 1 and at most SIZE_BUDGET, before any allocation."""
-    if not dt > 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
-    if not duration > 0:
-        raise DomainError(f"duration must be > 0, got {duration}")
+    one check of every command's grid.  dt and duration must be finite and
+    > 0, and the steps in [1, SIZE_BUDGET], before any allocation."""
+    check_range("dt", dt, low=0)
+    check_range("duration", duration, low=0)
     if not duration / dt <= SIZE_BUDGET:
         raise DomainError(f"duration/dt must be <= {SIZE_BUDGET}")
     if (n := round(duration / dt)) < 1:
@@ -355,8 +351,7 @@ def periodic_force_history(spectrum: PronySpectrum, dt,
 def exp_integral_e1(x):
     """Exponential integral E1(x) = int_x^inf exp(-u)/u du, for x > 0."""
     x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0):
-        raise DomainError("E1 requires finite x > 0")
+    check_range("x", x, low=0)
     from scipy.special import exp1    # lazy: only E1 needs scipy.special
     out = exp1(x)
     return float(out) if out.ndim == 0 else out
@@ -371,8 +366,7 @@ def fung_reduced_relaxation(s: FungSpectrum, t):
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    if np.any(~np.isfinite(t)) or np.any(t < 0):
-        raise DomainError("t must be finite and >= 0")
+    check_range("t", t, low=0, strict=False)
     denom = 1.0 + s.c * math.log(s.q2 / s.q1)
     out = np.ones_like(t)
     pos = t > 0
@@ -394,8 +388,7 @@ def fung_to_prony(s: FungSpectrum, n_terms: int) -> PronySpectrum:
     of the ``n_terms`` log-spaced cells contributes the same amplitude.  The
     result is normalized so g(0) = 1 exactly.
     """
-    if n_terms < 2:
-        raise DomainError(f"n_terms must be >= 2, got {n_terms}")
+    check_range("n_terms", n_terms, low=2, strict=False)
     log_q1, log_q2 = math.log(s.q1), math.log(s.q2)
     du = (log_q2 - log_q1) / n_terms
     mids = log_q1 + (np.arange(n_terms) + 0.5) * du

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import _EXP_ARG_MAX, ExponentialTensileLaw
-from .errors import DomainError, NumericalError, StabilityError, check_bounds
+from .errors import (DomainError, NumericalError, StabilityError, check_bounds,
+                     check_range)
 from .kernels import SIZE_BUDGET, PronySpectrum, grid_steps, prony_step
 
 
@@ -290,12 +291,10 @@ class SpringMassSystem:
         for name in ("memory_kernels", "aero_kernels", "nonlinear_springs"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         n = m.size
-        if np.any(m <= 0) or not np.all(np.isfinite(m)):
-            raise DomainError("all masses must be finite and > 0")
+        check_range("masses", m, low=0)
         if K.shape != (n, n):
             raise DomainError(f"stiffness must be {n}x{n}, got {K.shape}")
-        if not np.all(np.isfinite(K)):
-            raise DomainError("stiffness entries must be finite")
+        check_range("stiffness", K)
         scale = max(1.0, float(np.abs(K).max())) if K.size else 1.0
         if not np.allclose(K, K.T, rtol=0.0, atol=1e-12 * scale):
             raise DomainError("stiffness matrix must be symmetric")
@@ -304,8 +303,7 @@ class SpringMassSystem:
             object.__setattr__(self, "damping", beta)
             if beta.shape != (n, n):
                 raise DomainError(f"damping must be {n}x{n}, got {beta.shape}")
-            if not np.all(np.isfinite(beta)):
-                raise DomainError("damping entries must be finite")
+            check_range("damping", beta)
         st = _Stack.of(self)
         object.__setattr__(self, "_stack", st)
         # the stiffness at t = 0+: equilibrium entries, memory amplitudes,
@@ -459,8 +457,7 @@ def simulate(system: SpringMassSystem, state: SystemState,
     into one preallocated table of :func:`steps_and_records` rows; the
     result's arrays are views of its columns.
     """
-    if record_stride < 1:
-        raise DomainError(f"record_stride must be >= 1, got {record_stride}")
+    check_range("record_stride", record_stride, low=1, strict=False)
     n_steps, rows = steps_and_records(system.n, duration, dt, record_stride)
     solve = system.check_time_step(dt)
     st = system._stack

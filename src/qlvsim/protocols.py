@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import ExponentialTensileLaw
-from .errors import DomainError, FitError, check_bounds
+from .errors import DomainError, FitError, check_bounds, check_range
 from .kernels import (_BLOCK_ROWS, SIZE_BUDGET, KelvinParams, MaxwellParams,
                       PronySpectrum, VoigtParams, grid_steps, kernel_to_prony,
                       periodic_force_history, prony_step, time_grid)
@@ -371,8 +371,7 @@ def frequency_sweep(spec: ProtocolSpec, model,
     and the count.  A failing pass runs again one frequency at a time, so
     the first failing frequency raises its own error."""
     freqs = np.asarray(angular_frequencies, dtype=float)
-    if np.any(freqs <= 0):
-        raise DomainError("angular frequencies must be > 0")
+    check_range("angular frequencies", freqs, low=0)
     check_period(float(freqs.min(initial=np.inf)))    # the longest period
     terms = len(model.prony.amplitudes) if isinstance(model, QlvModel) else 1
     block = max(1, min(4 * _BLOCK_ROWS, SIZE_BUDGET // max(terms, 1))
@@ -460,8 +459,7 @@ def fit_exponential_law(stretch, stress) -> tuple[ExponentialTensileLaw, dict]:
 def check_fit_terms(rows: int, n_terms: int) -> None:
     """Check a spectrum fit's term count, and its rows x (n_terms + 1)
     design matrix against SIZE_BUDGET, before anything is allocated."""
-    if n_terms < 1:
-        raise DomainError(f"term count must be >= 1, got {n_terms}")
+    check_range("term count", n_terms, low=1, strict=False)
     if rows * (n_terms + 1) > SIZE_BUDGET:
         raise DomainError(f"rows x (terms + 1) must be <= {SIZE_BUDGET}, "
                           f"got {rows} x {n_terms + 1}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_range
 from .kernels import (PronySpectrum, ReducedRelaxation, kernel_force_history,
                       kernel_to_prony, prony_relaxation, reduced_relaxation)
 
@@ -44,8 +44,7 @@ class StrainHistory:
         if np.any(np.diff(times) <= 0):
             idx = int(np.argmax(np.diff(times) <= 0))
             raise DomainError(f"times must be strictly increasing (index {idx + 1})")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("strain values must be finite")
+        check_range("strain values", values)
         if self.measure not in ("green", "stretch"):
             raise DomainError(f"unknown strain measure {self.measure!r}")
 

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_range
 from .protocols import Series
 
 _DEFAULT_PRECISION = 17
@@ -36,8 +36,12 @@ def format_value(x: float, precision: int = _DEFAULT_PRECISION) -> str:
 
 def _csv_blocks(names, columns, precision: int):
     """Header line, then blocks of rows, of equal-length columns as CSV
-    text.  Checks the data before returning, so a caller can open its
+    text, at ``precision`` (an int >= 1) significant digits.  Checks the
+    precision and the data before returning, so a caller can open its
     output afterwards; only one block of rows is copied at a time."""
+    if not isinstance(precision, int):
+        raise DomainError(f"precision must be an int, got {precision!r}")
+    check_range("precision", precision, low=1, strict=False)
     columns = [np.asarray(c, dtype=float) for c in columns]
     if any(np.isnan(c).any() for c in columns):
         raise DomainError("cannot serialize NaN")

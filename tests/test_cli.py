@@ -859,7 +859,7 @@ class TestSimulate:
                          "  duration: 1.0\n  dt: 0.01\n")
         code = cli_main(config_argv(command, path, tmp_path / "sim.csv"))
         assert code == 2
-        assert f"network: {matrix} entries must be finite" in \
+        assert f"network: {matrix} must be finite, got {value[1:]}" in \
             capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "simulate"])
@@ -1315,7 +1315,7 @@ def mutated(data: bytes, edits) -> bytes:
 TEXT_ENTRY = ("error: network.stiffness: entry [0][0] must be a number, got "
               "'1e5' (YAML reads an exponent with no dot or no sign as text; "
               "write 1.0e+5)")
-NOT_FINITE = "error: network: stiffness entries must be finite"
+NOT_FINITE = "error: network: stiffness must be finite, got "
 UNSTABLE = ("error: network.dt: dt = 0.01 violates the explicit stability "
             "bound 2/omega_max = 0.00241")
 # one stiffness entry of the chain config in an odd YAML 1.1 form: the
@@ -1497,7 +1497,12 @@ class TestNonFinite:
                 ["kernels", "--kind", "maxwell", "--mu", "1", "--eta", "1"])
         assert cli_main(argv + [f"{flag}={value}"]) == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: must be finite, got '{value}'" in err
+        # reported at its key, where every other bad value is
+        key = flag[2:]
+        assert err == (f"error: protocol.{key}: must be finite, got {value}\n"
+                       if command == "creep" else
+                       f"error: kernels.duration: {key} must be finite, "
+                       f"got {value}\n")
         assert not (tmp_path / "out.csv").exists()
 
     def test_non_number_flag_message_is_unchanged(self, capsys):

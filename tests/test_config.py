@@ -322,6 +322,15 @@ class TestSizeBudget:
         assert errs == ["protocol.samples_per_cycle: samples x Prony terms "
                         f"must be <= {SIZE_BUDGET}, got 200000 x 64"]
 
+    def test_a_term_count_that_fails_sizes_nothing(self):
+        # no default count of 64 stands in for the rejected one
+        errs = errors_of("model:\n  elastic: {kind: linear, k: 1.0}\n"
+                         f"  kernel: {FUNG}, prony_terms: 1}}\n"
+                         "protocol: {kind: cyclic, amplitude: 0.1, "
+                         "angular_frequency: 1.0, cycles: 1, "
+                         "samples_per_cycle: 200000}\n")
+        assert errs == ["model.kernel.prony_terms: must be >= 2, got 1"]
+
     def test_network_record_table(self):
         # 1.5e6 steps of one mass, 7 values per record: over the budget at
         # stride 1, within it at stride 2

@@ -1,5 +1,5 @@
-"""The one bound rule: check_bounds, and every field that states its bound
-through it."""
+"""The one bound rule: check_range, check_bounds, and every field, argument
+and array that states its bound through them."""
 
 import math
 import re
@@ -8,13 +8,22 @@ from types import SimpleNamespace
 
 import pytest
 
+import numpy as np
+
 from qlvsim.constitutive import (BiaxialStrainState, ExponentialTensileLaw,
-                                 FungBiaxialParams, LinearElasticLaw)
-from qlvsim.errors import DomainError, check_bounds
+                                 FungBiaxialParams, FungUniaxialLaw,
+                                 GreenStrainUniaxial, LinearElasticLaw,
+                                 green_strain, tensile_stress,
+                                 uniaxial_pk2_from_load)
+from qlvsim.errors import DomainError, check_bounds, check_range
 from qlvsim.kernels import (SIZE_BUDGET, FungSpectrum, KelvinParams,
-                            MaxwellParams, PronySpectrum, VoigtParams)
-from qlvsim.network import NonlinearSpring
-from qlvsim.protocols import ProtocolSpec
+                            MaxwellParams, PronySpectrum, VoigtParams,
+                            exp_integral_e1, fung_reduced_relaxation,
+                            fung_to_prony, grid_steps)
+from qlvsim.network import (NonlinearSpring, SpringMassSystem, SystemState,
+                            simulate)
+from qlvsim.protocols import ProtocolSpec, check_fit_terms, frequency_sweep
+from qlvsim.qlv import QlvModel, StrainHistory
 
 LAW = ExponentialTensileLaw(B=1.0, C=1.0)
 CYCLIC = ProtocolSpec(kind="cyclic", amplitude=0.05, mean=0.25,
@@ -61,6 +70,92 @@ IDS = [f"{type(owner).__name__}.{name}"
        for owner, name, _, _ in FIELDS]
 
 
+FUNG_LAW = FungUniaxialLaw(FungBiaxialParams(a1=1.0, c=1.0))
+SPECTRUM = FungSpectrum(c=0.5, q1=0.01, q2=100.0)
+ONE_MASS = SpringMassSystem(masses=[1.0], stiffness=[[1.0]])
+MODEL = QlvModel.from_kernel(LAW, MaxwellParams(mu=1.0, eta=1.0))
+
+def arg(call, name, low, strict, id):
+    """A call of one value x, the name its check gives, its low bound or
+    None, and strict; a call whose argument is an array puts x in a
+    one-entry list."""
+    return pytest.param(call, name, low, strict, id=id)
+
+
+ARGUMENTS = [
+    arg(LAW.stress_green, "Green strain", -0.5, False, "stress_green"),
+    arg(LAW.stretch_at_stress, "stress", -1.0, True,       # T > -C/B
+        "stretch_at_stress"),
+    arg(LAW.green_at_stress, "stress", -1.0, True, "green_at_stress"),
+    arg(LinearElasticLaw(k=1.0).stress_green, "Green strain", None, True,
+        "linear.stress_green"),
+    arg(LinearElasticLaw(k=1.0).green_at_stress, "stress", None, True,
+        "linear.green_at_stress"),
+    arg(FUNG_LAW.stress_green, "Green strain", None, True,
+        "fung.stress_green"),
+    arg(FUNG_LAW.green_at_stress, "stress", None, True,
+        "fung.green_at_stress"),
+    arg(GreenStrainUniaxial, "Green strain", -0.5, False,
+        "GreenStrainUniaxial"),
+    arg(lambda x: tensile_stress(LAW, x), "stretch", 0, True,
+        "tensile_stress"),
+    arg(green_strain, "stretch", 0, True, "green_strain"),
+    arg(lambda x: uniaxial_pk2_from_load(x, 1.0, 1.0), "F", None, True,
+        "pk2.F"),
+    arg(lambda x: uniaxial_pk2_from_load(1.0, x, 1.0), "lam", 0, True,
+        "pk2.lam"),
+    arg(lambda x: uniaxial_pk2_from_load(1.0, 1.0, x), "A0", 0, True,
+        "pk2.A0"),
+    arg(lambda x: PronySpectrum(K=1.0, amplitudes=(x,), frequencies=(1.0,)),
+        "amplitudes", 0, False, "prony.amplitudes"),
+    arg(lambda x: PronySpectrum(K=1.0, amplitudes=(1.0,), frequencies=(x,)),
+        "frequencies", 0, True, "prony.frequencies"),
+    arg(lambda x: grid_steps(1.0, x), "dt", 0, True, "grid_steps.dt"),
+    arg(lambda x: grid_steps(x, 1.0), "duration", 0, True,
+        "grid_steps.duration"),
+    arg(exp_integral_e1, "x", 0, True, "exp_integral_e1"),
+    arg(lambda x: fung_reduced_relaxation(SPECTRUM, x), "t", 0, False,
+        "fung_reduced_relaxation"),
+    arg(lambda x: fung_to_prony(SPECTRUM, x), "n_terms", 2, False,
+        "fung_to_prony"),
+    arg(lambda x: SpringMassSystem(masses=[x], stiffness=[[1.0]]), "masses",
+        0, True, "network.masses"),
+    arg(lambda x: SpringMassSystem(masses=[1.0], stiffness=[[x]]),
+        "stiffness", None, True, "network.stiffness"),
+    arg(lambda x: SpringMassSystem(masses=[1.0], stiffness=[[1.0]],
+                                   damping=[[x]]), "damping", None, True,
+        "network.damping"),
+    arg(lambda x: simulate(ONE_MASS, SystemState.initial(ONE_MASS), 1.0, 0.1,
+                           record_stride=x), "record_stride", 1, False,
+        "simulate.record_stride"),
+    arg(lambda x: check_fit_terms(10, x), "term count", 1, False,
+        "check_fit_terms"),
+    arg(lambda x: frequency_sweep(CYCLIC, MODEL, [x]), "angular frequencies",
+        0, True, "frequency_sweep"),
+    arg(lambda x: StrainHistory(times=[0.0], values=[x]), "strain values",
+        None, True, "StrainHistory.values"),
+]
+
+
+class TestCheckRange:
+    @pytest.mark.parametrize("x, message", [
+        (math.nan, "must be finite, got nan"),
+        (np.float64(math.inf), "must be finite, got inf"),
+        (np.array([1.0, -math.inf, math.nan]), "must be finite, got -inf"),
+        (np.array(-1.0), "must be > 0, got min -1.0"),
+        ([2.0, -3.0, -1.0], "must be > 0, got min -3.0"),
+        (np.float64(-2.5), "must be > 0, got -2.5"),
+        (0, "must be > 0, got 0")],
+        ids=["nan", "numpy-inf", "first-non-finite-entry", "0-d-array",
+             "list", "numpy-scalar", "int"])
+    def test_message(self, x, message):
+        with pytest.raises(DomainError, match=f"^x {re.escape(message)}$"):
+            check_range("x", x, low=0)
+
+    def test_an_empty_array_passes(self):
+        check_range("x", np.zeros(0), low=0)
+
+
 class TestCheckBounds:
     def test_first_named_field_that_fails(self):
         owner = SimpleNamespace(x=1.0, y=math.nan, z=-1.0)
@@ -104,3 +199,33 @@ class TestEveryBoundedField:
         with pytest.raises(DomainError, match=re.escape(
                 f"cycles*samples_per_cycle must be <= {SIZE_BUDGET}")):
             replace(CYCLIC, cycles=10 ** 400)
+
+
+class TestEveryBoundedArgument:
+    """Each argument or array that states its bound through check_range
+    rejects NaN, +inf and -inf, and its bound (the bound itself when strict,
+    one below it when not), with a DomainError that names it."""
+
+    @pytest.mark.parametrize("call, name, low, strict", ARGUMENTS)
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_not_finite(self, call, name, low, strict, x):
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be finite, got {x!r}$"):
+            call(x)
+
+    @pytest.mark.parametrize("call, name, low, strict",
+                             [a for a in ARGUMENTS if a.values[2] is not None])
+    def test_bound(self, call, name, low, strict):
+        x = low if strict else low - 1
+        sign = ">" if strict else ">="
+        # an array argument reports its minimum, as a float
+        with pytest.raises(DomainError, match=(
+                f"^{name} must be {sign} {re.escape(str(low))}, "
+                rf"got (min )?{re.escape(str(x))}(\.0)?$")):
+            call(x)
+        if not strict:      # the bound itself passes, if not what follows
+            try:
+                call(low)
+            except DomainError as exc:
+                assert not str(exc).startswith(name), exc

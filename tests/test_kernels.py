@@ -783,11 +783,11 @@ class TestGridSteps:
     # checked before the budget, so a negative or nan duration is named
     @pytest.mark.parametrize("duration, dt, message", [
         (-1e300, 1e-10, "duration must be > 0, got -1e+300"),
-        (float("nan"), 1.0, "duration must be > 0, got nan"),
+        (float("nan"), 1.0, "duration must be finite, got nan"),
         (0.0, 1.0, "duration must be > 0, got 0.0"),
         (1.0, 0.0, "dt must be > 0, got 0.0"),
         (1e300, -1e-300, "dt must be > 0, got -1e-300"),
-        (1.0, float("nan"), "dt must be > 0, got nan")],
+        (1.0, float("nan"), "dt must be finite, got nan")],
         ids=["negative-overflow", "nan", "zero-duration", "zero-dt",
              "negative-dt", "nan-dt"])
     def test_not_positive(self, duration, dt, message):

@@ -63,6 +63,23 @@ class TestWrite:
         text = serialize_series(series, precision=6)
         assert "0.333333" in text and "0.3333333" not in text
 
+    @pytest.mark.parametrize("precision, message", [
+        (0, "precision must be >= 1, got 0"),
+        (-1, "precision must be >= 1, got -1"),
+        (2.5, "precision must be an int, got 2.5"),
+        (float("nan"), "precision must be an int, got nan")],
+        ids=["zero", "negative", "fraction", "nan"])
+    def test_precision_is_an_int_of_at_least_one(self, tmp_path, precision,
+                                                 message):
+        # %.0g would write 1.5 as 2, and the others fail in the formatter
+        series = Series(times=np.array([0.0, 1.0]),
+                        columns={"x": np.array([1.5, 2.25])})
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            serialize_series(series, precision=precision)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            write_series(tmp_path / "s.csv", series, precision=precision)
+        assert not (tmp_path / "s.csv").exists()
+
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             format_value(float("nan"))
