@@ -330,7 +330,7 @@ def periodic_force_history(spectrum: PronySpectrum, dt,
         raise DomainError("a period needs dt > 0 and >= 2 samples per row")
     check_filter_size(xs.size, len(spectrum.amplitudes))
     n = rows.shape[1]
-    dxs = np.diff(rows.T, axis=0, append=rows.T[:1])    # (N, F)
+    dxs = np.diff(rows, append=rows[:, :1]).T.copy()    # (N, F), row-major
     decay = prony_step(spectrum, 1.0, dts, 0.0)
     gain = prony_step(spectrum, 0.0, dts, 1.0)
     # 1 - d^N without cancellation for terms with f*N*dt << 1

@@ -212,12 +212,13 @@ def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
         # initial step: stress = g(0) * T_e = T_e
         te[0] = load
         h = np.asarray(prony.amplitudes) * load
+        gain_dx = np.empty_like(h)
         for i in range(1, t.size):
-            # the step is linear in (h, increment): decay the memory, then
-            # solve K*te_i + sum(free) + gsum*(te_i - te[i-1]) = load
-            free = decay * h
-            te[i] = (load - free.sum() + gsum * te[i - 1]) / (prony.K + gsum)
-            h = free + gain * (te[i] - te[i - 1])
+            # the step is linear in (h, increment): decay the memory in
+            # place, then solve K*te_i + sum(h) + gsum*(te_i - te[i-1]) = load
+            np.multiply(decay, h, out=h)
+            te[i] = (load - np.add.reduce(h) + gsum * te[i - 1]) / (prony.K + gsum)
+            h += np.multiply(gain, te[i] - te[i - 1], out=gain_dx)
         green = model.elastic.green_at_stress(te)
     series = Series(times=t, columns={"green_strain": green,
                                       "stretch": np.sqrt(2 * green + 1.0)})

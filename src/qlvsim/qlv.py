@@ -39,11 +39,12 @@ class StrainHistory:
             raise DomainError("times and values must be 1-D arrays of equal length")
         if times.size == 0:
             raise DomainError("history must contain at least one sample")
+        check_range("times", times)
         if times[0] != 0.0:
             raise DomainError(f"first sample time must be 0, got {times[0]}")
-        if np.any(np.diff(times) <= 0):
-            idx = int(np.argmax(np.diff(times) <= 0))
-            raise DomainError(f"times must be strictly increasing (index {idx + 1})")
+        if (stalls := np.diff(times) <= 0).any():
+            raise DomainError("times must be strictly increasing "
+                              f"(index {int(stalls.argmax()) + 1})")
         check_range("strain values", values)
         if self.measure not in ("green", "stretch"):
             raise DomainError(f"unknown strain measure {self.measure!r}")
@@ -184,25 +185,23 @@ def hysteresis_ratio(loading_strain, loading_stress,
                      unloading_strain, unloading_stress) -> float:
     """Loop area divided by the area under the loading branch.
 
-    The loop area is the shoelace area of the closed loading+unloading
-    polygon; the loading area integrates the positive part of the stress
-    over the loading branch.  Loading must traverse increasing strain,
-    unloading decreasing strain, over the same strain interval.
+    The loop area is the shoelace area of the loading+unloading polygon,
+    closed from its last vertex to its first; the loading area integrates
+    the positive part of the stress over the loading branch.  Loading must
+    traverse increasing strain, unloading decreasing strain, over one range.
     """
-    ls = np.asarray(loading_strain, dtype=float)
-    lt = np.asarray(loading_stress, dtype=float)
-    us = np.asarray(unloading_strain, dtype=float)
-    ut = np.asarray(unloading_stress, dtype=float)
+    ls, lt, us, ut = (np.asarray(a, dtype=float) for a in (
+        loading_strain, loading_stress, unloading_strain, unloading_stress))
     if ls.size < 2 or us.size < 2:
         raise DomainError("loading and unloading branches need >= 2 samples")
-    if np.any(np.diff(ls) < 0):
+    if (ls[1:] < ls[:-1]).any():
         raise DomainError("loading strain must be non-decreasing")
-    if np.any(np.diff(us) > 0):
+    if (us[1:] > us[:-1]).any():
         raise DomainError("unloading strain must be non-increasing")
 
-    x = np.concatenate([ls, us])
-    y = np.concatenate([lt, ut])
-    loop_area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    x, y = np.concatenate([ls, us]), np.concatenate([lt, ut])
+    loop_area = 0.5 * abs(np.dot(x, np.concatenate([lt[1:], ut, lt[:1]]))
+                          - np.dot(y, np.concatenate([ls[1:], us, ls[:1]])))
     loading_area = float(np.trapezoid(np.maximum(lt, 0.0), ls))
     if loading_area <= 0.0:
         raise DomainError("loading branch has zero area; hysteresis undefined")

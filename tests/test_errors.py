@@ -134,6 +134,8 @@ ARGUMENTS = [
         0, True, "frequency_sweep"),
     arg(lambda x: StrainHistory(times=[0.0], values=[x]), "strain values",
         None, True, "StrainHistory.values"),
+    arg(lambda x: StrainHistory(times=[0.0, x], values=[0.0, 0.0]), "times",
+        None, True, "StrainHistory.times"),
 ]
 
 

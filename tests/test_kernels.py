@@ -691,6 +691,40 @@ class TestBatchedPeriodicFilter:
             assert row.tobytes() == \
                 periodic_force_history(spectrum, float(dt), x).tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(spectrum=term_count_spectra(), seed=st.integers(0, 2**32 - 1),
+           rows=st.integers(1, 12), n=st.integers(2, 300))
+    def test_input_layout_gives_the_same_bytes(self, spectrum, seed, rows, n):
+        # C order, Fortran order and a strided view of one array
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((rows, n))
+        xs[rng.uniform(size=xs.shape) < 0.2] = -0.0
+        dts = 10.0 ** rng.uniform(-3.0, 0.0, rows)
+        wide = np.zeros((2 * rows, 3 * n))
+        wide[::2, 1::3] = xs
+        want = periodic_force_history(spectrum, dts, xs).tobytes()
+        for layout in (np.asfortranarray(xs), wide[::2, 1::3]):
+            assert periodic_force_history(spectrum, dts, layout).tobytes() \
+                == want
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_filter_input_is_row_major(self, monkeypatch, rows, order):
+        # the filter's states take dx's layout: (samples, rows, terms) in
+        # row-major order, one contiguous block per sample step
+        seen, run = [], kernels._prony_filter
+
+        def spy(decay, gain, dx, carry):
+            seen.append(dx.flags.c_contiguous)
+            states = run(decay, gain, dx, carry)
+            seen.append(states.flags.c_contiguous)
+            return states
+        monkeypatch.setattr(kernels, "_prony_filter", spy)
+        xs = np.asarray(signal(3, rows * 256).reshape(rows, 256), order=order)
+        periodic_force_history(TestFilterBudget.spectrum(64),
+                               np.full(rows, 0.01), xs)
+        assert seen == [True, True]
+
     @pytest.mark.parametrize("dt, xs", [
         ([0.1, 0.2], np.ones((3, 4))), (0.1, np.ones((2, 4))),
         ([0.1, 0.0], np.ones((2, 4))), ([0.1, np.nan], np.ones((2, 4))),

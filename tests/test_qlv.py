@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,20 @@ class TestStrainHistory:
             StrainHistory(times=[0.0, 1.0], values=[0.0, math.nan])
         with pytest.raises(DomainError):
             StrainHistory(times=[0.0, 1.0], values=[0.0, 0.1], measure="x")
+
+    @pytest.mark.parametrize("times", [[0.0, math.nan], [0.0, math.inf]],
+                             ids=["nan", "inf"])
+    def test_times_must_be_finite(self, times):
+        with pytest.raises(DomainError, match=(
+                f"^times must be finite, got {times[1]}$")):
+            StrainHistory(times=times, values=[0.0, 0.1])
+
+    def test_stress_at_infinite_time_is_rejected(self):
+        model = QlvModel.from_kernel(LinearElasticLaw(k=2.0),
+                                     MaxwellParams(mu=1.0, eta=1.0))
+        with pytest.raises(DomainError, match="^times must be finite"):
+            qlv_stress_fast(model, StrainHistory(times=[0.0, 1.0, math.inf],
+                                                 values=[0.0, 0.1, 0.2]))
 
     def test_green_conversion(self):
         h = StrainHistory(times=[0.0, 1.0], values=[1.0, 1.2],
@@ -235,6 +250,60 @@ class TestElasticDomainError:
             f"(t = {history.times[first]}): {scalar.value}")
 
 
+E = np.linspace(0.0, 1.0, 10)
+
+
+def rolled_hysteresis_ratio(loading_strain, loading_stress,
+                            unloading_strain, unloading_stress):
+    """hysteresis_ratio as it was written with np.roll and np.diff."""
+    ls = np.asarray(loading_strain, dtype=float)
+    lt = np.asarray(loading_stress, dtype=float)
+    us = np.asarray(unloading_strain, dtype=float)
+    ut = np.asarray(unloading_stress, dtype=float)
+    if ls.size < 2 or us.size < 2:
+        raise DomainError("loading and unloading branches need >= 2 samples")
+    if np.any(np.diff(ls) < 0):
+        raise DomainError("loading strain must be non-decreasing")
+    if np.any(np.diff(us) > 0):
+        raise DomainError("unloading strain must be non-increasing")
+    x = np.concatenate([ls, us])
+    y = np.concatenate([lt, ut])
+    loop_area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    loading_area = float(np.trapezoid(np.maximum(lt, 0.0), ls))
+    if loading_area <= 0.0:
+        raise DomainError("loading branch has zero area; hysteresis undefined")
+    return loop_area / loading_area
+
+
+@st.composite
+def loops(draw):
+    """Loading and unloading branches of 1-300 samples, the unloading one
+    a reversed view: strains with plateaus, zeros of either sign and
+    sometimes one step the wrong way; stresses with plateaus, -0.0 and
+    either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def branch(n, rising):
+        steps = rng.uniform(0.0, 1.0, n - 1)
+        steps[rng.uniform(size=n - 1) < draw(st.sampled_from([0.0, 0.5]))] = 0
+        if draw(st.booleans()) and n > 1:
+            steps[rng.integers(n - 1)] = -draw(st.sampled_from([1e-300, 0.5]))
+        strain = np.concatenate([[0.0], np.cumsum(steps)]) + draw(
+            st.sampled_from([0.0, rng.uniform(-1.0, 1.0)]))
+        strain[(strain == 0) & (rng.uniform(size=n) < 0.5)] = -0.0
+        stress = rng.standard_normal(n) + draw(st.sampled_from([0.0, 2.0]))
+        stress[rng.uniform(size=n) < 0.2] = -0.0
+        stress[1:][rng.uniform(size=n - 1) < 0.2] = stress[0]
+        if not rising:
+            return strain[::-1], stress[::-1]
+        return strain, stress
+
+    lengths = st.one_of(st.integers(1, 12), st.integers(2, 300))
+    (ls, lt), (us, ut) = branch(draw(lengths), True), \
+        branch(draw(lengths), False)
+    return ls, lt, us, ut
+
+
 class TestHysteresisRatio:
     def test_elastic_loop_is_zero(self):
         e = np.linspace(0.0, 0.2, 50)
@@ -251,10 +320,36 @@ class TestHysteresisRatio:
 
     def test_preconditions(self):
         e = np.linspace(0.0, 1.0, 10)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match="^loading strain must be non-decreasing$"):
             hysteresis_ratio(e[::-1], e, e[::-1], e)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^loading branch has zero "
+                                              "area; hysteresis undefined$"):
             hysteresis_ratio(e, np.zeros_like(e), e[::-1], np.zeros_like(e))
+
+    @pytest.mark.parametrize("args, message", [
+        ((E[:1], E[:1], E[::-1], E), "loading and unloading branches need "
+                                     ">= 2 samples"),
+        ((E, E, E[:1], E[:1]), "loading and unloading branches need "
+                               ">= 2 samples"),
+        ((E, E, E, E), "unloading strain must be non-increasing")],
+        ids=["short-loading", "short-unloading", "unloading"])
+    def test_messages(self, args, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            hysteresis_ratio(*args)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(loop=loops())
+    def test_same_bits_as_the_rolled_form(self, loop):
+        try:
+            want = rolled_hysteresis_ratio(*loop)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                hysteresis_ratio(*loop)
+            return
+        assert np.float64(hysteresis_ratio(*loop)).tobytes() == \
+            np.float64(want).tobytes()
+
 
 
 @st.composite
