@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from dataclasses import fields
 
@@ -278,7 +279,9 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    code = cli_main()
+    gc.freeze()     # the process ends here: exit without collecting its heap
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ stopping at the first; unknown keys are rejected.
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 import sys
@@ -457,6 +458,8 @@ def _deeper_than(text: str, limit: int) -> bool:
 def _load_yaml(text: str):
     """The parsed document; ConfigError if it is not valid YAML or nests
     deeper than _MAX_DEPTH."""
+    enabled = gc.isenabled()
+    gc.disable()    # while PyYAML builds it: its many objects form no cycles
     try:
         # every collection opens at one of these characters, so their count
         # bounds the depth; only a text with many of them is parsed twice
@@ -472,6 +475,9 @@ def _load_yaml(text: str):
                            f"({type(exc).__name__}: {exc})"]) from exc
     except RecursionError:
         pass    # the pure-Python composer recurses once per level
+    finally:
+        if enabled:
+            gc.enable()
     raise ConfigError(["invalid YAML: nesting too deep"])
 
 
@@ -535,16 +541,12 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if v.errors:
         raise ConfigError(v.errors)
 
-    effective = _effective_dict(data, stride, precision)
+    # the parsed document with its output defaults made explicit
+    effective = {**data, "output": {"stride": stride, "precision": precision,
+                                    **(data.get("output") or {})}}
     return RunConfig(raw=effective, **specimen, protocol=protocol,
                      sweep_frequencies=sweep, output_path=out_path,
                      output_stride=stride, output_precision=precision)
-
-
-def _effective_dict(data: dict, stride: int, precision: int) -> dict:
-    """The parsed document with output defaults made explicit."""
-    return {**data, "output": {"stride": stride, "precision": precision,
-                               **(data.get("output") or {})}}
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:

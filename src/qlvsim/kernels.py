@@ -388,7 +388,7 @@ def fung_to_prony(s: FungSpectrum, n_terms: int) -> PronySpectrum:
     of the ``n_terms`` log-spaced cells contributes the same amplitude.  The
     result is normalized so g(0) = 1 exactly.
     """
-    check_range("n_terms", n_terms, low=2, strict=False)
+    check_range("n_terms", n_terms, low=2, strict=False, integer=True)
     log_q1, log_q2 = math.log(s.q1), math.log(s.q2)
     du = (log_q2 - log_q1) / n_terms
     mids = log_q1 + (np.arange(n_terms) + 0.5) * du

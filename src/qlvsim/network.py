@@ -457,7 +457,8 @@ def simulate(system: SpringMassSystem, state: SystemState,
     into one preallocated table of :func:`steps_and_records` rows; the
     result's arrays are views of its columns.
     """
-    check_range("record_stride", record_stride, low=1, strict=False)
+    check_range("record_stride", record_stride, low=1, strict=False,
+                integer=True)
     n_steps, rows = steps_and_records(system.n, duration, dt, record_stride)
     solve = system.check_time_step(dt)
     st = system._stack

@@ -70,8 +70,9 @@ class ProtocolSpec:
         if self.kind == "cyclic":
             check_bounds(self, "amplitude", "angular_frequency", low=0)
             check_bounds(self, "mean", low=0, strict=False)
-            check_bounds(self, "cycles", low=1, strict=False)
-            check_bounds(self, "samples_per_cycle", low=2, strict=False)
+            check_bounds(self, "cycles", low=1, strict=False, integer=True)
+            check_bounds(self, "samples_per_cycle", low=2, strict=False,
+                         integer=True)
             if self.cycles * self.samples_per_cycle > SIZE_BUDGET:
                 raise DomainError(f"cycles*samples_per_cycle must be <= "
                                   f"{SIZE_BUDGET}")
@@ -208,17 +209,20 @@ def run_creep(spec: ProtocolSpec, model) -> tuple[Series, TestReport]:
         decay = prony_step(prony, 1.0, dt, 0.0)
         gain = prony_step(prony, 0.0, dt, 1.0)
         gsum = float(gain.sum())
+        if not (stiff := prony.K + gsum):   # a float division would raise
+            raise DomainError(f"creep: K + sum of step gains is 0 at dt {dt}")
         te = np.empty_like(t)
         # initial step: stress = g(0) * T_e = T_e
-        te[0] = load
+        te[0] = prev = load
         h = np.asarray(prony.amplitudes) * load
         gain_dx = np.empty_like(h)
         for i in range(1, t.size):
             # the step is linear in (h, increment): decay the memory in
-            # place, then solve K*te_i + sum(h) + gsum*(te_i - te[i-1]) = load
+            # place, then solve K*te_i + sum(h) + gsum*(te_i - prev) = load
             np.multiply(decay, h, out=h)
-            te[i] = (load - np.add.reduce(h) + gsum * te[i - 1]) / (prony.K + gsum)
-            h += np.multiply(gain, te[i] - te[i - 1], out=gain_dx)
+            te[i] = cur = (load - float(np.add.reduce(h)) + gsum * prev) / stiff
+            h += np.multiply(gain, cur - prev, out=gain_dx)
+            prev = cur
         green = model.elastic.green_at_stress(te)
     series = Series(times=t, columns={"green_strain": green,
                                       "stretch": np.sqrt(2 * green + 1.0)})
@@ -460,7 +464,7 @@ def fit_exponential_law(stretch, stress) -> tuple[ExponentialTensileLaw, dict]:
 def check_fit_terms(rows: int, n_terms: int) -> None:
     """Check a spectrum fit's term count, and its rows x (n_terms + 1)
     design matrix against SIZE_BUDGET, before anything is allocated."""
-    check_range("term count", n_terms, low=1, strict=False)
+    check_range("term count", n_terms, low=1, strict=False, integer=True)
     if rows * (n_terms + 1) > SIZE_BUDGET:
         raise DomainError(f"rows x (terms + 1) must be <= {SIZE_BUDGET}, "
                           f"got {rows} x {n_terms + 1}")
@@ -498,10 +502,10 @@ def fit_relaxation_spectrum(times, values, n_terms: int,
     freqs = np.sort(freqs)
 
     from scipy.optimize import nnls     # lazy: importing it costs ~0.6 s
-    A = np.column_stack([np.ones_like(t), np.exp(-np.outer(t, freqs))])
+    A = np.ones((t.size, n_terms + 1))      # [1, exp(-t f)], built in place
+    np.exp(np.multiply.outer(t, -freqs, out=A[:, 1:]), out=A[:, 1:])
     coeffs, _ = nnls(A, g)
-    fitted = A @ coeffs
-    max_err = float(np.max(np.abs(fitted - g)))
+    max_err = float(np.max(np.abs(A @ coeffs - g)))
     spectrum = PronySpectrum(K=float(coeffs[0]),
                              amplitudes=tuple(coeffs[1:]),
                              frequencies=tuple(freqs))

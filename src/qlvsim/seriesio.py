@@ -39,9 +39,7 @@ def _csv_blocks(names, columns, precision: int):
     text, at ``precision`` (an int >= 1) significant digits.  Checks the
     precision and the data before returning, so a caller can open its
     output afterwards; only one block of rows is copied at a time."""
-    if not isinstance(precision, int):
-        raise DomainError(f"precision must be an int, got {precision!r}")
-    check_range("precision", precision, low=1, strict=False)
+    check_range("precision", precision, low=1, strict=False, integer=True)
     columns = [np.asarray(c, dtype=float) for c in columns]
     if any(np.isnan(c).any() for c in columns):
         raise DomainError("cannot serialize NaN")

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import math
 import os
 import subprocess
@@ -323,6 +324,37 @@ class TestStartup:
 
     def test_parser_is_built_once_per_process(self):
         assert _build_parser() is _build_parser()
+
+    def test_the_process_entry_freezes_the_heap_before_exit(self, tmp_path):
+        # an atexit hook of the child's own reads the freeze count; the
+        # output is the bytes cli_main writes in this process
+        hooks = tmp_path / "hooks"
+        hooks.mkdir()
+        (hooks / "sitecustomize.py").write_text(
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(),"
+            " file=sys.stderr))\n")
+        out = tmp_path / "main.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlvsim.cli", "simulate", "--config",
+             str(CHAIN_CFG), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(hooks),
+                                                              SRC])},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        frozen = [line.split() for line in proc.stderr.splitlines()
+                  if line.startswith("frozen ")]
+        assert len(frozen) == 1 and int(frozen[0][1]) > 0, proc.stderr
+        assert cli_main(["simulate", "--config", str(CHAIN_CFG), "--out",
+                         str(tmp_path / "cli_main.csv")]) == 0
+        assert out.read_bytes() == (tmp_path / "cli_main.csv").read_bytes()
+
+    def test_cli_main_freezes_nothing(self, tmp_path):
+        # it runs in its caller's process, whose objects stay collectable
+        before = gc.get_freeze_count()
+        assert cli_main(["simulate", "--config", str(CHAIN_CFG), "--out",
+                         str(tmp_path / "sim.csv")]) == 0
+        assert gc.get_freeze_count() == before
 
 
 RUN_OPTIONS = {"--config", "--out", "--seed"}

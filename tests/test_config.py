@@ -1,5 +1,7 @@
 import ast
 import functools
+import gc
+import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -683,6 +685,53 @@ class TestNesting:
         depth = 600
         errs = errors_of("model: " + "[" * depth + "]" * depth + "\n")
         assert errs == ["invalid YAML: nesting too deep"]
+
+
+class TestCollectorPause:
+    """_load_yaml pauses the cyclic collector while PyYAML builds a
+    document, and leaves it on or off as it found it, on success and on
+    each ConfigError."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("text, error", [
+        (MINIMAL, None),
+        ("model: [1, 2\n", "invalid YAML: while parsing"),
+        ("model: !!float x\n", "invalid YAML: cannot build a value"),
+        ("model: " + "[" * 3000 + "]" * 3000 + "\n",
+         "invalid YAML: nesting too deep")],
+        ids=["loaded", "invalid", "unbuildable", "too-deep"])
+    def test_leaves_the_collector_as_it_found_it(self, collector, text,
+                                                 error):
+        if error is None:
+            assert config._load_yaml(text)["protocol"]["dt"] == 0.1
+        else:
+            with pytest.raises(ConfigError, match=re.escape(error)):
+                config._load_yaml(text)
+        assert gc.isenabled() is collector
+
+    def test_a_dense_network_load_runs_no_collection(self):
+        # 2 x 10^4 decimals in flow-style matrices: the collector, left on,
+        # ran about 89 collections here and found nothing to free
+        text = flow_network_text()
+        assert gc.isenabled()
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+        gc.callbacks.append(count)
+        try:
+            data = config._load_yaml(text)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(data["network"]["stiffness"]) == 100
+        assert starts == []
 
 
 def names(*types):

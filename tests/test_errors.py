@@ -22,8 +22,10 @@ from qlvsim.kernels import (SIZE_BUDGET, FungSpectrum, KelvinParams,
                             fung_to_prony, grid_steps)
 from qlvsim.network import (NonlinearSpring, SpringMassSystem, SystemState,
                             simulate)
-from qlvsim.protocols import ProtocolSpec, check_fit_terms, frequency_sweep
+from qlvsim.protocols import (ProtocolSpec, Series, check_fit_terms,
+                              fit_relaxation_spectrum, frequency_sweep)
 from qlvsim.qlv import QlvModel, StrainHistory
+from qlvsim.seriesio import serialize_series
 
 LAW = ExponentialTensileLaw(B=1.0, C=1.0)
 CYCLIC = ProtocolSpec(kind="cyclic", amplitude=0.05, mean=0.25,
@@ -138,6 +140,24 @@ ARGUMENTS = [
         None, True, "StrainHistory.times"),
 ]
 
+# (a call of one value, the name its check gives): every integer argument
+SERIES = Series(times=np.array([0.0, 0.5]), columns={"x": np.array([1.0, 2.0])})
+INTEGERS = [
+    pytest.param(lambda x: fit_relaxation_spectrum([0, 1, 2], [1, 0.8, 0.7],
+                                                   x), "term count",
+                 id="fit_relaxation_spectrum"),
+    pytest.param(lambda x: fung_to_prony(SPECTRUM, x), "n_terms",
+                 id="fung_to_prony"),
+    pytest.param(lambda x: simulate(ONE_MASS, SystemState.initial(ONE_MASS),
+                                    1.0, 0.1, record_stride=x),
+                 "record_stride", id="simulate.record_stride"),
+    pytest.param(lambda x: serialize_series(SERIES, x), "precision",
+                 id="serialize_series.precision"),
+    *[pytest.param(lambda x, name=name: replace(CYCLIC, **{name: x}), name,
+                   id=f"ProtocolSpec.{name}-cyclic")
+      for name in ("cycles", "samples_per_cycle")],
+]
+
 
 class TestCheckRange:
     @pytest.mark.parametrize("x, message", [
@@ -156,6 +176,31 @@ class TestCheckRange:
 
     def test_an_empty_array_passes(self):
         check_range("x", np.zeros(0), low=0)
+
+    @pytest.mark.parametrize("x", [2, np.int64(2), np.uint8(2), 10 ** 400],
+                             ids=["int", "int64", "uint8", "401-digits"])
+    def test_an_int_is_an_integer(self, x):
+        check_range("x", x, low=1, integer=True)
+
+    @pytest.mark.parametrize("x", [
+        2.5, 2.0, np.float64(2.0), True, np.bool_(True), "2", [2],
+        np.array(2)], ids=["fraction", "whole-float", "float64", "bool",
+                           "numpy-bool", "text", "list", "0-d-array"])
+    def test_anything_else_is_not(self, x):
+        with pytest.raises(DomainError, match=re.escape(
+                f"x must be an int, got {x!r}")):
+            check_range("x", x, low=1, integer=True)
+
+    def test_finiteness_is_checked_first(self):
+        with pytest.raises(DomainError, match="^x must be finite, got nan$"):
+            check_range("x", math.nan, integer=True)
+
+    @pytest.mark.parametrize("x, message", [
+        (np.int64(-1), "must be > 0, got -1"),
+        (np.int32(0), "must be > 0, got 0")], ids=["int64", "int32"])
+    def test_a_numpy_int_is_compared_as_a_number(self, x, message):
+        with pytest.raises(DomainError, match=f"^x {message}$"):
+            check_range("x", x, low=0)
 
 
 class TestCheckBounds:
@@ -231,3 +276,22 @@ class TestEveryBoundedArgument:
                 call(low)
             except DomainError as exc:
                 assert not str(exc).startswith(name), exc
+
+
+class TestEveryIntegerArgument:
+    """Each integer argument rejects a fractional or whole float and a bool
+    with one message, and takes a numpy int as the Python int it equals."""
+
+    @pytest.mark.parametrize("call, name", INTEGERS)
+    @pytest.mark.parametrize("x", [2.5, 3.0, True],
+                             ids=["fraction", "whole-float", "bool"])
+    def test_not_an_int(self, call, name, x):
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be an int, got {x!r}$"):
+            call(x)
+
+    @pytest.mark.parametrize("call, name", INTEGERS)
+    def test_a_numpy_int(self, call, name):
+        same = call(np.int64(3)), call(3)
+        if isinstance(same[0], str):
+            assert same[0] == same[1]

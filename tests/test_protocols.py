@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,6 +280,21 @@ class TestCreep:
             h = free + gain * (te[i] - te[i - 1])
         assert np.array_equal(series.columns["green_strain"],
                               law.green_at_stress(te))
+
+    def test_a_step_of_zero_stiffness_is_a_domain_error(self):
+        # K + the step gains is exactly 0 at this dt, so no T_e solves the
+        # step; a Python float division would raise ZeroDivisionError
+        model = QlvModel.from_kernel(ExponentialTensileLaw(B=10.0, C=2.0),
+                                     PronySpectrum(K=-1.0, amplitudes=(2.0,),
+                                                   frequencies=(1.0,)))
+        dt = 1.59362426004004
+        gain = prony_step(model.prony, 0.0, dt, 1.0)
+        assert model.prony.K + float(gain.sum()) == 0.0
+        spec = ProtocolSpec(kind="creep", duration=4 * dt, dt=dt,
+                            hold_stress=0.5)
+        with pytest.raises(DomainError, match="^creep: K \\+ sum of step "
+                           f"gains is 0 at dt {dt}$"):
+            run_creep(spec, model)
 
     def test_second_order_dt_convergence(self):
         p = VoigtParams(mu=2.0, eta=3.0)
@@ -724,6 +740,49 @@ class TestFitSpectrum:
         coeffs, _ = nnls(A, g)
         assert np.array_equal([fitted.K, *fitted.amplitudes], coeffs)
         assert diag["max_error"] == float(np.max(np.abs(A @ coeffs - g)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 400), terms=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), span=st.floats(1e-6, 1e6))
+    def test_design_matrix_is_the_stacked_one_byte_for_byte(self, n, terms,
+                                                            seed, span):
+        # the matrix nnls gets equals the form that stacked a column of
+        # ones and exp(-outer(t, f)), and so does the fit
+        import scipy.optimize
+        rng = np.random.default_rng(seed)
+        t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, span, n - 1))])
+        t = np.unique(t)
+        g = np.exp(-t / t[-1] * rng.uniform(0.1, 5.0))
+        seen, nnls = [], scipy.optimize.nnls
+        with mock.patch.object(scipy.optimize, "nnls", lambda A, b: (
+                seen.append(A.copy()) or nnls(A, b))):
+            fitted, diag = fit_relaxation_spectrum(t, g, terms)
+        freqs = np.array(fitted.frequencies)
+        stacked = np.column_stack([np.ones_like(t),
+                                   np.exp(-np.outer(t, freqs))])
+        assert seen[0].tobytes() == stacked.tobytes()
+        coeffs, _ = nnls(stacked, g)
+        assert np.array_equal([fitted.K, *fitted.amplitudes], coeffs)
+        assert diag["max_error"] == float(np.max(np.abs(stacked @ coeffs
+                                                        - g)))
+
+    def test_design_matrix_is_its_one_full_size_array(self):
+        # rows x (terms + 1) doubles: the stacked form held its exp block
+        # (rows x terms) beside it, about twice the peak at nnls's call
+        import scipy.optimize
+        t = np.linspace(0.0, 10.0, 20000)
+        g, terms = np.exp(-t), 8
+        full = t.size * (terms + 1) * 8
+        peaks, nnls = [], scipy.optimize.nnls
+        with mock.patch.object(scipy.optimize, "nnls", lambda A, b: (
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                or nnls(A, b))):
+            tracemalloc.start()
+            try:
+                fit_relaxation_spectrum(t, g, terms)
+            finally:
+                tracemalloc.stop()
+        assert full <= peaks[0] < 1.5 * full
 
     @pytest.mark.parametrize("terms", [-1, 0])
     def test_needs_a_term(self, terms):

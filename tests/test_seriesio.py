@@ -67,7 +67,7 @@ class TestWrite:
         (0, "precision must be >= 1, got 0"),
         (-1, "precision must be >= 1, got -1"),
         (2.5, "precision must be an int, got 2.5"),
-        (float("nan"), "precision must be an int, got nan")],
+        (float("nan"), "precision must be finite, got nan")],
         ids=["zero", "negative", "fraction", "nan"])
     def test_precision_is_an_int_of_at_least_one(self, tmp_path, precision,
                                                  message):
