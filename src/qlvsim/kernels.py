@@ -349,11 +349,13 @@ def periodic_force_history(spectrum: PronySpectrum, dt,
 
 
 def exp_integral_e1(x):
-    """Exponential integral E1(x) = int_x^inf exp(-u)/u du, for x > 0."""
+    """Exponential integral E1(x) = int_x^inf exp(-u)/u du, for x > 0.  Past
+    x = 746, E1(x) < exp(-x)/x rounds to +0.0, so exp1 runs only up to it."""
     x = np.asarray(x, dtype=float)
     check_range("x", x, low=0)
     from scipy.special import exp1    # lazy: only E1 needs scipy.special
-    out = exp1(x)
+    out, live = np.zeros(x.shape), x <= 746.0
+    out[live] = exp1(x[live])
     return float(out) if out.ndim == 0 else out
 
 
@@ -364,17 +366,12 @@ def fung_reduced_relaxation(s: FungSpectrum, t):
     G(0) = 1 and long-time limit 1/(1 + c*ln(q2/q1)).
     """
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
     check_range("t", t, low=0, strict=False)
-    denom = 1.0 + s.c * math.log(s.q2 / s.q1)
-    out = np.ones_like(t)
-    pos = t > 0
-    if np.any(pos):
-        tp = t[pos]
+    out, pos = np.ones(t.shape), t > 0
+    if (tp := t[pos]).size:     # scipy is imported only for a t > 0
         diff = exp_integral_e1(tp / s.q2) - exp_integral_e1(tp / s.q1)
-        out[pos] = (1.0 + s.c * diff) / denom
-    return float(out[0]) if scalar else out
+        out[pos] = (1.0 + s.c * diff) / (1.0 + s.c * math.log(s.q2 / s.q1))
+    return float(out) if out.ndim == 0 else out
 
 
 def fung_long_time_limit(s: FungSpectrum) -> float:

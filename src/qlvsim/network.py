@@ -106,6 +106,9 @@ class KernelEntry:
     j: int
     spectrum: PronySpectrum
 
+    def __post_init__(self):
+        check_bounds(self, "i", "j", low=0, strict=False, integer=True)
+
 
 @dataclass(frozen=True)
 class NonlinearSpring:
@@ -124,6 +127,8 @@ class NonlinearSpring:
     kernel: PronySpectrum | None = None
 
     def __post_init__(self):
+        ends = ("i",) if self.j is None else ("i", "j")
+        check_bounds(self, *ends, low=0, strict=False, integer=True)
         check_bounds(self, "rest_length", low=0)
         if self.kernel is not None and abs(self.kernel.at_zero - 1.0) > 1e-9:
             raise DomainError("nonlinear-spring kernel must be normalized")
@@ -171,11 +176,13 @@ class _Stack:
         n, K = system.n, system.stiffness
         mem, aero = system.memory_kernels, system.aero_kernels
         springs = system.nonlinear_springs
-        ij = np.array([(e.i, e.j) for e in mem + aero], dtype=int).reshape(-1, 2)
-        bad = np.flatnonzero(((ij < 0) | (ij >= n)).any(axis=1))
-        if bad.size:
-            i, j = ij[bad[0]].tolist()
-            raise DomainError(f"kernel entry ({i}, {j}) out of range for n={n}")
+        index = np.array([(e.i, e.j) for e in mem + aero] + [
+            (s.i, -1 if s.j is None else s.j) for s in springs],
+            dtype=int).reshape(-1, 2)           # -1: a spring's ground end
+        if (top := index.max(initial=-1)) >= n:
+            raise DomainError(f"network index {top} out of range for n={n}")
+        ij, spring_ends = np.split(index, [len(mem) + len(aero)])
+        spring_ends[spring_ends < 0] = n + len(springs)     # the ground slot
         k_mem = K[ij[:len(mem), 0], ij[:len(mem), 1]]
         equilibrium = np.array([e.spectrum.K for e in mem])
         bad = np.flatnonzero(np.abs(equilibrium - k_mem)
@@ -185,12 +192,6 @@ class _Stack:
             raise DomainError(
                 f"memory kernel at ({e.i}, {e.j}) has equilibrium "
                 f"{e.spectrum.K}, stiffness entry is {k_mem[bad[0]]}")
-        if any(not (0 <= s.i < n and (s.j is None or 0 <= s.j < n))
-               for s in springs):
-            raise DomainError("nonlinear spring endpoint out of range")
-        ground = n + len(springs)
-        spring_ends = np.array([(s.i, ground if s.j is None else s.j)
-                                for s in springs], dtype=int).reshape(-1, 2)
         relaxing = [k for k, s in enumerate(springs) if s.kernel is not None]
         spectra = ([e.spectrum for e in mem]
                    + [springs[k].kernel for k in relaxing]

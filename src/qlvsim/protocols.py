@@ -485,6 +485,7 @@ def fit_relaxation_spectrum(times, values, n_terms: int,
     if t.size < 2 or g.shape != t.shape:
         raise DomainError("need matching time and value arrays with >= 2 samples")
     check_fit_terms(t.size, n_terms)
+    check_range("times", t)
     if t[0] != 0.0 or abs(g[0] - 1.0) > 1e-9:
         raise DomainError("relaxation series must start at (0, 1); "
                           "normalize before fitting")
@@ -502,11 +503,11 @@ def fit_relaxation_spectrum(times, values, n_terms: int,
     freqs = np.sort(freqs)
 
     from scipy.optimize import nnls     # lazy: importing it costs ~0.6 s
-    A = np.ones((t.size, n_terms + 1))      # [1, exp(-t f)], built in place
-    np.exp(np.multiply.outer(t, -freqs, out=A[:, 1:]), out=A[:, 1:])
+    A = np.multiply.outer(t, np.append(-0.0, -freqs))   # [1, exp(-t f)]
+    for block in np.split(A, range(_BLOCK_ROWS, len(A), _BLOCK_ROWS)):
+        np.putmask(block, block < -746.0, -np.inf)  # +0.0 either way, but fast
+    np.exp(A, out=A)
     coeffs, _ = nnls(A, g)
     max_err = float(np.max(np.abs(A @ coeffs - g)))
-    spectrum = PronySpectrum(K=float(coeffs[0]),
-                             amplitudes=tuple(coeffs[1:]),
-                             frequencies=tuple(freqs))
-    return spectrum, {"max_error": max_err}
+    return PronySpectrum(K=float(coeffs[0]), amplitudes=tuple(coeffs[1:]),
+                         frequencies=tuple(freqs)), {"max_error": max_err}

@@ -20,8 +20,8 @@ from qlvsim.kernels import (SIZE_BUDGET, FungSpectrum, KelvinParams,
                             MaxwellParams, PronySpectrum, VoigtParams,
                             exp_integral_e1, fung_reduced_relaxation,
                             fung_to_prony, grid_steps)
-from qlvsim.network import (NonlinearSpring, SpringMassSystem, SystemState,
-                            simulate)
+from qlvsim.network import (KernelEntry, NonlinearSpring, SpringMassSystem,
+                            SystemState, simulate)
 from qlvsim.protocols import (ProtocolSpec, Series, check_fit_terms,
                               fit_relaxation_spectrum, frequency_sweep)
 from qlvsim.qlv import QlvModel, StrainHistory
@@ -38,6 +38,9 @@ RELAXATION = ProtocolSpec(kind="relaxation", duration=1.0, dt=0.1,
 
 FUNG_FREE = ("alpha1", "alpha2", "alpha3", "alpha4", "a4",
              "gamma1", "gamma2", "gamma3", "gamma4", "gamma5")
+
+ENTRY = KernelEntry(i=0, j=0, spectrum=PronySpectrum(K=1.0))
+SPRING = NonlinearSpring(i=0, j=1, law=LAW)
 
 # (a valid instance, a bounded field, its low bound or None, strict)
 FIELDS = [
@@ -58,6 +61,8 @@ FIELDS = [
     *[(FungSpectrum(c=0.5, q1=0.01, q2=100.0), name, 0, True)
       for name in ("c", "q1")],
     (NonlinearSpring(i=0, j=None, law=LAW), "rest_length", 0, True),
+    *[(owner, name, 0, False) for owner in (ENTRY, SPRING)
+      for name in ("i", "j")],
     *[(CYCLIC, name, 0, True)
       for name in ("amplitude", "angular_frequency")],
     (CYCLIC, "mean", 0, False),
@@ -138,6 +143,9 @@ ARGUMENTS = [
         None, True, "StrainHistory.values"),
     arg(lambda x: StrainHistory(times=[0.0, x], values=[0.0, 0.0]), "times",
         None, True, "StrainHistory.times"),
+    arg(lambda x: fit_relaxation_spectrum([0.0, 1.0, x], [1.0, 0.8, 0.7], 2,
+                                          [0.5, 1.0]), "times", None, True,
+        "fit_relaxation_spectrum.times"),
 ]
 
 # (a call of one value, the name its check gives): every integer argument
@@ -156,6 +164,9 @@ INTEGERS = [
     *[pytest.param(lambda x, name=name: replace(CYCLIC, **{name: x}), name,
                    id=f"ProtocolSpec.{name}-cyclic")
       for name in ("cycles", "samples_per_cycle")],
+    *[pytest.param(lambda x, owner=owner, name=name: replace(
+        owner, **{name: x}), name, id=f"{type(owner).__name__}.{name}")
+      for owner in (ENTRY, SPRING) for name in ("i", "j")],
 ]
 
 

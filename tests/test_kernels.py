@@ -175,6 +175,27 @@ class TestExpIntegral:
         with pytest.raises(DomainError):
             exp_integral_e1(-1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.one_of(
+        st.floats(700.0, 800.0),                    # across the cut at 746
+        st.sampled_from([746.0, np.nextafter(746.0, np.inf), 745.13]),
+        st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)), max_size=64))
+    def test_is_scipys_exp1_byte_for_byte(self, x):
+        x = np.array(x, dtype=float)
+        assert exp_integral_e1(x).tobytes() == exp1(x).tobytes()
+        for one in x[:3]:       # a Python float and a 0-d array: a float
+            for arg in (float(one), np.array(one)):
+                got = exp_integral_e1(arg)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == exp1(one).tobytes()
+
+    def test_scipys_exp1_is_plus_zero_past_746(self):
+        # the premise of skipping exp1 past 746: E1(x) < exp(-x)/x, which
+        # is below half the least subnormal there; scipy's exp1 agrees
+        x = np.concatenate([np.linspace(746.0, 800.0, 100_001),
+                            np.geomspace(800.0, 1e6, 100_001)])
+        assert exp1(x).tobytes() == np.zeros(x.size).tobytes()
+
 
 class TestFungSpectrum:
     def test_normalization_at_zero(self):
@@ -194,6 +215,16 @@ class TestFungSpectrum:
         expected = (1.0 + num) / (1.0 + s.c * math.log(s.q2 / s.q1))
         assert fung_reduced_relaxation(s, t) == pytest.approx(expected,
                                                               rel=1e-8)
+
+    def test_is_the_exp1_formula_byte_for_byte(self):
+        # on a 1000 s grid t/q1 passes 746 at t = 7.46 s, where E1(t/q1)
+        # is skipped as +0.0
+        s = FungSpectrum(c=0.5, q1=0.01, q2=100.0)
+        t = np.arange(100_001) * 0.01
+        tp = t[1:]
+        want = np.append(1.0, (1.0 + s.c * (exp1(tp / s.q2) - exp1(tp / s.q1)))
+                         / (1.0 + s.c * math.log(s.q2 / s.q1)))
+        assert fung_reduced_relaxation(s, t).tobytes() == want.tobytes()
 
     def test_invalid(self):
         with pytest.raises(DomainError):

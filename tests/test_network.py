@@ -537,6 +537,64 @@ class TestSimulate:
             simulate(system, SystemState.initial(system), duration=1.0, dt=dt)
 
 
+SPEC = PronySpectrum(K=0.0, amplitudes=(0.5,), frequencies=(2.0,))
+LAW = ExponentialTensileLaw(B=2.0, C=0.5)
+PAIR = dict(masses=[1.0, 2.0], stiffness=[[2.0, -1.0], [-1.0, 2.0]])
+
+
+class TestIndices:
+    """A KernelEntry's or NonlinearSpring's indices are ints in [0, n):
+    each checked by its owner, then all against n in one place."""
+
+    @pytest.mark.parametrize("x", [0.7, 1.0, True],
+                             ids=["fraction", "whole-float", "bool"])
+    @pytest.mark.parametrize("make, name", [
+        (lambda x: KernelEntry(x, 0, SPEC), "i"),
+        (lambda x: KernelEntry(0, x, SPEC), "j"),
+        (lambda x: NonlinearSpring(x, None, LAW), "i"),
+        (lambda x: NonlinearSpring(0, x, LAW), "j")],
+        ids=["entry.i", "entry.j", "spring.i", "spring.j"])
+    def test_not_an_int_is_rejected_not_truncated(self, make, name, x):
+        # 0.7 was taken as 0: NonlinearSpring(0.7, None, law) simulated
+        # exactly as NonlinearSpring(0, None, law)
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be an int, got {x!r}$"):
+            make(x)
+
+    def test_a_numpy_int_is_the_int(self):
+        def final(k):
+            system = SpringMassSystem(
+                **PAIR, aero_kernels=(KernelEntry(k(1), k(0), SPEC),),
+                nonlinear_springs=(NonlinearSpring(k(0), k(1), LAW),
+                                   NonlinearSpring(k(1), None, LAW)))
+            state = SystemState.initial(system, q=[0.01, -0.02])
+            return simulate(system, state, 0.5, 0.01).final_state
+        ints, numpy_ints = final(int), final(np.int64)
+        assert ints.q.tobytes() == numpy_ints.q.tobytes()
+        assert ints.h.tobytes() == numpy_ints.h.tobytes()
+
+    @pytest.mark.parametrize("extra, top", [
+        ({"memory_kernels": (KernelEntry(0, 2, SPEC),)}, 2),
+        ({"aero_kernels": (KernelEntry(5, 1, SPEC),)}, 5),
+        ({"nonlinear_springs": (NonlinearSpring(0, 3, LAW),)}, 3),
+        ({"nonlinear_springs": (NonlinearSpring(2, None, LAW),)}, 2),
+        ({"aero_kernels": (KernelEntry(1, 4, SPEC),),
+          "nonlinear_springs": (NonlinearSpring(1, 0, LAW),
+                                NonlinearSpring(7, None, LAW))}, 7)],
+        ids=["memory", "aero", "spring", "ground-spring", "largest"])
+    def test_an_index_past_n(self, extra, top):
+        with pytest.raises(DomainError, match=(
+                f"^network index {top} out of range for n=2$")):
+            SpringMassSystem(**PAIR, **extra)
+
+    def test_every_index_below_n_is_taken(self):
+        system = SpringMassSystem(
+            **PAIR, aero_kernels=(KernelEntry(1, 1, SPEC),),
+            nonlinear_springs=(NonlinearSpring(1, None, LAW),
+                               NonlinearSpring(1, 0, LAW)))
+        assert system._stack.spring_ends.tolist() == [[1, 4], [1, 0]]
+
+
 class TestNonlinearSpring:
     def test_static_tension(self):
         law = ExponentialTensileLaw(B=1.0, C=1.0)

@@ -784,6 +784,29 @@ class TestFitSpectrum:
                 tracemalloc.stop()
         assert full <= peaks[0] < 1.5 * full
 
+    def test_design_matrix_across_mask_blocks_is_the_stacked_one(self):
+        # 5000 rows, five 1024-row mask blocks; exp(-t f) underflows from
+        # t = 746/f on, partway through a block for the higher frequencies
+        import scipy.optimize
+        t = np.arange(5000) * 0.37
+        g = np.exp(-t / t[-1])
+        seen, nnls = [], scipy.optimize.nnls
+        with mock.patch.object(scipy.optimize, "nnls", lambda A, b: (
+                seen.append(A.copy()) or nnls(A, b))):
+            fitted, _ = fit_relaxation_spectrum(t, g, 8)
+        stacked = np.column_stack([np.ones_like(t), np.exp(
+            -np.outer(t, fitted.frequencies))])
+        assert seen[0].tobytes() == stacked.tobytes()
+        assert 0 < (stacked == 0).sum() < stacked.size // 2
+        assert ((stacked > 0) & (stacked < 1e-300)).any()
+
+    def test_numpys_exp_is_plus_zero_below_minus_746(self):
+        # the premise of the design matrix's -inf mask: numpy's exp gives
+        # +0.0 there too, only slower than for -inf
+        x = -np.concatenate([np.linspace(746.0, 800.0, 100_001),
+                             np.geomspace(800.0, 1e300, 100_001)])
+        assert np.exp(x).tobytes() == np.zeros(x.size).tobytes()
+
     @pytest.mark.parametrize("terms", [-1, 0])
     def test_needs_a_term(self, terms):
         t = np.linspace(0.0, 5.0, 20)
