@@ -9,6 +9,7 @@ stopping at the first; unknown keys are rejected.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 import re
@@ -409,30 +410,11 @@ def _build_sweep(v: _Validator, section: dict):
     return freqs
 
 
-class _Decimals:
-    """Loader mixin: ``float(value)`` builds each _DECIMAL (a YAML 1.1 float
-    with no '_', ':', inf or nan) in a sequence as the base would: a digit or
-    sign resolves float first; construct_yaml_float is sign*float(rest), the
-    same bits, never raising; !!float too; no float is ever anchored."""
-    def resolve(self, kind, value, implicit):   # a bool for collections
-        if kind is yaml.ScalarNode and implicit[0] and _DECIMAL(value):
-            return "tag:yaml.org,2002:float"
-        return super().resolve(kind, value, implicit)
-
-    def construct_sequence(self, node, deep=False):
-        if node.id != "sequence":
-            return super().construct_sequence(node, deep)   # raises
-        return [float(c.value) if c.tag == "tag:yaml.org,2002:float"
-                and c.id == "scalar" and _DECIMAL(c.value)
-                else self.construct_object(c, deep) for c in node.value]
-
-
 _TOP_KEYS = {"model", "network", "protocol", "sweep", "output"}
 _DECIMAL = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?\Z").match
 
-# libyaml's loader (with _Decimals) and emitter if PyYAML has them
-_LOADER = type("_Loader", (_Decimals, getattr(yaml, "CSafeLoader",
-                                              yaml.SafeLoader)), {})
+# libyaml's loader and emitter if PyYAML has them
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 # libyaml composes nested collections by C recursion, which overflows the
 # stack (a crash, not an exception) some 20k levels deep.  No valid config
@@ -440,31 +422,49 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 _MAX_DEPTH = 1000
 
 
-def _deeper_than(text: str, limit: int) -> bool:
-    """Whether a YAML stream nests collections deeper than ``limit``.
-    Reads its events only up to that depth: libyaml's scanner takes time
-    quadratic in the depth."""
-    depth = 0
-    for event in yaml.parse(text, Loader=_LOADER):
-        if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > limit:
-                return True
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
-    return False
-
-
 def _load_yaml(text: str):
-    """The parsed document; ConfigError if it is not valid YAML or nests
-    deeper than _MAX_DEPTH."""
+    """The parsed document, built from the loader's events one at a time (a
+    plain _DECIMAL as float(value), PyYAML's float bit for bit), or by
+    yaml.load at an anchor, an alias, a tagged collection, a collection key,
+    a second document or a scalar PyYAML cannot build (a ``<<`` or ``=``
+    key).  ConfigError if it is not valid YAML or nests past _MAX_DEPTH."""
     enabled = gc.isenabled()
-    gc.disable()    # while PyYAML builds it: its many objects form no cycles
-    try:
-        # every collection opens at one of these characters, so their count
-        # bounds the depth; only a text with many of them is parsed twice
-        if (sum(map(text.count, "[{-?:")) <= _MAX_DEPTH
-                or not _deeper_than(text, _MAX_DEPTH)):
+    gc.disable()    # while it is built: its many objects form no cycles
+    try:    # the open collections as lists, under one for the documents
+        loader, stack = _LOADER(text), [[]]
+        for event in iter(loader.get_event, None):
+            kind = type(event)
+            try:
+                if kind is yaml.ScalarEvent and event.anchor is None:
+                    if event.implicit[0] and _DECIMAL(event.value):
+                        stack[-1].append(float(event.value))
+                    else:   # !!seq 1 raises in construct_document alone
+                        tag = event.tag or loader.resolve(
+                            yaml.ScalarNode, event.value, event.implicit)
+                        stack[-1].append(loader.construct_document(
+                            yaml.ScalarNode(tag, event.value)))
+                elif (issubclass(kind, yaml.CollectionStartEvent)
+                      and event.anchor is event.tag is None
+                      and len(stack) <= _MAX_DEPTH):
+                    stack.append([])
+                elif issubclass(kind, yaml.CollectionEndEvent):
+                    items = stack.pop()     # a mapping's: key, value, key, ...
+                    stack[-1].append(items if kind is yaml.SequenceEndEvent
+                                     else dict(zip(items[::2], items[1::2])))
+                elif issubclass(kind, yaml.NodeEvent) or (
+                        kind is yaml.DocumentStartEvent and stack[0]):
+                    break
+            except Exception:   # a collection key's TypeError among them:
+                break           # yaml.load raises it, with its marks
+        else:
+            return stack[0][0] if stack[0] else None
+        depth = len(stack) - 1 + issubclass(kind, yaml.CollectionStartEvent)
+        # yaml.load composes it all: read the rest for its depth only
+        with contextlib.suppress(yaml.YAMLError):   # yaml.load reports it
+            while depth <= _MAX_DEPTH and (event := loader.get_event()):
+                depth += (isinstance(event, yaml.CollectionStartEvent)
+                          - isinstance(event, yaml.CollectionEndEvent))
+        if depth <= _MAX_DEPTH:
             return yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError([f"invalid YAML: {exc}"]) from exc

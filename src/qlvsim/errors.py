@@ -13,12 +13,14 @@ class DomainError(QlvError, ValueError):
     """An input violates a documented precondition or parameter invariant."""
 
 
-def check_range(name: str, x, low=None, strict=True, integer=False) -> None:
+def check_range(name: str, x, low=None, strict=True, integer=False,
+                increasing=False) -> None:
     """DomainError unless ``x``, a number or an array, is finite and, when
-    ``low`` is given, > low (>= low when not ``strict``), and with
-    ``integer`` a Python or numpy int other than a bool.  An int is compared
-    as an int, however many digits it has; a non-number is read as an array,
-    whose fault names its first non-finite entry or its minimum."""
+    ``low`` is given, > low (>= low when not ``strict``), with ``integer`` a
+    Python or numpy int other than a bool, and with ``increasing`` an array
+    that strictly increases.  An int is compared as an int, however many
+    digits it has; a non-number is read as an array, whose fault names its
+    first non-finite entry, its minimum or the index where it stalls."""
     if isinstance(x, (int, float, np.integer)):
         if not (isinstance(x, int) or math.isfinite(x)):
             raise DomainError(f"{name} must be finite, got {float(x)}")
@@ -34,6 +36,9 @@ def check_range(name: str, x, low=None, strict=True, integer=False) -> None:
     if low is not None and not (least > low if strict else least >= low):
         raise DomainError(f"{name} must be {'>' if strict else '>='} {low}, "
                           f"got {got}{least}")
+    if increasing and (stalls := np.diff(x) <= 0).any():
+        raise DomainError(f"{name} must be strictly increasing "
+                          f"(index {int(stalls.argmax()) + 1})")
 
 
 def check_bounds(owner, *names, low=None, strict=True, integer=False) -> None:

@@ -282,10 +282,8 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     xs = np.asarray(displacement, dtype=float)
     if times.shape != xs.shape or times.ndim != 1:
         raise DomainError("times and displacement must be 1-D of equal length")
+    check_range("times", times, increasing=True)
     dts = np.diff(times)
-    if np.any(dts <= 0):
-        idx = int(np.argmax(dts <= 0))
-        raise DomainError(f"times must be strictly increasing (index {idx + 1})")
     if not spectrum.amplitudes:     # no internal variables
         return spectrum.K * xs + 0.0
     dxs = np.diff(xs)
@@ -420,8 +418,7 @@ class ReducedRelaxation:
     def value(self, t):
         """G(t) for t >= 0; at t = 0 the one-sided limit 1 is returned."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise DomainError("reduced relaxation requires t >= 0")
+        check_range("t", t, low=0, strict=False)
         k = self.kernel
         if isinstance(k, PronySpectrum):
             return prony_relaxation(k, t)

@@ -485,7 +485,7 @@ def fit_relaxation_spectrum(times, values, n_terms: int,
     if t.size < 2 or g.shape != t.shape:
         raise DomainError("need matching time and value arrays with >= 2 samples")
     check_fit_terms(t.size, n_terms)
-    check_range("times", t)
+    check_range("times", t, increasing=True)
     if t[0] != 0.0 or abs(g[0] - 1.0) > 1e-9:
         raise DomainError("relaxation series must start at (0, 1); "
                           "normalize before fitting")

@@ -39,12 +39,9 @@ class StrainHistory:
             raise DomainError("times and values must be 1-D arrays of equal length")
         if times.size == 0:
             raise DomainError("history must contain at least one sample")
-        check_range("times", times)
+        check_range("times", times, increasing=True)
         if times[0] != 0.0:
             raise DomainError(f"first sample time must be 0, got {times[0]}")
-        if (stalls := np.diff(times) <= 0).any():
-            raise DomainError("times must be strictly increasing "
-                              f"(index {int(stalls.argmax()) + 1})")
         check_range("strain values", values)
         if self.measure not in ("green", "stretch"):
             raise DomainError(f"unknown strain measure {self.measure!r}")

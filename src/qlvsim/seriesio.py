@@ -2,9 +2,9 @@
 
 Files have a single header row naming the columns (the first must be
 ``time``), LF line endings, and values formatted with a fixed precision so
-identical data always serializes to identical bytes.  Rows are written in
-blocks of ``_BLOCK_ROWS`` and read by one pass of numpy's C parser; only a
-file that pass fails on is read again, row by row with ``csv.reader``.
+identical data always serializes to identical bytes.  Rows are written
+in blocks of ``_BLOCK_VALUES`` values and read by numpy's C parser; only a
+file it fails on is read again, row by row with ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import DomainError, check_range
 from .protocols import Series
 
 _DEFAULT_PRECISION = 17
-_BLOCK_ROWS = 8192
+_BLOCK_VALUES = 8192
 
 
 def format_value(x: float, precision: int = _DEFAULT_PRECISION) -> str:
@@ -46,10 +46,11 @@ def _csv_blocks(names, columns, precision: int):
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(names)
     row = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
+    rows = max(1, _BLOCK_VALUES // len(columns))
 
     def blocks():
-        for i in range(0, len(columns[0]), _BLOCK_ROWS):
-            data = np.column_stack([c[i:i + _BLOCK_ROWS] for c in columns])
+        for i in range(0, len(columns[0]), rows):
+            data = np.column_stack([c[i:i + rows] for c in columns])
             data += 0.0     # -0 becomes 0; '%g' then equals format_value
             yield (row * len(data)) % tuple(data.ravel().tolist())
     return chain([header.getvalue()], blocks())

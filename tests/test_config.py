@@ -1,9 +1,10 @@
 import ast
-import functools
 import gc
 import re
+import tracemalloc
 from dataclasses import MISSING, fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -466,7 +467,22 @@ def same_document(a, b):
         assert a == b, (a, b)
 
 
-# each loader with the decimal fast path, and its base
+CONFIG_KEYS = ["model", "network", "protocol", "output", "kind", "path",
+               "masses", "stiffness", "amplitudes", "frequencies", "dt"]
+# keys, and long strings, as a valid config has them; short strings of
+# any characters
+RAW_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126),
+            max_size=200),
+    st.text(max_size=8))
+RAW_DOCS = st.dictionaries(st.sampled_from(CONFIG_KEYS), st.recursive(
+    RAW_LEAVES, lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(CONFIG_KEYS), inner, max_size=4),
+    max_leaves=30), max_size=5)
+
+
+# the two loaders _load_yaml may build from
 BASES = [pytest.param(yaml.SafeLoader, id="python"),
          pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
                       marks=pytest.mark.skipif(
@@ -474,23 +490,41 @@ BASES = [pytest.param(yaml.SafeLoader, id="python"),
                           reason="PyYAML built without libyaml"))]
 
 
-@functools.cache
-def fast_loader(base):
-    return type("Fast" + base.__name__, (config._Decimals, base), {})
+def reference_load(text, base):
+    """yaml.load by ``base``, its errors mapped as _load_yaml maps them."""
+    try:
+        return yaml.load(text, Loader=base)
+    except yaml.YAMLError as exc:
+        raise ConfigError([f"invalid YAML: {exc}"])
+    except (ValueError, IndexError, KeyError, AttributeError) as exc:
+        raise ConfigError([f"invalid YAML: cannot build a value "
+                           f"({type(exc).__name__}: {exc})"])
+    except RecursionError:
+        raise ConfigError(["invalid YAML: nesting too deep"])
+
+
+def outcome(load, *args):
+    """The document ``load`` builds, or its ConfigError messages as a
+    tuple, which no safe loader builds."""
+    try:
+        return load(*args)
+    except ConfigError as exc:
+        return tuple(exc.errors)
 
 
 def same_load(text, base):
-    """The fast loader builds what its base builds, or raises as it does."""
-    results = []
-    for loader in (fast_loader(base), base):
-        try:
-            results.append(yaml.load(text, Loader=loader))
-        except Exception as exc:    # compared by type
-            results.append(type(exc))
-    if isinstance(results[1], type):
-        assert results[0] is results[1]
-    else:
-        same_document(*results)
+    """_load_yaml on ``base`` builds what yaml.load builds, or raises the
+    same ConfigError."""
+    with mock.patch.object(config, "_LOADER", base):
+        same_document(outcome(config._load_yaml, text),
+                      outcome(reference_load, text, base))
+
+
+def loads_calls(text):
+    """How many times _load_yaml hands ``text`` to yaml.load."""
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
+        outcome(config._load_yaml, text)
+    return load.call_count
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
@@ -513,41 +547,77 @@ class TestLibyamlLoader:
         same_document(yaml.load(YAML_EDGE_CASES, Loader=yaml.CSafeLoader),
                       yaml.load(YAML_EDGE_CASES, Loader=yaml.SafeLoader))
 
-    def test_loader_builds_decimals_with_libyaml(self):
-        assert config._LOADER.__mro__[1:3] == (config._Decimals,
-                                               yaml.CSafeLoader)
+    def test_loader_is_libyamls(self):
+        assert config._LOADER is yaml.CSafeLoader
 
-    def test_wide_config_gets_the_exact_depth_check(self):
-        # more collection-opening characters than the depth limit, so
-        # the text is parsed for its depth before it is loaded
+    def test_wide_config_is_parsed_once_from_its_events(self):
+        # more collection-opening characters than the depth limit, which
+        # once took a second parse for the depth; one loader reads it now,
+        # and yaml.load never runs
         text = flow_network_text()
         assert text.count("-") > config._MAX_DEPTH
-        assert config._deeper_than(text, 3)
-        assert not config._deeper_than(text, 4)
-        assert parse_config(text).network.n == 100
+        made = []
+
+        class Counted(yaml.CSafeLoader):
+            def __init__(self, stream):
+                made.append(stream)
+                super().__init__(stream)
+        with mock.patch.object(config, "_LOADER", Counted):
+            assert loads_calls(text) == 0
+            assert parse_config(text).network.n == 100
+        assert made == [text, text]
+
+    def test_a_dense_network_load_keeps_no_node_tree(self):
+        # PyYAML's composer held one ScalarNode with two marks for each of
+        # the 2 x 10^4 entries at once: a peak of 8.25 MB
+        text = flow_network_text()
+        tracemalloc.start()
+        try:
+            config._load_yaml(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
 
 
 # short scalars of number characters, YAML's non-finite floats and spaces,
-# some with an explicit tag
-SCALARS = st.builds(
-    "{}{}".format, st.sampled_from(["", "!!float ", "!!str "]),
-    st.one_of(st.text("0123456789.+-eE_: ", min_size=1, max_size=8),
-              st.sampled_from([".inf", "-.inf", ".nan", " 1.5 "])))
+# with an anchor, an alias or an explicit tag in front of some; a few
+# anchor names, so that some aliases are undefined and some anchors repeat
+SCALARS = st.one_of(
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", "", "&a ", "&b "]),
+        st.sampled_from(["", "", "!!float ", "!!str ", "!!int ", "!!bool ",
+                         "!!null ", "!!seq ", "! "]),
+        st.one_of(st.text("0123456789.+-eE_: ", min_size=1, max_size=8),
+                  st.sampled_from([".inf", "-.inf", ".nan", " 1.5 ", "yes",
+                                   "~", "'1.5'", "<<", "="]))),
+    st.sampled_from(["*a", "*b", "&a [1.5]", "&b {k: 2.5}", "!!seq [1]",
+                     "{1.5: x}", "[]"]))
 
 
 def shapes(scalars):
-    """A flow sequence, a block sequence, and a mapping that anchors the first
-    scalar and aliases it inside sequences."""
-    return ["[" + ", ".join(scalars) + "]\n",
+    """A flow sequence, a block sequence, a flow mapping keyed by the
+    scalars, a mapping that anchors the first scalar and aliases it inside
+    sequences, one whose keys are a flow sequence and a flow mapping, and
+    one that merges a mapping and has a ``=`` key."""
+    items = ", ".join(scalars)
+    return ["[" + items + "]\n",
             "".join(f"- {x}\n" for x in scalars),
-            f"first: &a {scalars[0]}\nitems: [{', '.join(scalars)}]\n"
-            "again: [*a, [*a]]\n"]
+            "{" + ", ".join(f"{x}: {i}" for i, x in enumerate(scalars))
+            + "}\n",
+            f"first: &a {scalars[0]}\nitems: [{items}]\n"
+            "again: [*a, [*a]]\n",
+            f"? [{items}]\n: 1\n? {{{scalars[-1]}: 2}}\n: 3\n",
+            f"base: &m {{k: {scalars[0]}}}\nmerged: {{<<: *m, =: "
+            f"{scalars[-1]}}}\n"]
 
 
 @pytest.mark.parametrize("base", BASES)
-class TestDecimalFastPath:
-    """A loader with the decimal fast path builds the same document as its
-    base, down to types and float bits, or raises the same exception."""
+class TestEventBuilder:
+    """_load_yaml, built from the loader's events, gives the document
+    yaml.load builds, down to types and float bits, or the same
+    ConfigError; it hands over to yaml.load only where it must."""
 
     @pytest.mark.parametrize("text", [
         YAML_EDGE_CASES,
@@ -560,15 +630,67 @@ class TestDecimalFastPath:
 
     @pytest.mark.parametrize("text", [
         "[!!float [1.5]]", "[!!float {a: 1.5}]", "!!seq 1.5", "!!seq {a: 1}",
-        "[!!float x]", "[!!float ]", "[!!float 1_0.5, !!float 1:30.5]"])
-    def test_same_error_or_document_for_odd_tags(self, base, text):
+        "[!!float x]", "[!!float ]", "[!!float 1_0.5, !!float 1:30.5]",
+        "{&a 0: 1, &a :: 1}", "[*a, &a 1]", "{a: !!float x, b: [1\n",
+        "[1, 2]\n---\n[", "a: 1\n---\nb: 2\n", "", "---\n", "! 1.5",
+        "! '1.5'", "[! 1.5, !!str 2.5, '1.5', \"-0.0\"]", "a: !!int\n",
+        "a: 2001-13-45\n", "{[1]: 2}", "{{a: 1}: 2}", "{<<: {a: 1}, b: 2}",
+        "{=: 3}", "{a: <<}", "a: 1\nb\n", "{1: a, 1.0: b, true: c, 1: d}"])
+    def test_same_error_or_document_for_odd_input(self, base, text):
         same_load(text, base)
+
+    @pytest.mark.parametrize("text", [
+        "a: &x 1\n", "a: &x [1.5]\n", "a: &x {b: 1.5}\n", "[*x]",
+        "a: !!seq [1.5]\n", "a: !!set {b}\n", "a: ! [1.5]\n",
+        "{<<: {a: 1}}", "{=: 1}", "{[1.5]: 2}", "{{a: 1}: 2}",
+        "a: 1\n---\nb: 2\n", "a: !!float x\n", "a: !!seq 1.5\n"])
+    def test_hands_over_to_yaml_load(self, base, text):
+        with mock.patch.object(config, "_LOADER", base):
+            assert loads_calls(text) == 1
+
+    @pytest.mark.parametrize("text", [
+        "a: [1.5, -2.0e+3, +0.5]\n", "a: {b: c}\n", "a: !!str 1.5\n",
+        "a: !!int '3'\n", "a: ! 1.5\n", "a: '1.5'\n", "", "---\n",
+        "a: 1\n...\n", "a: [1, 2\n"])
+    def test_builds_without_yaml_load(self, base, text):
+        with mock.patch.object(config, "_LOADER", base):
+            assert loads_calls(text) == 0
+
+    def test_duplicate_anchor_is_reported_first(self, base):
+        # the depth pass after a handover meets a parse error later in the
+        # text; yaml.load still reports the anchor, which comes first
+        with mock.patch.object(config, "_LOADER", base):
+            errors = outcome(config._load_yaml, "{&a 0: 1, &a :: 1}")
+        assert errors[0].startswith("invalid YAML: found duplicate anchor")
+
+    def test_depth_limit(self, base):
+        # an anchor hands the text over; the pure-Python composer hits the
+        # interpreter's recursion limit first (TestNesting)
+        limit = config._MAX_DEPTH
+        for prefix in ["", "&a "][:1 if base is yaml.SafeLoader else 2]:
+            with mock.patch.object(config, "_LOADER", base):
+                doc = config._load_yaml(prefix + "[" * limit + "]" * limit)
+                for _ in range(limit - 1):
+                    (doc,) = doc
+                assert doc == []
+                deeper = prefix + "[" * (limit + 1) + "]" * (limit + 1)
+                assert outcome(config._load_yaml, deeper) == (
+                    "invalid YAML: nesting too deep",)
+                assert loads_calls(deeper) == 0     # not composed at all
 
     @settings(max_examples=300, deadline=None)
     @given(scalars=st.lists(SCALARS, min_size=1, max_size=4))
     def test_same_document_for_generated_scalars(self, base, scalars):
         for text in shapes(scalars):
             same_load(text, base)
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=st.recursive(RAW_LEAVES, lambda inner: st.lists(
+        inner, max_size=4) | st.dictionaries(RAW_LEAVES, inner, max_size=4),
+        max_leaves=25), flow=st.booleans())
+    def test_same_document_for_generated_documents(self, base, raw, flow):
+        same_load(yaml.dump(raw, Dumper=yaml.SafeDumper,
+                            default_flow_style=flow), base)
 
 
 class TestExponentAsText:
@@ -621,21 +743,6 @@ class TestExponentAsText:
             f"model.elastic.C: must be a number, got '{text}'"]
 
 
-CONFIG_KEYS = ["model", "network", "protocol", "output", "kind", "path",
-               "masses", "stiffness", "amplitudes", "frequencies", "dt"]
-# keys, and long strings, as a valid config has them; short strings of
-# any characters
-RAW_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(),
-    st.text(st.characters(min_codepoint=32, max_codepoint=126),
-            max_size=200),
-    st.text(max_size=8))
-RAW_DOCS = st.dictionaries(st.sampled_from(CONFIG_KEYS), st.recursive(
-    RAW_LEAVES, lambda inner: st.lists(inner, max_size=5)
-    | st.dictionaries(st.sampled_from(CONFIG_KEYS), inner, max_size=4),
-    max_leaves=30), max_size=5)
-
-
 def pure_python_dump(raw):
     return yaml.dump(raw, Dumper=yaml.SafeDumper, sort_keys=True,
                      default_flow_style=False)
@@ -680,10 +787,12 @@ class TestNesting:
 
     def test_pure_python_composer_recursion(self, monkeypatch):
         # within the depth limit, but two frames per level exceed the
-        # interpreter's recursion limit
+        # interpreter's recursion limit; plain nesting is built without
+        # recursion, so an anchor hands the text to the composer
         monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
         depth = 600
-        errs = errors_of("model: " + "[" * depth + "]" * depth + "\n")
+        assert config._load_yaml("[" * depth + "]" * depth)
+        errs = errors_of("model: &a " + "[" * depth + "]" * depth + "\n")
         assert errs == ["invalid YAML: nesting too deep"]
 
 

@@ -19,7 +19,8 @@ from qlvsim.errors import DomainError, check_bounds, check_range
 from qlvsim.kernels import (SIZE_BUDGET, FungSpectrum, KelvinParams,
                             MaxwellParams, PronySpectrum, VoigtParams,
                             exp_integral_e1, fung_reduced_relaxation,
-                            fung_to_prony, grid_steps)
+                            fung_to_prony, grid_steps, kernel_force_history,
+                            reduced_relaxation)
 from qlvsim.network import (KernelEntry, NonlinearSpring, SpringMassSystem,
                             SystemState, simulate)
 from qlvsim.protocols import (ProtocolSpec, Series, check_fit_terms,
@@ -81,6 +82,7 @@ FUNG_LAW = FungUniaxialLaw(FungBiaxialParams(a1=1.0, c=1.0))
 SPECTRUM = FungSpectrum(c=0.5, q1=0.01, q2=100.0)
 ONE_MASS = SpringMassSystem(masses=[1.0], stiffness=[[1.0]])
 MODEL = QlvModel.from_kernel(LAW, MaxwellParams(mu=1.0, eta=1.0))
+ONE_TERM = PronySpectrum(K=1.0, amplitudes=(1.0,), frequencies=(1.0,))
 
 def arg(call, name, low, strict, id):
     """A call of one value x, the name its check gives, its low bound or
@@ -125,6 +127,11 @@ ARGUMENTS = [
         "fung_reduced_relaxation"),
     arg(lambda x: fung_to_prony(SPECTRUM, x), "n_terms", 2, False,
         "fung_to_prony"),
+    arg(lambda x: reduced_relaxation(MaxwellParams(mu=1.0, eta=1.0)).value(
+        [0.5, x]), "t", 0, False, "ReducedRelaxation.value"),
+    arg(lambda x: kernel_force_history(ONE_TERM, [0.0, 1.0, x],
+                                       [0.0, 1.0, 2.0]), "times", None, True,
+        "kernel_force_history.times"),
     arg(lambda x: SpringMassSystem(masses=[x], stiffness=[[1.0]]), "masses",
         0, True, "network.masses"),
     arg(lambda x: SpringMassSystem(masses=[1.0], stiffness=[[x]]),
@@ -207,6 +214,18 @@ class TestCheckRange:
             check_range("x", math.nan, integer=True)
 
     @pytest.mark.parametrize("x, message", [
+        ([0.0, 1.0, 1.0], "must be strictly increasing (index 2)"),
+        ([0.0, -1.0, 2.0], "must be strictly increasing (index 1)"),
+        (np.array([3.0, 2.0, 1.0]), "must be strictly increasing (index 1)"),
+        ([0.0, math.nan], "must be finite, got nan")],
+        ids=["stall", "fall", "array", "finiteness-first"])
+    def test_increasing(self, x, message):
+        with pytest.raises(DomainError, match=f"^x {re.escape(message)}$"):
+            check_range("x", x, increasing=True)
+        check_range("x", [-1.0, 0.0, 2.5], increasing=True)
+        check_range("x", [7.0], increasing=True)
+
+    @pytest.mark.parametrize("x, message", [
         (np.int64(-1), "must be > 0, got -1"),
         (np.int32(0), "must be > 0, got 0")], ids=["int64", "int32"])
     def test_a_numpy_int_is_compared_as_a_number(self, x, message):
@@ -287,6 +306,27 @@ class TestEveryBoundedArgument:
                 call(low)
             except DomainError as exc:
                 assert not str(exc).startswith(name), exc
+
+
+class TestEveryIncreasingArgument:
+    """Each array of times states that it strictly increases through
+    check_range, naming the first index where it does not."""
+
+    @pytest.mark.parametrize("call", [
+        lambda t: StrainHistory(times=t, values=np.zeros(3)),
+        lambda t: kernel_force_history(ONE_TERM, t, [0.0, 1.0, 2.0]),
+        lambda t: fit_relaxation_spectrum(t, [1.0, 0.8, 0.7], 2)],
+        ids=["StrainHistory", "kernel_force_history",
+             "fit_relaxation_spectrum"])
+    @pytest.mark.parametrize("times, index", [
+        ([0.0, 1.0, 1.0], 2), ([0.0, -1.0, 2.0], 1), ([0.0, 2.0, 1.0], 2)],
+        ids=["stall", "fall", "late-fall"])
+    def test_not_increasing(self, call, times, index):
+        # the fit once raised about its default frequency grid, which such
+        # times collapse to one value, or fitted the late fall as given
+        with pytest.raises(DomainError, match=re.escape(
+                f"times must be strictly increasing (index {index})")):
+            call(times)
 
 
 class TestEveryIntegerArgument:

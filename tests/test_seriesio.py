@@ -13,7 +13,7 @@ from qlvsim.protocols import Series
 from qlvsim.seriesio import (format_value, read_series, serialize_series,
                              write_series)
 
-BLOCK = seriesio._BLOCK_ROWS
+BLOCK = seriesio._BLOCK_VALUES // 2     # rows a block of a 2-column table
 EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, sys.float_info.min,
                sys.float_info.max, -sys.float_info.max, 1.0 / 3.0, -1e-300]
 
@@ -96,7 +96,7 @@ class TestWrite:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), precision=st.integers(1, 17),
-           block=st.integers(1, 4), rows=st.integers(0, 9),
+           block=st.integers(1, 8), rows=st.integers(0, 9),
            width=st.integers(1, 3))
     def test_blocks_equal_per_value_formatting(self, data, precision, block,
                                                rows, width):
@@ -108,7 +108,8 @@ class TestWrite:
         names = ["time"] + [f"c{i}" for i in range(1, width)]
         series = Series(times=columns[0],
                         columns=dict(zip(names[1:], columns[1:])))
-        with mock.patch.object(seriesio, "_BLOCK_ROWS", block):
+        # values a block: a row or more, so 1 to 8 rows of 1 to 3 columns
+        with mock.patch.object(seriesio, "_BLOCK_VALUES", block):
             text = serialize_series(series, precision)
         assert text == per_value_csv(names, columns, precision)
 
@@ -119,12 +120,22 @@ class TestWrite:
         series = Series(times=t, columns={"x": np.sin(t)})
         tracemalloc.start()
         try:
-            with mock.patch.object(seriesio, "_BLOCK_ROWS", 1024):
+            with mock.patch.object(seriesio, "_BLOCK_VALUES", 2048):
                 write_series(tmp_path / "s.csv", series)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * (t.nbytes + series.columns["x"].nbytes)
+
+    def test_a_wide_table_is_written_in_blocks_of_values(self):
+        # 205 columns, as the bench network's table: 8192 // 205 = 39 rows
+        # a block, where a block of 8192 rows held its whole 101 rows
+        rng = np.random.default_rng(5)
+        columns = [np.arange(101) * 0.01, *rng.standard_normal((204, 101))]
+        names = ["time"] + [f"c{i}" for i in range(1, 205)]
+        blocks = list(seriesio._csv_blocks(names, columns, 17))
+        assert [b.count("\n") for b in blocks[1:]] == [39, 39, 23]
+        assert "".join(blocks) == per_value_csv(names, columns, 17)
 
     def test_blocks_equal_per_value_formatting_at_full_size(self):
         rng = np.random.default_rng(3)
