@@ -547,13 +547,17 @@ class TestLibyamlLoader:
         same_document(yaml.load(YAML_EDGE_CASES, Loader=yaml.CSafeLoader),
                       yaml.load(YAML_EDGE_CASES, Loader=yaml.SafeLoader))
 
-    def test_loader_is_libyamls(self):
+    def test_loader_builds_decimals_with_libyaml(self):
+        # the decimal fast path is the event builder's first branch, over
+        # libyaml's own loader
         assert config._LOADER is yaml.CSafeLoader
+        same_document(config._load_yaml("[1.5, -0.0, 2.5E+3]"),
+                      [1.5, -0.0, 2500.0])
 
-    def test_wide_config_is_parsed_once_from_its_events(self):
+    def test_wide_config_gets_the_exact_depth_check(self):
         # more collection-opening characters than the depth limit, which
-        # once took a second parse for the depth; one loader reads it now,
-        # and yaml.load never runs
+        # once took a second parse for the depth; the depth is counted
+        # inline now, so one loader reads it and yaml.load never runs
         text = flow_network_text()
         assert text.count("-") > config._MAX_DEPTH
         made = []
@@ -614,10 +618,11 @@ def shapes(scalars):
 
 
 @pytest.mark.parametrize("base", BASES)
-class TestEventBuilder:
-    """_load_yaml, built from the loader's events, gives the document
-    yaml.load builds, down to types and float bits, or the same
-    ConfigError; it hands over to yaml.load only where it must."""
+class TestDecimalFastPath:
+    """_load_yaml, built from the loader's events with a decimal fast path
+    as its first branch, gives the document yaml.load builds, down to types
+    and float bits, or the same ConfigError; it hands over to yaml.load
+    only where it must."""
 
     @pytest.mark.parametrize("text", [
         YAML_EDGE_CASES,
@@ -630,7 +635,11 @@ class TestEventBuilder:
 
     @pytest.mark.parametrize("text", [
         "[!!float [1.5]]", "[!!float {a: 1.5}]", "!!seq 1.5", "!!seq {a: 1}",
-        "[!!float x]", "[!!float ]", "[!!float 1_0.5, !!float 1:30.5]",
+        "[!!float x]", "[!!float ]", "[!!float 1_0.5, !!float 1:30.5]"])
+    def test_same_error_or_document_for_odd_tags(self, base, text):
+        same_load(text, base)
+
+    @pytest.mark.parametrize("text", [
         "{&a 0: 1, &a :: 1}", "[*a, &a 1]", "{a: !!float x, b: [1\n",
         "[1, 2]\n---\n[", "a: 1\n---\nb: 2\n", "", "---\n", "! 1.5",
         "! '1.5'", "[! 1.5, !!str 2.5, '1.5', \"-0.0\"]", "a: !!int\n",
