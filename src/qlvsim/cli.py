@@ -5,7 +5,7 @@ A run's ``--dt``/``--duration`` set its config's ``protocol`` (or, for
 simulate, ``network``) keys before validation, which checks them there;
 ``kernels`` reads them as keys of a ``kernels`` section, as its other flags.
 Exit codes: 0 success, 2 validation/usage errors, 1 runtime or numerical
-errors, a float overflow or invalid operation among them."""
+errors, a float overflow, an invalid operation or out of memory among them."""
 
 from __future__ import annotations
 
@@ -275,6 +275,9 @@ def cli_main(argv=None) -> int:
         return 2
     except (QlvError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -21,10 +21,9 @@ import yaml
 
 from .constitutive import (ELASTIC_TYPES, ExponentialTensileLaw,
                            FungBiaxialParams, FungUniaxialLaw)
-from .errors import ConfigError, DomainError, StabilityError
+from .errors import ConfigError, DomainError, StabilityError, check_range
 from .kernels import (KERNEL_TYPES, SIZE_BUDGET, KelvinParams, MaxwellParams,
-                      PronySpectrum, VoigtParams, check_filter_size,
-                      grid_steps)
+                      PronySpectrum, VoigtParams, grid_steps)
 from .network import (KernelEntry, NonlinearSpring, SpringMassSystem,
                       steps_and_records)
 from .protocols import PROTOCOL_FIELDS, ProtocolSpec, check_period
@@ -519,9 +518,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                f"for a model specimen, got {protocol.hold_strain}")
     # a model's periodic steady state filters one period through its terms
     if protocol and protocol.kind == "cyclic" and specimen.get("model"):
-        v.construct("protocol.samples_per_cycle", check_filter_size,
-                    protocol.samples_per_cycle,
-                    len(specimen["model"].prony.amplitudes))
+        v.construct("protocol.samples_per_cycle", check_range,
+                    "samples x Prony terms", protocol.samples_per_cycle
+                    * len(specimen["model"].prony.amplitudes),
+                    high=SIZE_BUDGET)
 
     sweep = (None if data.get("sweep") is None
              else _build_sweep(v, data["sweep"]))

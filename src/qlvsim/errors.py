@@ -14,31 +14,44 @@ class DomainError(QlvError, ValueError):
 
 
 def check_range(name: str, x, low=None, strict=True, integer=False,
-                increasing=False) -> None:
-    """DomainError unless ``x``, a number or an array, is finite and, when
-    ``low`` is given, > low (>= low when not ``strict``), with ``integer`` a
+                increasing=False, high=None) -> None:
+    """DomainError unless ``x``, a number or an array, is finite, > low (>=
+    low when not ``strict``) and <= high where given, with ``integer`` a
     Python or numpy int other than a bool, and with ``increasing`` an array
     that strictly increases.  An int is compared as an int, however many
     digits it has; a non-number is read as an array, whose fault names its
-    first non-finite entry, its minimum or the index where it stalls."""
-    if isinstance(x, (int, float, np.integer)):
-        if not (isinstance(x, int) or math.isfinite(x)):
-            raise DomainError(f"{name} must be finite, got {float(x)}")
-        least, got = x, ""
-    elif not integer:           # which a non-number fails below
-        x = np.asarray(x, dtype=float)
-        if not (finite := np.isfinite(x)).all():
-            raise DomainError(f"{name} must be finite, "
-                              f"got {float(x.flat[finite.argmin()])}")
-        least, got = x.min(initial=math.inf), "min "
+    first non-finite entry, its minimum or maximum, or where it stalls."""
+    if array := not isinstance(x, (int, float, np.integer)):
+        if not integer:         # else it fails the int check below
+            x = np.asarray(x, dtype=float)
+            if not (finite := np.isfinite(x)).all():
+                raise DomainError(f"{name} must be finite, "
+                                  f"got {float(x.flat[finite.argmin()])}")
+    elif not (isinstance(x, int) or math.isfinite(x)):
+        raise DomainError(f"{name} must be finite, got {float(x)}")
     if integer and (type(x) is bool or not isinstance(x, (int, np.integer))):
         raise DomainError(f"{name} must be an int, got {x!r}")
-    if low is not None and not (least > low if strict else least >= low):
-        raise DomainError(f"{name} must be {'>' if strict else '>='} {low}, "
-                          f"got {got}{least}")
+    if low is not None:
+        least = x.min(initial=math.inf) if array else x
+        if not (least > low if strict else least >= low):
+            raise DomainError(f"{name} must be {'>' if strict else '>='} "
+                              f"{low}, got {'min ' * array}{_shown(least)}")
+    if high is not None:
+        most = x.max(initial=-math.inf) if array else x
+        if not most <= high:
+            raise DomainError(f"{name} must be <= {high}, "
+                              f"got {'max ' * array}{_shown(most)}")
     if increasing and (stalls := np.diff(x) <= 0).any():
         raise DomainError(f"{name} must be strictly increasing "
                           f"(index {int(stalls.argmax()) + 1})")
+
+
+def _shown(x) -> str:
+    """str(x), but an int of over 17 digits in e-notation, as no float can."""
+    if isinstance(x, (int, np.integer)) and abs(x := int(x)) >= 10 ** 17:
+        from decimal import Context, Decimal    # lazy: only such a fault
+        return f"{Decimal(x).normalize(Context(prec=17)):e}"
+    return str(x)
 
 
 def check_bounds(owner, *names, low=None, strict=True, integer=False) -> None:

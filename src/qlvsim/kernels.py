@@ -96,9 +96,7 @@ class PronySpectrum:
         if len(amps) != len(freqs):
             raise DomainError("amplitudes and frequencies must have equal length")
         check_range("amplitudes", amps, low=0, strict=False)
-        check_range("frequencies", freqs, low=0)
-        if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
-            raise DomainError("frequencies must be strictly increasing")
+        check_range("frequencies", freqs, low=0, increasing=True)
         check_bounds(self, "K")
 
     @property
@@ -186,8 +184,7 @@ def kelvin_relaxation(p: KelvinParams, t):
 def prony_relaxation(s: PronySpectrum, t):
     """g(t) = K + sum_n amp_n * exp(-freq_n * t), for t >= 0."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError(f"t must be >= 0, got min {t.min()}")
+    check_range("t", t, low=0, strict=False)
     out = np.full(t.shape, s.K, dtype=float)
     for a, f in zip(s.amplitudes, s.frequencies):
         out = out + a * np.exp(-f * t)
@@ -223,8 +220,7 @@ def grid_steps(duration: float, dt: float) -> int:
     > 0, and the steps in [1, SIZE_BUDGET], before any allocation."""
     check_range("dt", dt, low=0)
     check_range("duration", duration, low=0)
-    if not duration / dt <= SIZE_BUDGET:
-        raise DomainError(f"duration/dt must be <= {SIZE_BUDGET}")
+    check_range("duration/dt", duration / dt, high=SIZE_BUDGET)
     if (n := round(duration / dt)) < 1:
         raise DomainError("duration and dt produce an empty series")
     return n
@@ -234,14 +230,6 @@ def time_grid(duration: float, dt: float) -> np.ndarray:
     """The grid_steps(duration, dt) + 1 times of a ``dt`` grid from 0."""
     n = grid_steps(duration, dt)
     return np.linspace(0.0, n * dt, n + 1)
-
-
-def check_filter_size(samples: int, terms: int) -> None:
-    """Check the samples x terms states of one filter pass against
-    SIZE_BUDGET before they are allocated."""
-    if samples * terms > SIZE_BUDGET:
-        raise DomainError(f"samples x Prony terms must be <= {SIZE_BUDGET}, "
-                          f"got {samples} x {terms}")
 
 
 def _prony_filter(decay, gain, dx, carry) -> np.ndarray:
@@ -326,7 +314,8 @@ def periodic_force_history(spectrum: PronySpectrum, dt,
     if rows.ndim > 2 or rows.shape[1] < 2 or len(rows) != len(dts) \
             or not np.all(dts > 0):
         raise DomainError("a period needs dt > 0 and >= 2 samples per row")
-    check_filter_size(xs.size, len(spectrum.amplitudes))
+    check_range("samples x Prony terms", xs.size * len(spectrum.amplitudes),
+                high=SIZE_BUDGET)
     n = rows.shape[1]
     dxs = np.diff(rows, append=rows[:, :1]).T.copy()    # (N, F), row-major
     decay = prony_step(spectrum, 1.0, dts, 0.0)
@@ -383,7 +372,8 @@ def fung_to_prony(s: FungSpectrum, n_terms: int) -> PronySpectrum:
     of the ``n_terms`` log-spaced cells contributes the same amplitude.  The
     result is normalized so g(0) = 1 exactly.
     """
-    check_range("n_terms", n_terms, low=2, strict=False, integer=True)
+    check_range("n_terms", n_terms, low=2, strict=False, integer=True,
+                high=SIZE_BUDGET)
     log_q1, log_q2 = math.log(s.q1), math.log(s.q2)
     du = (log_q2 - log_q1) / n_terms
     mids = log_q1 + (np.arange(n_terms) + 0.5) * du

@@ -43,6 +43,7 @@ def stability_check(K: np.ndarray, tol: float = 1e-12) -> StabilityResult:
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DomainError(f"stability check needs a square matrix, got {K.shape}")
+    check_range("K", K)
     scale = max(1.0, float(np.max(np.abs(K)))) if K.size else 1.0
     A = K.copy()
     pivots = []
@@ -409,9 +410,7 @@ def steps_and_records(n: int, duration: float, dt: float,
     the 2n + 5 columns are checked against SIZE_BUDGET."""
     n_steps = grid_steps(duration, dt)
     rows = 1 + n_steps // stride + (n_steps % stride > 0)
-    if rows * (2 * n + 5) > SIZE_BUDGET:
-        raise DomainError(f"records x columns must be <= {SIZE_BUDGET}, "
-                          f"got {rows} x {2 * n + 5}")
+    check_range("records x columns", rows * (2 * n + 5), high=SIZE_BUDGET)
     return n_steps, rows
 
 

@@ -73,9 +73,8 @@ class ProtocolSpec:
             check_bounds(self, "cycles", low=1, strict=False, integer=True)
             check_bounds(self, "samples_per_cycle", low=2, strict=False,
                          integer=True)
-            if self.cycles * self.samples_per_cycle > SIZE_BUDGET:
-                raise DomainError(f"cycles*samples_per_cycle must be <= "
-                                  f"{SIZE_BUDGET}")
+            check_range("cycles*samples_per_cycle",
+                        self.cycles * self.samples_per_cycle, high=SIZE_BUDGET)
             check_period(self.angular_frequency, self.cycles,
                          self.samples_per_cycle)
         else:
@@ -407,8 +406,8 @@ def fit_exponential_law(stretch, stress) -> tuple[ExponentialTensileLaw, dict]:
     T = np.asarray(stress, dtype=float)
     if lam.size < 3:
         raise DomainError(f"need at least 3 samples, got {lam.size}")
-    if np.any(np.diff(lam) <= 0):
-        raise DomainError("stretch samples must be strictly increasing")
+    check_range("stretch", lam, increasing=True)
+    check_range("stress", T)
     if np.allclose(T, T[0]):
         raise FitError("stress samples are constant; the slope regression "
                        "is singular")
@@ -465,9 +464,7 @@ def check_fit_terms(rows: int, n_terms: int) -> None:
     """Check a spectrum fit's term count, and its rows x (n_terms + 1)
     design matrix against SIZE_BUDGET, before anything is allocated."""
     check_range("term count", n_terms, low=1, strict=False, integer=True)
-    if rows * (n_terms + 1) > SIZE_BUDGET:
-        raise DomainError(f"rows x (terms + 1) must be <= {SIZE_BUDGET}, "
-                          f"got {rows} x {n_terms + 1}")
+    check_range("rows x (terms + 1)", rows * (n_terms + 1), high=SIZE_BUDGET)
 
 
 def fit_relaxation_spectrum(times, values, n_terms: int,

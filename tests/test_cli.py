@@ -147,6 +147,42 @@ class TestExitCodes:
         assert proc.stdout == \
             parse_config(CHAIN_CFG.read_text()).effective_text()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads its own VmSize from /proc")
+    def test_out_of_memory_is_a_runtime_error(self, tmp_path):
+        # a relaxation of 10^6 samples through a 64-term Fung kernel holds
+        # about 60 MB of arrays; the child process limits its own address
+        # space to 40 MB more than it holds once imported, so validate
+        # passes and the run's allocation fails
+        path = write_cfg(tmp_path, "model:\n  elastic: {kind: exponential, "
+                         "B: 10.0, C: 2.0}\n  kernel: {kind: fung, c: 0.5, "
+                         "q1: 0.01, q2: 100.0, prony_terms: 64}\nprotocol: "
+                         "{kind: relaxation, hold_strain: 0.1, duration: "
+                         "10000.0, dt: 0.01}\n")
+        out = tmp_path / "out.csv"
+        code = """if True:
+            import resource, sys
+            import scipy.special        # relax's import, before the limit
+            from qlvsim.cli import cli_main
+            size = next(int(line.split()[1]) * 1024
+                        for line in open("/proc/self/status")
+                        if line.startswith("VmSize:"))
+            limit = size + 40 * 2 ** 20
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            validate = cli_main(["validate", "--config", sys.argv[1]])
+            relax = cli_main(["relax", "--config", sys.argv[1],
+                              "--out", sys.argv[2]])
+            print(validate, relax)
+            """
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(path), str(out)],
+            env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("\n0 1\n")
+        assert proc.stderr == "error: out of memory\n"
+        assert not out.exists()
+
     def test_nesting_beyond_the_c_stack(self, tmp_path):
         # deep enough to overflow the stack of libyaml's recursive
         # composer; in a child process, so a crash fails only this test
@@ -438,9 +474,11 @@ class TestValidateAgreesWithTheRun:
          "sweep.count: must be <= 10000000"),
         ("cyclic", CYCLIC_CFG.read_text().replace(
             "cycles: 5", "cycles: 1" + "0" * 400),
-         "protocol: cycles*samples_per_cycle must be <= 10000000"),
+         "protocol: cycles*samples_per_cycle must be <= 10000000, got "
+         "2.56e+402"),
         ("creep", CREEP_TEXT.replace("dt: 0.01", "dt: 1.0e-300"),
-         "protocol: duration/dt must be <= 10000000"),
+         "protocol: duration/dt must be <= 10000000, got "
+         "4.9999999999999997e+300"),
         ("relax", RELAX_CFG.read_text().replace("duration: 10.0",
                                                 "duration: 0.004"),
          "protocol: duration and dt produce an empty series"),
@@ -452,19 +490,20 @@ class TestValidateAgreesWithTheRun:
          "protocol: duration must be > 0, got -1e+300"),
         ("simulate", CHAIN_CFG.read_text().replace("duration: 50.0",
                                                    "duration: 1.0e+300"),
-         "network.duration: duration/dt must be <= 10000000"),
+         "network.duration: duration/dt must be <= 10000000, got 1e+302"),
         ("simulate", CHAIN_CFG.read_text().replace("dt: 0.01",
                                                    "dt: 1.0e-300"),
-         "network.duration: duration/dt must be <= 10000000"),
+         "network.duration: duration/dt must be <= 10000000, got "
+         "4.999999999999999e+301"),
         ("cyclic", CYCLIC_CFG.read_text().replace(
             "samples_per_cycle: 256", "samples_per_cycle: 200000"),
          "protocol.samples_per_cycle: samples x Prony terms must be <= "
-         "10000000, got 200000 x 64"),
+         "10000000, got 12800000"),
         ("simulate", CHAIN_CFG.read_text().replace(
             "duration: 50.0", "duration: 10000.0").replace("stride: 10",
                                                            "stride: 1"),
          "output.stride: records x columns must be <= 10000000, got "
-         "1000001 x 11"),
+         "11000011"),
         ("simulate", CHAIN_CFG.read_text().replace("dt: 0.01", "dt: 1.9"),
          "network.dt: dt = 1.9 violates the explicit stability bound "
          "2/omega_max = 1.0987851636338393"),
@@ -537,9 +576,10 @@ class TestValidateAgreesWithTheRun:
     # value written into the config at the flag's key
     FLAG_CASES = [
         ("creep", CREEP_TEXT, {"dt": "1e-300"},
-         "protocol: duration/dt must be <= 10000000"),
+         "protocol: duration/dt must be <= 10000000, got "
+         "4.9999999999999997e+300"),
         ("creep", CREEP_TEXT, {"duration": "1e300"},
-         "protocol: duration/dt must be <= 10000000"),
+         "protocol: duration/dt must be <= 10000000, got 1e+302"),
         ("creep", CREEP_TEXT, {"dt": "-0.1"},
          "protocol: dt must be > 0, got -0.1"),
         ("creep", CREEP_TEXT, {"duration": "0.004"},
@@ -549,12 +589,13 @@ class TestValidateAgreesWithTheRun:
         ("creep", CREEP_TEXT, {"duration": "-1e300", "dt": "1e-10"},
          "protocol: duration must be > 0, got -1e+300"),
         ("simulate", CHAIN_CFG.read_text(), {"dt": "1e-300"},
-         "network.duration: duration/dt must be <= 10000000"),
+         "network.duration: duration/dt must be <= 10000000, got "
+         "4.999999999999999e+301"),
         ("simulate", CHAIN_CFG.read_text(), {"duration": "1e300"},
-         "network.duration: duration/dt must be <= 10000000"),
+         "network.duration: duration/dt must be <= 10000000, got 1e+302"),
         ("simulate", CHAIN_CFG.read_text().replace("stride: 10", "stride: 1"),
          {"duration": "10000"}, "output.stride: records x columns must be "
-         "<= 10000000, got 1000001 x 11"),
+         "<= 10000000, got 11000011"),
         ("simulate", CHAIN_CFG.read_text(), {"dt": "1.9"},
          "network.dt: dt = 1.9 violates the explicit stability bound "
          "2/omega_max = 1.0987851636338393"),
@@ -612,8 +653,9 @@ class TestValidateAgreesWithTheRun:
         out = tmp_path / "out.csv"
         with alarm(20):     # a grid that is built fails, not hangs
             assert cli_main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err == \
-            "error: kernels.duration: duration/dt must be <= 10000000\n"
+        assert capsys.readouterr().err == (
+            "error: kernels.duration: duration/dt must be <= 10000000, "
+            "got 9.999999999999999e+300\n")
         assert not out.exists()
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[
@@ -927,8 +969,8 @@ class TestSimulate:
     STIFF = "{i: 1, B: 400.0, C: 0.5}"
 
     COMPRESSED = "spring (0, 1) at t = 0: stretch must be > 0, got min -0.5"
-    OVERFLOWING = ("spring (1, ground) at t = 0: exponent B*(lambda-1) = "
-                   "800.0 overflows; offending stretch 3.0")
+    OVERFLOWING = ("spring (1, ground) at t = 0: exponent B*(lambda-1) "
+                   "must be <= 700.0, got 800.0")
 
     @pytest.mark.parametrize("springs, q, message", [
         (f"{PAIR}, {STIFF}", "-1.5, 0.0", COMPRESSED),
@@ -1007,15 +1049,15 @@ SWEEP_FAULTS = {
     "exponential-domain": (
         {"amplitude: 50.0": "amplitude: 5000.0"},
         "error: strain outside elastic domain at time index 17 "
-        "(t = 16.689710972195776): exponent B*(lambda-1) = 731.0523396932098 "
-        "overflows; offending stretch 74.10523396932098"),
+        "(t = 16.689710972195776): exponent B*(lambda-1) must be <= 700.0, "
+        "got 731.0523396932098"),
     "fung-domain": (
         {"amplitude: 50.0": "amplitude: 5000.0",
          "{kind: exponential, B: 10.0, C: 2.0}":
              "{kind: fung, a1: 1.0, c: 1.0}"},
         "error: strain outside elastic domain at time index 2 "
-        "(t = 1.9634954084936207): energy exponent Q = 2331.6149568864653 "
-        "overflows"),
+        "(t = 1.9634954084936207): energy exponent Q must be <= 700.0, "
+        "got 2331.6149568864653"),
     "loop-of-one-strain": (
         {"amplitude: 50.0": "amplitude: 1.0e-300"},
         "error: loading and unloading branches need >= 2 samples"),
@@ -1189,7 +1231,7 @@ class TestFit:
                              "--terms", "10000"]) == 2
         assert capsys.readouterr().err == ("error: --terms: rows x (terms + "
                                            "1) must be <= 10000000, got "
-                                           "1001 x 10001\n")
+                                           "10011001\n")
 
     @pytest.mark.parametrize("terms", ["-1", "8"])
     def test_fit_exponential_takes_no_terms(self, tmp_path, capsys, terms):
@@ -1267,7 +1309,8 @@ class TestKernels:
           "--tau-sigma", "0.2"],
          "need 0 < tau_eps <= tau_sigma, got tau_eps=0.5, tau_sigma=0.2"),
         (["--kind", "prony", "--K", "0.5", "--amplitudes", "0.3,0.2",
-          "--frequencies", "2,1"], "frequencies must be strictly increasing"),
+          "--frequencies", "2,1"],
+         "frequencies must be strictly increasing (index 1)"),
     ], ids=["mu", "tau_sigma", "frequencies"])
     def test_parameter_out_of_its_domain_is_a_usage_error(self, capsys, flags,
                                                           error):

@@ -82,7 +82,8 @@ class TestExponentialTensileLaw:
 
     def test_overflow_guard(self):
         law = ExponentialTensileLaw(B=1000.0, C=1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^exponent B\*\(lambda-1\) "
+                           r"must be <= 700\.0, got 1000\.0$"):
             tensile_stress(law, 2.0)
 
     def test_stretch_at_stress_inverse(self):
@@ -168,7 +169,8 @@ class TestFungEnergy:
 
     def test_overflow_guard(self):
         p = FungBiaxialParams(c=1.0, a1=1e5, include_quadratic_group=False)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^energy exponent Q must be "
+                           r"<= 700\.0, got 25000\.0$"):
             fung_energy(p, BiaxialStrainState(0.5, 0.0))
 
 

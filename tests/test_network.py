@@ -394,7 +394,8 @@ class TestSimulate:
         system = self.chain()
         state = SystemState.initial(system, q=[0.1, 0.0, 0.0])
         with alarm(20), pytest.raises(
-                DomainError, match="duration/dt must be <= 10000000"):
+                DomainError, match="duration/dt must be <= 10000000, "
+                                   "got 1e\\+302$"):
             simulate(system, state, duration=1e300, dt=0.01)
 
     def test_record_table_over_the_budget(self, alarm):
@@ -404,7 +405,7 @@ class TestSimulate:
         state = SystemState.initial(system, q=[0.1, 0.0, 0.0])
         with alarm(2), pytest.raises(
                 DomainError, match="records x columns must be <= 10000000, "
-                                   "got 1000001 x 11"):
+                                   "got 11000011$"):
             simulate(system, state, duration=1e4, dt=0.01)
 
     @pytest.mark.parametrize("n, n_steps, stride, rows", [
@@ -420,7 +421,7 @@ class TestSimulate:
             steps_and_records(3, duration, 0.01, 1)
 
     def test_records_one_over_the_budget(self):
-        with pytest.raises(DomainError, match="got 909091 x 11"):
+        with pytest.raises(DomainError, match="got 10000001$"):
             steps_and_records(3, 909090.0, 1.0, 1)
 
     def kernel_chain(self):
@@ -914,11 +915,11 @@ class TestStackedSprings:
         ((COMPRESSED, OVERFLOWING),
          "spring (0, ground) at t = 0: stretch must be > 0, got min -0.5"),
         ((OVERFLOWING, COMPRESSED),
-         "spring (1, ground) at t = 0: exponent B*(lambda-1) = 800.0 "
-         "overflows; offending stretch 3.0"),
+         "spring (1, ground) at t = 0: exponent B*(lambda-1) must be <= "
+         "700.0, got 800.0"),
         ((JUST_OVER,),
-         "spring (1, ground) at t = 0: exponent B*(lambda-1) = 704.0 "
-         "overflows; offending stretch 3.0"),
+         "spring (1, ground) at t = 0: exponent B*(lambda-1) must be <= "
+         "700.0, got 704.0"),
     ], ids=["compressed-first", "overflowing-first", "finite-over-the-cap"])
     def test_first_faulty_spring_raises_its_own_error(self, faulty, message):
         # the first faulty spring's own error, named by its ends and time

@@ -819,7 +819,7 @@ class TestFitSpectrum:
         t = np.linspace(0.0, 5.0, 20)
         fit_relaxation_spectrum(t, np.exp(-t), 4)      # 20 x 5 values
         with pytest.raises(DomainError, match="rows x \\(terms \\+ 1\\) "
-                           "must be <= 100, got 20 x 6"):
+                           "must be <= 100, got 120$"):
             fit_relaxation_spectrum(t, np.exp(-t), 5)
 
     def test_unnormalized_rejected(self):
