@@ -21,7 +21,8 @@ import yaml
 
 from .constitutive import (ELASTIC_TYPES, ExponentialTensileLaw,
                            FungBiaxialParams, FungUniaxialLaw)
-from .errors import ConfigError, DomainError, StabilityError, check_range
+from .errors import (ConfigError, DomainError, StabilityError, _shown,
+                     check_range)
 from .kernels import (KERNEL_TYPES, SIZE_BUDGET, KelvinParams, MaxwellParams,
                       PronySpectrum, VoigtParams, grid_steps)
 from .network import (KernelEntry, NonlinearSpring, SpringMassSystem,
@@ -97,9 +98,9 @@ def _integer(v, low=None, high=None):
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"must be an integer, got {v!r}")
     if low is not None and v < low:
-        raise ValueError(f"must be >= {low}, got {v}")
+        raise ValueError(f"must be >= {low}, got {_shown(v)}")
     if high is not None and v > high:
-        raise ValueError(f"must be <= {high}")
+        raise ValueError(f"must be <= {high}, got {_shown(v)}")
     return v
 
 

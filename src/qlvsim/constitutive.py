@@ -38,15 +38,13 @@ class ExponentialTensileLaw:
 
     def stress_green(self, E):
         """Nominal stress as a function of uniaxial Green strain."""
-        E = np.asarray(E, dtype=float)
-        check_range("Green strain", E, low=-0.5, strict=False)
+        E = check_range("Green strain", E, low=-0.5, strict=False)
         lam = np.sqrt(2.0 * E + 1.0)
         return tensile_stress(self, lam)
 
     def stretch_at_stress(self, T):
         """Inverse of :meth:`stress`; valid for T > -C/B."""
-        T = np.asarray(T, dtype=float)
-        check_range("stress", T, low=-self.C / self.B)
+        T = check_range("stress", T, low=-self.C / self.B)
         out = 1.0 + np.log(self.B * T / self.C + 1.0) / self.B
         return float(out) if out.ndim == 0 else out
 
@@ -65,13 +63,11 @@ class LinearElasticLaw:
         check_bounds(self, "k", low=0)
 
     def stress_green(self, E):
-        E = np.asarray(E, dtype=float)
-        check_range("Green strain", E)
+        E = check_range("Green strain", E)
         return self.k * E
 
     def green_at_stress(self, T):
-        T = np.asarray(T, dtype=float)
-        check_range("stress", T)
+        T = check_range("stress", T)
         return T / self.k
 
 
@@ -165,8 +161,7 @@ ELASTIC_TYPES = {"exponential": ExponentialTensileLaw,
 
 def tensile_stress(law: ExponentialTensileLaw, lam):
     """Nominal stress of the exponential law, T = (C/B)*(exp(B*(lam-1)) - 1)."""
-    lam = np.asarray(lam, dtype=float)
-    check_range("stretch", lam, low=0)
+    lam = check_range("stretch", lam, low=0)
     arg = law.B * (lam - 1.0)
     check_range("exponent B*(lambda-1)", arg, high=_EXP_ARG_MAX)
     out = (law.C / law.B) * np.expm1(arg)
@@ -181,8 +176,7 @@ def tensile_slope(law: ExponentialTensileLaw, lam):
 
 def green_strain(lam):
     """Uniaxial Green strain E = (lam^2 - 1)/2."""
-    lam = np.asarray(lam, dtype=float)
-    check_range("stretch", lam, low=0)
+    lam = check_range("stretch", lam, low=0)
     out = 0.5 * (lam ** 2 - 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -250,8 +244,7 @@ class FungUniaxialLaw:
     params: FungBiaxialParams
 
     def stress_green(self, E):
-        E = np.asarray(E, dtype=float)
-        check_range("Green strain", E)
+        E = check_range("Green strain", E)
         out = self._stress_and_slope(E)[0]
         return float(out) if out.ndim == 0 else out
 
@@ -276,8 +269,7 @@ class FungUniaxialLaw:
         from 0.1, then solved by Newton's method with the analytic slope,
         bisecting whenever a Newton step would leave the bracket.
         """
-        T = np.asarray(T, dtype=float)
-        check_range("stress", T)
+        T = check_range("stress", T)
         scalar = T.ndim == 0
         T = np.atleast_1d(T)
         lo, hi = np.full(T.shape, -0.5), np.full(T.shape, 0.1)

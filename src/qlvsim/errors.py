@@ -14,13 +14,16 @@ class DomainError(QlvError, ValueError):
 
 
 def check_range(name: str, x, low=None, strict=True, integer=False,
-                increasing=False, high=None) -> None:
-    """DomainError unless ``x``, a number or an array, is finite, > low (>=
+                increasing=False, high=None):
+    """``x`` as np.asarray(x, dtype=float), or as given when ``integer``;
+    DomainError unless ``x``, a number or an array, is finite, > low (>=
     low when not ``strict``) and <= high where given, with ``integer`` a
     Python or numpy int other than a bool, and with ``increasing`` an array
-    that strictly increases.  An int is compared as an int, however many
-    digits it has; a non-number is read as an array, whose fault names its
-    first non-finite entry, its minimum or maximum, or where it stalls."""
+    that strictly increases (a number does).  An int is compared as an int,
+    however many digits it has, and fails as not finite once its bounds
+    pass if no float can hold it; a non-number is read as an array, whose
+    fault names its first non-finite entry, its minimum or maximum, or
+    where it stalls."""
     if array := not isinstance(x, (int, float, np.integer)):
         if not integer:         # else it fails the int check below
             x = np.asarray(x, dtype=float)
@@ -41,9 +44,13 @@ def check_range(name: str, x, low=None, strict=True, integer=False,
         if not most <= high:
             raise DomainError(f"{name} must be <= {high}, "
                               f"got {'max ' * array}{_shown(most)}")
-    if increasing and (stalls := np.diff(x) <= 0).any():
+    if increasing and np.ndim(x) and (stalls := np.diff(x) <= 0).any():
         raise DomainError(f"{name} must be strictly increasing "
                           f"(index {int(stalls.argmax()) + 1})")
+    try:
+        return x if integer else np.asarray(x, dtype=float)
+    except OverflowError:       # an int past float's range
+        raise DomainError(f"{name} must be finite, got {_shown(x)}") from None
 
 
 def _shown(x) -> str:

@@ -31,11 +31,18 @@ _BLOCK_ROWS = 1024      # filter block: 512 KB of states at 64 terms
 SIZE_BUDGET = 10_000_000
 
 
+def _causal(t, f):
+    """f(max(t, 0)) * step(t) for a finite ``t`` of either sign: 0 before
+    t = 0, half of f(0) at it."""
+    t = check_range("t", t)
+    out = f(np.where(t > 0, t, 0.0)) * np.where(
+        t > 0, 1.0, np.where(t == 0, 0.5, 0.0))
+    return float(out) if out.ndim == 0 else out
+
+
 def unit_step(t):
     """Step function: 1 for t > 0, 1/2 at t = 0, 0 for t < 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.where(t > 0, 1.0, np.where(t == 0, 0.5, 0.0))
-    return float(out) if out.ndim == 0 else out
+    return _causal(t, lambda s: 1.0)
 
 
 @dataclass(frozen=True)
@@ -69,8 +76,8 @@ class KelvinParams:
     tau_sigma: float
 
     def __post_init__(self):
-        check_bounds(self, "E_R", "tau_eps", low=0)
-        if not (np.isfinite(self.tau_sigma) and self.tau_sigma >= self.tau_eps):
+        check_bounds(self, "E_R", "tau_eps", "tau_sigma", low=0)
+        if not self.tau_sigma >= self.tau_eps:
             raise DomainError(
                 f"need 0 < tau_eps <= tau_sigma, got tau_eps={self.tau_eps}, "
                 f"tau_sigma={self.tau_sigma}")
@@ -121,8 +128,8 @@ class FungSpectrum:
     q2: float
 
     def __post_init__(self):
-        check_bounds(self, "c", "q1", low=0)
-        if not (np.isfinite(self.q2) and self.q2 > self.q1):
+        check_bounds(self, "c", "q1", "q2", low=0)
+        if not self.q2 > self.q1:
             raise DomainError(f"need 0 < q1 < q2, got q1={self.q1}, q2={self.q2}")
 
 
@@ -134,24 +141,17 @@ KERNEL_TYPES = {"maxwell": MaxwellParams, "voigt": VoigtParams,
 
 def maxwell_creep(p: MaxwellParams, t):
     """Creep function (1/mu + t/eta) * step(t)."""
-    t = np.asarray(t, dtype=float)
-    out = (1.0 / p.mu + t / p.eta) * unit_step(t)
-    return float(out) if out.ndim == 0 else out
+    return _causal(t, lambda s: 1.0 / p.mu + s / p.eta)
 
 
 def maxwell_relaxation(p: MaxwellParams, t):
     """Relaxation function mu * exp(-mu*t/eta) * step(t)."""
-    t = np.asarray(t, dtype=float)
-    out = p.mu * np.exp(-p.mu * np.where(t > 0, t, 0.0) / p.eta) * unit_step(t)
-    return float(out) if out.ndim == 0 else out
+    return _causal(t, lambda s: p.mu * np.exp(-p.mu * s / p.eta))
 
 
 def voigt_creep(p: VoigtParams, t):
     """Creep function (1/mu) * (1 - exp(-mu*t/eta)) * step(t)."""
-    t = np.asarray(t, dtype=float)
-    out = -(1.0 / p.mu) * np.expm1(-p.mu * np.where(t > 0, t, 0.0) / p.eta)
-    out = out * unit_step(t)
-    return float(out) if out.ndim == 0 else out
+    return _causal(t, lambda s: -(1.0 / p.mu) * np.expm1(-p.mu * s / p.eta))
 
 
 def voigt_relaxation(p: VoigtParams, t) -> tuple[float, float]:
@@ -165,26 +165,19 @@ def voigt_relaxation(p: VoigtParams, t) -> tuple[float, float]:
 
 def kelvin_creep(p: KelvinParams, t):
     """Creep function of the standard linear solid."""
-    t = np.asarray(t, dtype=float)
-    decay = np.exp(-np.where(t > 0, t, 0.0) / p.tau_sigma)
-    out = (1.0 / p.E_R) * (1.0 - (1.0 - p.tau_eps / p.tau_sigma) * decay)
-    out = out * unit_step(t)
-    return float(out) if out.ndim == 0 else out
+    return _causal(t, lambda s: (1.0 / p.E_R) * (
+        1.0 - (1.0 - p.tau_eps / p.tau_sigma) * np.exp(-s / p.tau_sigma)))
 
 
 def kelvin_relaxation(p: KelvinParams, t):
     """Relaxation function of the standard linear solid."""
-    t = np.asarray(t, dtype=float)
-    decay = np.exp(-np.where(t > 0, t, 0.0) / p.tau_eps)
-    out = p.E_R * (1.0 - (1.0 - p.tau_sigma / p.tau_eps) * decay)
-    out = out * unit_step(t)
-    return float(out) if out.ndim == 0 else out
+    return _causal(t, lambda s: p.E_R * (
+        1.0 - (1.0 - p.tau_sigma / p.tau_eps) * np.exp(-s / p.tau_eps)))
 
 
 def prony_relaxation(s: PronySpectrum, t):
     """g(t) = K + sum_n amp_n * exp(-freq_n * t), for t >= 0."""
-    t = np.asarray(t, dtype=float)
-    check_range("t", t, low=0, strict=False)
+    t = check_range("t", t, low=0, strict=False)
     out = np.full(t.shape, s.K, dtype=float)
     for a, f in zip(s.amplitudes, s.frequencies):
         out = out + a * np.exp(-f * t)
@@ -266,11 +259,10 @@ def kernel_force_history(spectrum: PronySpectrum, times,
     its steps' decay, gain and their temporaries, takes a quarter of the
     rows.  A uniform grid takes its decay and gain once, from its first step.
     """
-    times = np.asarray(times, dtype=float)
-    xs = np.asarray(displacement, dtype=float)
+    times = check_range("times", times, increasing=True)
+    xs = check_range("displacement", displacement)
     if times.shape != xs.shape or times.ndim != 1:
         raise DomainError("times and displacement must be 1-D of equal length")
-    check_range("times", times, increasing=True)
     dts = np.diff(times)
     if not spectrum.amplitudes:     # no internal variables
         return spectrum.K * xs + 0.0
@@ -338,8 +330,7 @@ def periodic_force_history(spectrum: PronySpectrum, dt,
 def exp_integral_e1(x):
     """Exponential integral E1(x) = int_x^inf exp(-u)/u du, for x > 0.  Past
     x = 746, E1(x) < exp(-x)/x rounds to +0.0, so exp1 runs only up to it."""
-    x = np.asarray(x, dtype=float)
-    check_range("x", x, low=0)
+    x = check_range("x", x, low=0)
     from scipy.special import exp1    # lazy: only E1 needs scipy.special
     out, live = np.zeros(x.shape), x <= 746.0
     out[live] = exp1(x[live])
@@ -352,8 +343,7 @@ def fung_reduced_relaxation(s: FungSpectrum, t):
     G(t) = [1 + c*(E1(t/q2) - E1(t/q1))] / [1 + c*ln(q2/q1)], with
     G(0) = 1 and long-time limit 1/(1 + c*ln(q2/q1)).
     """
-    t = np.asarray(t, dtype=float)
-    check_range("t", t, low=0, strict=False)
+    t = check_range("t", t, low=0, strict=False)
     out, pos = np.ones(t.shape), t > 0
     if (tp := t[pos]).size:     # scipy is imported only for a t > 0
         diff = exp_integral_e1(tp / s.q2) - exp_integral_e1(tp / s.q1)
@@ -407,8 +397,7 @@ class ReducedRelaxation:
 
     def value(self, t):
         """G(t) for t >= 0; at t = 0 the one-sided limit 1 is returned."""
-        t = np.asarray(t, dtype=float)
-        check_range("t", t, low=0, strict=False)
+        t = check_range("t", t, low=0, strict=False)
         k = self.kernel
         if isinstance(k, PronySpectrum):
             return prony_relaxation(k, t)

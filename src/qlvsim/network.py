@@ -40,10 +40,10 @@ def stability_check(K: np.ndarray, tol: float = 1e-12) -> StabilityResult:
     times the largest entry (at least 1) is the first failing minor.  Its
     ``minor_value`` is that pivot product.
     """
-    K = np.asarray(K, dtype=float)
+    K = check_range("K", K)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DomainError(f"stability check needs a square matrix, got {K.shape}")
-    check_range("K", K)
+    check_range("tol", tol)
     scale = max(1.0, float(np.max(np.abs(K)))) if K.size else 1.0
     A = K.copy()
     pivots = []
@@ -58,7 +58,7 @@ def stability_check(K: np.ndarray, tol: float = 1e-12) -> StabilityResult:
 
 def flexibility_from_stiffness(K: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive-definite stiffness matrix."""
-    K = np.asarray(K, dtype=float)
+    K = check_range("K", K)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DomainError(f"stiffness matrix must be square, got {K.shape}")
     if not np.allclose(K, K.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(K).max())):
@@ -81,8 +81,8 @@ def elastic_energy(K: np.ndarray, q: np.ndarray, check_dual: bool = True) -> flo
     With ``check_dual`` the flexibility form (1/2) Q^T C Q (Q = K q) is
     evaluated independently and must agree to 1e-10 relative.
     """
-    K = np.asarray(K, dtype=float)
-    q = np.asarray(q, dtype=float)
+    K = check_range("K", K)
+    q = check_range("q", q)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or q.shape != (K.shape[0],):
         raise DomainError(
             f"dimension mismatch: K is {K.shape}, q is {q.shape}")
@@ -286,26 +286,23 @@ class SpringMassSystem:
                           default_factory=dict)
 
     def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
-        K = np.asarray(self.stiffness, dtype=float)
+        m = check_range("masses", self.masses, low=0)
+        K = check_range("stiffness", self.stiffness)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "stiffness", K)
         for name in ("memory_kernels", "aero_kernels", "nonlinear_springs"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         n = m.size
-        check_range("masses", m, low=0)
         if K.shape != (n, n):
             raise DomainError(f"stiffness must be {n}x{n}, got {K.shape}")
-        check_range("stiffness", K)
         scale = max(1.0, float(np.abs(K).max())) if K.size else 1.0
         if not np.allclose(K, K.T, rtol=0.0, atol=1e-12 * scale):
             raise DomainError("stiffness matrix must be symmetric")
         if self.damping is not None:
-            beta = np.asarray(self.damping, dtype=float)
+            beta = check_range("damping", self.damping)
             object.__setattr__(self, "damping", beta)
             if beta.shape != (n, n):
                 raise DomainError(f"damping must be {n}x{n}, got {beta.shape}")
-            check_range("damping", beta)
         st = _Stack.of(self)
         object.__setattr__(self, "_stack", st)
         # the stiffness at t = 0+: equilibrium entries, memory amplitudes,
@@ -350,7 +347,7 @@ class SpringMassSystem:
         """DomainError unless ``dt`` is below the stability bound; then the
         damped update's solve for ``dt``, :func:`_damped_solve` of M + dt/2
         beta made once per ``dt``, or None when no damping acts."""
-        if dt >= self._dt_bound:
+        if check_range("dt", dt) >= self._dt_bound:
             raise DomainError(
                 f"dt = {dt} violates the explicit stability bound "
                 f"2/{self._dt_rate} = {self._dt_bound}")
@@ -380,8 +377,8 @@ class SystemState:
                 q: np.ndarray | None = None,
                 v: np.ndarray | None = None) -> "SystemState":
         n = system.n
-        q = np.zeros(n) if q is None else np.asarray(q, dtype=float)
-        v = np.zeros(n) if v is None else np.asarray(v, dtype=float)
+        q = np.zeros(n) if q is None else check_range("q", q)
+        v = np.zeros(n) if v is None else check_range("v", v)
         if q.shape != (n,) or v.shape != (n,):
             raise DomainError("initial state dimensions do not match the system")
         return cls(time=0.0, q=q, v=v,

@@ -374,8 +374,7 @@ def frequency_sweep(spec: ProtocolSpec, model,
     4*_BLOCK_ROWS samples and SIZE_BUDGET filter states, whatever ``cycles``
     and the count.  A failing pass runs again one frequency at a time, so
     the first failing frequency raises its own error."""
-    freqs = np.asarray(angular_frequencies, dtype=float)
-    check_range("angular frequencies", freqs, low=0)
+    freqs = check_range("angular frequencies", angular_frequencies, low=0)
     check_period(float(freqs.min(initial=np.inf)))    # the longest period
     terms = len(model.prony.amplitudes) if isinstance(model, QlvModel) else 1
     block = max(1, min(4 * _BLOCK_ROWS, SIZE_BUDGET // max(terms, 1))
@@ -402,12 +401,13 @@ def fit_exponential_law(stretch, stress) -> tuple[ExponentialTensileLaw, dict]:
     most 100 iterations, stopping when the relative parameter change drops
     below 1e-10).  Returns the law and fit diagnostics.
     """
-    lam = np.asarray(stretch, dtype=float)
-    T = np.asarray(stress, dtype=float)
-    if lam.size < 3:
-        raise DomainError(f"need at least 3 samples, got {lam.size}")
-    check_range("stretch", lam, increasing=True)
-    check_range("stress", T)
+    if (n := np.size(stretch)) < 3:
+        raise DomainError(f"need at least 3 samples, got {n}")
+    lam = check_range("stretch", stretch, increasing=True)
+    T = check_range("stress", stress)
+    if T.shape != lam.shape:
+        raise DomainError("stretch and stress must have equal lengths, "
+                          f"got {lam.size} and {T.size}")
     if np.allclose(T, T[0]):
         raise FitError("stress samples are constant; the slope regression "
                        "is singular")
@@ -477,12 +477,11 @@ def fit_relaxation_spectrum(times, values, n_terms: int,
     observed time range; explicit frequencies may be supplied instead.
     The equilibrium coefficient K is fitted as the zero-frequency column.
     """
-    t = np.asarray(times, dtype=float)
-    g = np.asarray(values, dtype=float)
+    t = check_range("times", times, increasing=True)
+    g = check_range("values", values)
     if t.size < 2 or g.shape != t.shape:
         raise DomainError("need matching time and value arrays with >= 2 samples")
     check_fit_terms(t.size, n_terms)
-    check_range("times", t, increasing=True)
     if t[0] != 0.0 or abs(g[0] - 1.0) > 1e-9:
         raise DomainError("relaxation series must start at (0, 1); "
                           "normalize before fitting")
@@ -494,7 +493,7 @@ def fit_relaxation_spectrum(times, values, n_terms: int,
         freqs = np.logspace(np.log10(1.0 / t_pos.max()),
                             np.log10(1.0 / t_pos.min()), n_terms)
     else:
-        freqs = np.asarray(frequencies, dtype=float)
+        freqs = check_range("frequencies", frequencies)
         if freqs.size != n_terms:
             raise DomainError("frequencies length must equal n_terms")
     freqs = np.sort(freqs)

@@ -31,18 +31,16 @@ class StrainHistory:
     measure: str = "green"
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = check_range("times", self.times, increasing=True)
+        values = check_range("strain values", self.values)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.shape != times.shape:
             raise DomainError("times and values must be 1-D arrays of equal length")
         if times.size == 0:
             raise DomainError("history must contain at least one sample")
-        check_range("times", times, increasing=True)
         if times[0] != 0.0:
             raise DomainError(f"first sample time must be 0, got {times[0]}")
-        check_range("strain values", values)
         if self.measure not in ("green", "stretch"):
             raise DomainError(f"unknown strain measure {self.measure!r}")
 
@@ -191,12 +189,17 @@ def hysteresis_ratio(loading_strain, loading_stress,
         loading_strain, loading_stress, unloading_strain, unloading_stress))
     if ls.size < 2 or us.size < 2:
         raise DomainError("loading and unloading branches need >= 2 samples")
+    if ls.shape != lt.shape or us.shape != ut.shape:
+        raise DomainError("strain and stress must have equal lengths, got "
+                          f"{ls.size} and {lt.size} loading, {us.size} and "
+                          f"{ut.size} unloading")
+    x = check_range("strain", np.concatenate([ls, us]))
+    y = check_range("stress", np.concatenate([lt, ut]))
     if (ls[1:] < ls[:-1]).any():
         raise DomainError("loading strain must be non-decreasing")
     if (us[1:] > us[:-1]).any():
         raise DomainError("unloading strain must be non-increasing")
 
-    x, y = np.concatenate([ls, us]), np.concatenate([lt, ut])
     loop_area = 0.5 * abs(np.dot(x, np.concatenate([lt[1:], ut, lt[:1]]))
                           - np.dot(y, np.concatenate([ls[1:], us, ls[:1]])))
     loading_area = float(np.trapezoid(np.maximum(lt, 0.0), ls))

@@ -465,13 +465,16 @@ class TestValidateAgreesWithTheRun:
          "protocol: stretch_rate must be > 0, got 0.0"),
         ("sweep", CYCLIC_CFG.read_text().replace(
             "prony_terms: 64", "prony_terms: 1" + "0" * 400),
-         "model.kernel.prony_terms: must be <= 10000000"),
+         "model.kernel.prony_terms: must be <= 10000000, got 1e+400"),
         ("sweep", CYCLIC_CFG.read_text().replace(
             "prony_terms: 64", "prony_terms: 1"),
          "model.kernel.prony_terms: must be >= 2, got 1"),
         ("sweep", CYCLIC_CFG.read_text().replace(
+            "prony_terms: 64", "prony_terms: -1" + "0" * 60),
+         "model.kernel.prony_terms: must be >= 2, got -1e+60"),
+        ("sweep", CYCLIC_CFG.read_text().replace(
             "count: 9", "count: 1" + "0" * 400),
-         "sweep.count: must be <= 10000000"),
+         "sweep.count: must be <= 10000000, got 1e+400"),
         ("cyclic", CYCLIC_CFG.read_text().replace(
             "cycles: 5", "cycles: 1" + "0" * 400),
          "protocol: cycles*samples_per_cycle must be <= 10000000, got "
@@ -542,7 +545,7 @@ class TestValidateAgreesWithTheRun:
          "protocol: 5 x period 2*pi/w overflows, got w = 4e-308"),
     ]
     IDS = ["hold_strain", "stretch_rate", "no-stretch_rate", "prony_terms",
-           "one-prony_term", "sweep_count", "cycles", "dt", "empty-grid",
+           "one-prony_term", "61-digit-prony_terms", "sweep_count", "cycles", "dt", "empty-grid",
            "simulate-empty-grid", "negative-duration", "network-duration",
            "network-dt", "filter-states", "record-table",
            "unstable-network-dt", "stiff-spring", "strong-damping",
@@ -968,7 +971,7 @@ class TestSimulate:
     PAIR = "{i: 0, j: 1, B: 2.0, C: 0.5}"
     STIFF = "{i: 1, B: 400.0, C: 0.5}"
 
-    COMPRESSED = "spring (0, 1) at t = 0: stretch must be > 0, got min -0.5"
+    COMPRESSED = "spring (0, 1) at t = 0: stretch must be > 0, got -0.5"
     OVERFLOWING = ("spring (1, ground) at t = 0: exponent B*(lambda-1) "
                    "must be <= 700.0, got 800.0")
 

@@ -232,7 +232,7 @@ network:
         ("0.0, 700.0", "spring (1, ground) at t = 0: overflow encountered "
          "in scalar multiply"),
         ("0.0, -1.5", "spring (1, ground) at t = 0: stretch must be > 0, "
-         "got min -0.5")], ids=["overflow", "compressed"])
+         "got -0.5")], ids=["overflow", "compressed"])
     def test_initial_state_out_of_a_spring_domain(self, q, error):
         # the run's first force evaluation, whatever numpy's error state
         text = ("network:\n  masses: [1.0, 1.0]\n"
@@ -266,11 +266,13 @@ class TestSizeBudget:
         assert SIZE_BUDGET >= 50 * 100_001
 
     @pytest.mark.parametrize("value, error", [
-        (HUGE, f"must be <= {SIZE_BUDGET}"),
-        (str(SIZE_BUDGET + 1), f"must be <= {SIZE_BUDGET}"),
+        (HUGE, f"must be <= {SIZE_BUDGET}, got 1e+400"),
+        (str(SIZE_BUDGET + 1),
+         f"must be <= {SIZE_BUDGET}, got {SIZE_BUDGET + 1}"),
         ("1", "must be >= 2, got 1"),
         ("0", "must be >= 2, got 0"),
-    ], ids=["401-digits", "budget+1", "one", "zero"])
+        ("-1" + "0" * 60, "must be >= 2, got -1e+60"),
+    ], ids=["401-digits", "budget+1", "one", "zero", "61-digits-below"])
     def test_fung_prony_terms(self, value, error):
         errs = errors_of("model:\n  elastic: {kind: linear, k: 1.0}\n"
                          f"  kernel: {FUNG}, prony_terms: {value}}}\n")
@@ -292,12 +294,13 @@ class TestSizeBudget:
         assert errs == ["model.kernel.prony_terms: unknown key (allowed: "
                         "['eta', 'kind', 'mu'])"]
 
-    @pytest.mark.parametrize("count", [HUGE, str(SIZE_BUDGET + 1)],
-                             ids=["401-digits", "budget+1"])
-    def test_sweep_count(self, count):
+    @pytest.mark.parametrize("count, got", [
+        (HUGE, "1e+400"), (str(SIZE_BUDGET + 1), str(SIZE_BUDGET + 1))],
+        ids=["401-digits", "budget+1"])
+    def test_sweep_count(self, count, got):
         errs = errors_of(f"model:\n  kernel: {MAXWELL}\n"
                          f"sweep: {{start: 0.1, stop: 10.0, count: {count}}}\n")
-        assert errs == [f"sweep.count: must be <= {SIZE_BUDGET}"]
+        assert errs == [f"sweep.count: must be <= {SIZE_BUDGET}, got {got}"]
 
     @pytest.mark.parametrize("drive, error", [
         ("{kind: creep, duration: 1.0, dt: 1.0e-300}",
@@ -390,7 +393,7 @@ class TestReaderLimits:
         (MINIMAL + "output: {precision: 0}\n",
          "output.precision: must be >= 1, got 0"),
         (MINIMAL + "output: {precision: 18}\n",
-         "output.precision: must be <= 17"),
+         "output.precision: must be <= 17, got 18"),
     ], ids=["w-nan", "w-inf", "w-zero", "precision-low", "precision-high"])
     def test_rejected_at_its_key(self, text, error):
         assert errors_of(text) == [error]

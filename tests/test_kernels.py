@@ -154,7 +154,7 @@ class TestProny:
     def test_negative_time_rejected(self):
         s = PronySpectrum(K=1.0)
         with pytest.raises(DomainError,
-                           match=r"^t must be >= 0, got min -1\.0$"):
+                           match=r"^t must be >= 0, got -1\.0$"):
             prony_relaxation(s, -1.0)
 
 

@@ -913,7 +913,7 @@ class TestStackedSprings:
 
     @pytest.mark.parametrize("faulty, message", [
         ((COMPRESSED, OVERFLOWING),
-         "spring (0, ground) at t = 0: stretch must be > 0, got min -0.5"),
+         "spring (0, ground) at t = 0: stretch must be > 0, got -0.5"),
         ((OVERFLOWING, COMPRESSED),
          "spring (1, ground) at t = 0: exponent B*(lambda-1) must be <= "
          "700.0, got 800.0"),
